@@ -30,8 +30,8 @@ from .chromatic import (
     enumerate_partition_tuples,
     support,
 )
-from .errors import BadPrimeError
-from .hypergraph import Hypergraph, is_simple
+from .errors import BadPrimeError, VerificationError
+from .hypergraph import Hypergraph, check_multiplicities, is_simple
 from .series import QPolynomial
 
 Row = tuple[int, ...]
@@ -87,34 +87,42 @@ def int_rank(rows: Iterable[Sequence[int]], width: int) -> int:
     return len(rref(rows, width))
 
 
-def rank_mod_p(rows: Iterable[Sequence[int]], width: int, p: int) -> int:
-    mat = [[int(v) % p for v in r] for r in rows]
-    rank = 0
-    for c in range(width):
-        piv = next((i for i in range(rank, len(mat)) if mat[i][c]), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = pow(mat[rank][c], -1, p)
-        mat[rank] = [(v * inv) % p for v in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][c]:
-                b = mat[i][c]
-                mat[i] = [(x - b * y) % p for x, y in zip(mat[i], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
-
-
-def _in_rowspace(vec: Sequence[int], basis: Sequence[Row]) -> bool:
-    v = list(int(x) for x in vec)
+def _reduce(vec: Sequence[int], basis: Sequence[Row]) -> list[int]:
+    """Remainder of vec against basis by integer cross-multiplication; zero
+    exactly when vec lies in the row space.  Each basis row must be zero at
+    the leading columns of the rows before it, which holds for an echelon
+    form and for rows built as remainders against the rows before them."""
+    v = list(vec)
     for row in basis:
         c = next(i for i, x in enumerate(row) if x)
         if v[c]:
             a, b = row[c], v[c]
             v = [x * a - y * b for x, y in zip(v, row)]
-    return not any(v)
+    return v
+
+
+def _reduce_mod(vec: Sequence[int], basis: Sequence[Row], p: int) -> list[int]:
+    """Remainder of vec mod p against basis, whose rows are reduced mod p
+    and kept as for ``_reduce``."""
+    v = [x % p for x in vec]
+    for row in basis:
+        c = next(i for i, x in enumerate(row) if x)
+        if v[c]:
+            b = v[c] * pow(row[c], -1, p)
+            v = [(x - b * y) % p for x, y in zip(v, row)]
+    return v
+
+
+def rank_mod_p(rows: Iterable[Sequence[int]], width: int, p: int) -> int:
+    """Rank over F_p of rows of the given width, by incremental insertion."""
+    basis: list[Row] = []
+    for r in rows:
+        if len(r) != width:
+            raise ValueError(f"form {tuple(r)} has {len(r)} coefficients, need {width}")
+        rem = _reduce_mod([int(v) for v in r], basis, p)
+        if any(rem):
+            basis.append(tuple(rem))
+    return len(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +200,7 @@ def _poset_data(arr: Arrangement) -> tuple[PosetElement, ...]:
     def mask_of(basis: tuple[Row, ...]) -> int:
         mask = 0
         for i, h in enumerate(hyps):
-            if all(_in_rowspace(row, basis) for row in h):
+            if not any(any(_reduce(row, basis)) for row in h):
                 mask |= 1 << i
         return mask
 
@@ -288,36 +296,20 @@ def _assert_good_prime(arr: Arrangement, p: int) -> None:
     total = sum(math.comb(len(rows), k) for k in range(min(n, len(rows)) + 1))
     charge(total, f"good-prime certification for p={p}")
 
-    def reduce_q(vec: list[int], basis: list[tuple[int, ...]]) -> list[int]:
-        for row in basis:
-            c = next(i for i, x in enumerate(row) if x)
-            if vec[c]:
-                a, b = row[c], vec[c]
-                vec = [x * a - y * b for x, y in zip(vec, row)]
-        return vec
-
-    def reduce_p(vec: list[int], basis: list[tuple[int, ...]]) -> list[int]:
-        for row in basis:
-            c = next(i for i, x in enumerate(row) if x)
-            if vec[c] % p:
-                b = vec[c] * pow(row[c], -1, p)
-                vec = [(x - b * y) % p for x, y in zip(vec, row)]
-        return [v % p for v in vec]
-
     def walk(start: int, basis_q: list, basis_p: list, chosen: list[int]) -> None:
         if len(basis_q) == n:
             return
         for i in range(start, len(rows)):
-            rem_q = reduce_q(list(rows[i]), basis_q)
+            rem_q = _reduce(rows[i], basis_q)
             if not any(rem_q):
                 continue
-            rem_p = reduce_p(list(rows[i]), basis_p)
+            rem_p = _reduce_mod(rows[i], basis_p, p)
             if not any(rem_p):
                 raise BadPrimeError(
                     f"prime {p} makes the rows {[list(rows[j]) for j in chosen]} "
                     f"+ {list(rows[i])} dependent (independent over Q)"
                 )
-            basis_q.append(tuple(_primitive(rem_q)))
+            basis_q.append(_primitive(rem_q))
             basis_p.append(tuple(rem_p))
             chosen.append(i)
             walk(i + 1, basis_q, basis_p, chosen)
@@ -359,7 +351,8 @@ def region_count(arr: Arrangement) -> int:
     if any(s.codim != 1 for s in arr.subspaces):
         raise ValueError("region counting needs an arrangement of hyperplanes")
     value = characteristic_polynomial(arr).eval(-1) * (-1) ** arr.n
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise VerificationError(f"region count |chi(-1)| = {value} is not an integer")
     return int(value)
 
 
@@ -428,9 +421,7 @@ def _clan_core(
 def clan(arr: Arrangement, special: Iterable[int], m: Sequence[int]) -> Arrangement:
     """The marked clan: m_i coordinate copies per vertex in supp(m),
     distinctness hyperplanes only at special vertices."""
-    m = tuple(int(v) for v in m)
-    if len(m) != arr.n or any(v < 0 for v in m):
-        raise ValueError(f"bad multiplicity vector {m} for n={arr.n}")
+    m = check_multiplicities(arr.n, m)
     sp = sorted(set(int(v) for v in special))
     if any(v < 1 or v > arr.n for v in sp):
         raise ValueError(f"special indices {sp} outside 1..{arr.n}")
@@ -458,9 +449,7 @@ def marked_chromatic_arrangement(
     """The marked chromatic polynomial of an arrangement: sum over partition
     tuples of the blow-up clan's characteristic polynomial, each divided by
     the duplication factor of its partitions."""
-    m = tuple(int(v) for v in m)
-    if len(m) != arr.n or any(v < 0 for v in m):
-        raise ValueError(f"bad multiplicity vector {m} for n={arr.n}")
+    m = check_multiplicities(arr.n, m)
     sp = sorted(set(int(v) for v in special))
     if not set(sp) <= set(support(m)):
         raise ValueError(
@@ -484,9 +473,7 @@ def brute_force_arrangement_count(
     Multisets are counted by underlying set and weighted by the number of
     multisets realizing it; the per-member existence check runs over partial
     form-value sets so its state never exceeds p^(codim)."""
-    m = tuple(int(v) for v in m)
-    if len(m) != arr.n or any(v < 0 for v in m):
-        raise ValueError(f"bad multiplicity vector {m} for n={arr.n}")
+    m = check_multiplicities(arr.n, m)
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     sp = set(int(v) for v in special)

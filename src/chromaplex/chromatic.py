@@ -21,14 +21,21 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import warnings
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .budget import charge
-from .hypergraph import Hypergraph, IndependenceSystem, hypergraph, system_series
+from .errors import VerificationError
+from .hypergraph import (
+    Hypergraph,
+    IndependenceSystem,
+    check_multiplicities,
+    hypergraph,
+    marked_independent_vectors,
+    system_series,
+)
 from .series import (
     QPolynomial,
     binomial_poly,
@@ -42,15 +49,6 @@ Partition = tuple[int, ...]
 PartitionTuple = tuple[Partition, ...]
 
 
-def check_multiplicities(g: Hypergraph, m: Sequence[int]) -> Vector:
-    m = tuple(int(v) for v in m)
-    if len(m) != g.n:
-        raise ValueError(f"multiplicity vector has length {len(m)}, need {g.n}")
-    if any(v < 0 for v in m):
-        raise ValueError(f"multiplicities must be >= 0, got {m}")
-    return m
-
-
 def support(m: Sequence[int]) -> tuple[int, ...]:
     return tuple(i + 1 for i, v in enumerate(m) if v > 0)
 
@@ -62,7 +60,7 @@ def support(m: Sequence[int]) -> tuple[int, ...]:
 
 def brute_force_count(g: Hypergraph, m: Sequence[int], q: int) -> int:
     """Count marked colorings with q colors by direct enumeration."""
-    m = check_multiplicities(g, m)
+    m = check_multiplicities(g.n, m)
     if not isinstance(q, int) or q < 0:
         raise ValueError("q must be a nonnegative integer")
     sp = set(g.special)
@@ -106,23 +104,8 @@ def brute_force_count(g: Hypergraph, m: Sequence[int], q: int) -> int:
 def _marked_blocks(g: Hypergraph, cap: Vector) -> list[Vector]:
     """Marked-independent multiplicity vectors b with 0 < b <= cap,
     in descending lexicographic order (the canonical block order)."""
-    size = 1
-    for t in cap:
-        size *= t + 1
-    charge(size, "block-candidate enumeration")
-    sp = set(g.special)
-    edge_sets = [frozenset(e) for e in g.edges]
-    out: list[Vector] = []
-    for b in itertools.product(*(range(t + 1) for t in cap)):
-        if not any(b):
-            continue
-        if any(mult > 1 and (i + 1) not in sp for i, mult in enumerate(b)):
-            continue
-        supp = frozenset(i + 1 for i, mult in enumerate(b) if mult)
-        if all(not e <= supp for e in edge_sets):
-            out.append(b)
-    out.sort(reverse=True)
-    return out
+    charge(math.prod(t + 1 for t in cap), "block-candidate enumeration")
+    return sorted((b for b in marked_independent_vectors(g, cap) if any(b)), reverse=True)
 
 
 def _ordered_block_counts(g: Hypergraph, m: Vector) -> dict[int, int]:
@@ -180,28 +163,10 @@ def _ordered_block_counts(g: Hypergraph, m: Vector) -> dict[int, int]:
 
 def count_Pk_mult(g: Hypergraph, m: Sequence[int], k: int) -> int:
     """Number of ordered k-tuples of marked-independent blocks summing to m."""
-    m = check_multiplicities(g, m)
+    m = check_multiplicities(g.n, m)
     if k < 0:
         raise ValueError("need k >= 0")
     return _ordered_block_counts(g, m).get(k, 0)
-
-
-def count_Pk_ordered_debug(g: Hypergraph, m: Sequence[int], k: int) -> int:
-    """Debug route for count_Pk_mult: direct recursion over ordered tuples."""
-    m = check_multiplicities(g, m)
-    blocks = _marked_blocks(g, m)
-
-    @lru_cache(maxsize=None)
-    def rec(remaining: Vector, j: int) -> int:
-        if j == 0:
-            return 0 if any(remaining) else 1
-        total = 0
-        for b in blocks:
-            if all(bv <= rv for bv, rv in zip(b, remaining)):
-                total += rec(tuple(rv - bv for rv, bv in zip(remaining, b)), j - 1)
-        return total
-
-    return rec(m, k)
 
 
 @lru_cache(maxsize=None)
@@ -216,7 +181,7 @@ def _partition_formula(g: Hypergraph, m: Vector) -> QPolynomial:
 def marked_chromatic_poly(g: Hypergraph, m: Sequence[int]) -> QPolynomial:
     """The marked chromatic polynomial at multiplicities m, via the
     block-partition formula: sum over k of |P_k| * binomial(q, k)."""
-    m = check_multiplicities(g, m)
+    m = check_multiplicities(g.n, m)
     supp = set(support(m))
     # vertices outside the support carry empty color multisets, so edges and
     # special flags beyond the support cannot affect the count; normalizing
@@ -239,9 +204,7 @@ def coefficient_via_binomial(
     Computed as sum over k of binomial(q, k) * [x^m](I_S - 1)^k, working with
     series truncated at m.  Independent of the block-partition machinery.
     """
-    m = tuple(int(v) for v in m)
-    if len(m) != a.n or any(v < 0 for v in m):
-        raise ValueError(f"bad multiplicity vector {m} for n={a.n}")
+    m = check_multiplicities(a.n, m)
     f = system_series(a, special, m)
     # the base series has one unit term per marked-independent multiset, so
     # its powers keep plain integer coefficients
@@ -327,7 +290,7 @@ def blow_up(g: Hypergraph, lam: PartitionTuple, m: Sequence[int]) -> Hypergraph:
 
     Edges touching a vertex with m_i = 0 disappear (no choice exists there).
     """
-    m = check_multiplicities(g, m)
+    m = check_multiplicities(g.n, m)
     if len(lam) != g.n:
         raise ValueError("partition tuple length must equal vertex count")
     sp = set(g.special)
@@ -358,7 +321,7 @@ def chromatic_via_blowup(g: Hypergraph, m: Sequence[int]) -> QPolynomial:
     """The marked chromatic polynomial as a sum over partition tuples of
     ordinary chromatic polynomials of blow-ups, each divided by its
     duplication factor."""
-    m = check_multiplicities(g, m)
+    m = check_multiplicities(g.n, m)
     total = QPolynomial()
     for lam in enumerate_partition_tuples(m, g.special):
         factor = math.prod(duplication_factor(part) for part in lam)
@@ -433,7 +396,7 @@ def chordal_multichromatic(g: Hypergraph, m: Sequence[int]) -> QPolynomial:
     """Closed form for chordal graphs without special vertices: color along a
     perfect elimination ordering; each vertex sees its earlier neighbors'
     colors as one forbidden block because they form a clique."""
-    m = check_multiplicities(g, m)
+    m = check_multiplicities(g.n, m)
     if g.special:
         raise ValueError("chordal_multichromatic requires no special vertices")
     order = find_peo(g)
@@ -453,7 +416,7 @@ def chordal_marked_chromatic(g: Hypergraph, m: Sequence[int]) -> QPolynomial:
     """Closed form for chordal graphs with special vertices: sum over
     partition tuples; vertex j contributes binomial(q - b_j, l_j) ordered
     block choices, b_j counting earlier neighbors' blocks."""
-    m = check_multiplicities(g, m)
+    m = check_multiplicities(g.n, m)
     order = find_peo(g)
     if order is None:
         raise ValueError("graph is not chordal")
@@ -480,13 +443,6 @@ def cycle_graph(n: int) -> Hypergraph:
     return hypergraph(n, edges, ())
 
 
-def _falling(a: int, k: int) -> int:
-    out = 1
-    for t in range(k):
-        out *= a - t
-    return out
-
-
 def cycle_multichromatic(m: Sequence[int], verify: bool = True) -> QPolynomial:
     """Closed form for the multichromatic polynomial of the cycle C_n,
     n = len(m) >= 3, all multiplicities >= 1 and no special vertices:
@@ -499,11 +455,12 @@ def cycle_multichromatic(m: Sequence[int], verify: bool = True) -> QPolynomial:
     k-th summand collects the eigenspace of dimension C(q,k) - C(q,k-1), and
     regrouping the factor for the edge (r, r+1) against vertex r's
     denominator leaves m_{r+1}! * C(q-k-m_r, m_{r+1}-k) per step, whence the
-    leading division.  Evaluated exactly at |m|+1 integer points large
-    enough that no denominator vanishes, then interpolated.
+    leading division.  Only k <= min(m) contribute, since (m_i)_k vanishes
+    beyond.  Evaluated exactly at |m|+1 integer points large enough that no
+    denominator vanishes, then interpolated.
 
-    The result is gated against the block-partition formula; on mismatch a
-    warning is emitted and the partition value is returned.
+    With ``verify`` the result is gated against the block-partition formula,
+    and a mismatch raises VerificationError.
     """
     m = tuple(int(v) for v in m)
     n = len(m)
@@ -513,32 +470,25 @@ def cycle_multichromatic(m: Sequence[int], verify: bool = True) -> QPolynomial:
         raise ValueError("cycle closed form needs all multiplicities >= 1")
     degree = sum(m)
     scale = math.prod(math.factorial(v) for v in m)
-    q0 = max(m) + n + 1
+    q0 = max(m) + min(m) + 1
     points: list[tuple[int, Fraction]] = []
     for q in range(q0, q0 + degree + 1):
         outer = 1
         for r in range(n):
-            outer *= _falling(q, m[r] + m[(r + 1) % n])
+            outer *= math.perm(q, m[r] + m[(r + 1) % n])
         acc = Fraction(0)
-        for k in range(n + 1):
+        for k in range(min(m) + 1):
             vk = math.comb(q, k) - (math.comb(q, k - 1) if k >= 1 else 0)
             prod = Fraction(1)
             for mi in m:
-                num = _falling(mi, k)
-                if num == 0:
-                    prod = Fraction(0)
-                    break
-                prod *= Fraction(num, _falling(q, mi + k))
+                prod *= Fraction(math.perm(mi, k), math.perm(q, mi + k))
             acc += (-1) ** (k * n) * vk * prod
         points.append((q, Fraction(outer) * acc / scale))
     candidate = qpoly_interpolate(points)
     if verify:
         reference = marked_chromatic_poly(cycle_graph(n), m)
         if candidate != reference:
-            warnings.warn(
-                "cycle closed form disagreed with the partition formula at "
-                f"m={m}; returning the partition value",
-                stacklevel=2,
+            raise VerificationError(
+                f"cycle closed form disagrees with the partition formula at m={m}"
             )
-            return reference
     return candidate

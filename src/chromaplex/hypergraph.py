@@ -13,12 +13,14 @@ the hypergraph whose edges are the minimal non-members.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .budget import charge
+from .errors import VerificationError
 from .series import ONE, TruncatedSeries
 
 Edge = tuple[int, ...]
@@ -86,22 +88,45 @@ def is_even(g: Hypergraph) -> bool:
     return validate(g).even
 
 
+def check_multiplicities(n: int, m: Sequence[int]) -> tuple[int, ...]:
+    """m as a tuple of ints, refused unless it has length n and no negative entry."""
+    m = tuple(int(v) for v in m)
+    if len(m) != n:
+        raise ValueError(f"multiplicity vector has length {len(m)}, need {n}")
+    if any(v < 0 for v in m):
+        raise ValueError(f"multiplicities must be >= 0, got {m}")
+    return m
+
+
+def marked_independent_vectors(g: Hypergraph, cap: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """The multiplicity vectors e <= cap with an edge-free support and
+    e_v <= 1 off the special set, ordered by support size, then support,
+    then multiplicities.  With cap <= 1 these are the independent sets.
+
+    Charges no budget: each caller charges its own estimate."""
+    sp = set(g.special)
+    edge_sets = [frozenset(e) for e in g.edges]
+    allowed = [v for v in range(1, g.n + 1) if cap[v - 1] >= 1]
+    for size in range(len(allowed) + 1):
+        for supp in itertools.combinations(allowed, size):
+            s = frozenset(supp)
+            if any(e <= s for e in edge_sets):
+                continue
+            ranges = [range(1, cap[v - 1] + 1) if v in sp else (1,) for v in supp]
+            for mults in itertools.product(*ranges):
+                e = [0] * g.n
+                for v, mult in zip(supp, mults):
+                    e[v - 1] = mult
+                yield tuple(e)
+
+
 def independent_sets(g: Hypergraph) -> list[Edge]:
     """All edge-free vertex subsets, as sorted tuples in graded lex order."""
     charge(1 << g.n, f"independent-set enumeration over {g.n} vertices")
-    edge_sets = [frozenset(e) for e in g.edges]
-    verts = range(1, g.n + 1)
-    found: list[Edge] = []
-    for size in range(g.n + 1):
-        for combo in itertools.combinations(verts, size):
-            s = frozenset(combo)
-            if all(not e <= s for e in edge_sets):
-                found.append(combo)
-    return found
-
-
-def _is_independent(edge_sets: Sequence[frozenset[int]], s: frozenset[int]) -> bool:
-    return all(not e <= s for e in edge_sets)
+    return [
+        tuple(v for v, mult in enumerate(e, start=1) if mult)
+        for e in marked_independent_vectors(g, (1,) * g.n)
+    ]
 
 
 def independence_polynomial(g: Hypergraph, trunc: Sequence[int]) -> TruncatedSeries:
@@ -109,31 +134,20 @@ def independence_polynomial(g: Hypergraph, trunc: Sequence[int]) -> TruncatedSer
     trunc = tuple(int(t) for t in trunc)
     if len(trunc) != g.n:
         raise ValueError("truncation vector length must equal vertex count")
-    allowed = [v for v in range(1, g.n + 1) if trunc[v - 1] >= 1]
-    edge_sets = [frozenset(e) for e in g.edges]
-    charge(1 << len(allowed), "independent-set enumeration")
-    terms = {}
-    for size in range(len(allowed) + 1):
-        for combo in itertools.combinations(allowed, size):
-            if _is_independent(edge_sets, frozenset(combo)):
-                e = [0] * g.n
-                for v in combo:
-                    e[v - 1] = 1
-                terms[tuple(e)] = ONE
+    cap = tuple(int(t >= 1) for t in trunc)
+    charge(1 << sum(cap), "independent-set enumeration")
+    terms = dict.fromkeys(marked_independent_vectors(g, cap), ONE)
     return TruncatedSeries(g.n, trunc, terms)
 
 
 def is_marked_independent(g: Hypergraph, m: Sequence[int]) -> bool:
     """Whether the multiset with multiplicity vector m is marked independent:
     support independent, and multiplicity <= 1 off the special set."""
-    m = tuple(int(v) for v in m)
-    if len(m) != g.n or any(v < 0 for v in m):
-        raise ValueError(f"bad multiplicity vector {m} for n={g.n}")
-    sp = set(g.special)
-    if any(mult > 1 and (v + 1) not in sp for v, mult in enumerate(m)):
+    m = check_multiplicities(g.n, m)
+    if any(mult > 1 and v not in g.special for v, mult in enumerate(m, start=1)):
         return False
-    supp = frozenset(v + 1 for v, mult in enumerate(m) if mult > 0)
-    return _is_independent([frozenset(e) for e in g.edges], supp)
+    supp = {v for v, mult in enumerate(m, start=1) if mult}
+    return not any(set(e) <= supp for e in g.edges)
 
 
 def marked_independence_series(g: Hypergraph, trunc: Sequence[int]) -> TruncatedSeries:
@@ -145,19 +159,8 @@ def marked_independence_series(g: Hypergraph, trunc: Sequence[int]) -> Truncated
     trunc = tuple(int(t) for t in trunc)
     if len(trunc) != g.n:
         raise ValueError("truncation vector length must equal vertex count")
-    size = 1
-    for t in trunc:
-        size *= t + 1
-    charge(size, "truncation-window enumeration")
-    edge_sets = [frozenset(e) for e in g.edges]
-    sp = set(g.special)
-    terms = {}
-    for e in itertools.product(*(range(t + 1) for t in trunc)):
-        if any(mult > 1 and (v + 1) not in sp for v, mult in enumerate(e)):
-            continue
-        supp = frozenset(v + 1 for v, mult in enumerate(e) if mult > 0)
-        if _is_independent(edge_sets, supp):
-            terms[e] = ONE
+    charge(math.prod(t + 1 for t in trunc), "truncation-window enumeration")
+    terms = dict.fromkeys(marked_independent_vectors(g, trunc), ONE)
     return TruncatedSeries(g.n, trunc, terms)
 
 
@@ -282,9 +285,10 @@ def system_series(
                 e[v - 1] = mult
             terms[tuple(e)] = ONE
     direct = TruncatedSeries(a.n, trunc, terms)
-    # the same series through the minimal-non-member hypergraph, asserted
+    # the same series through the minimal-non-member hypergraph, as a gate
     via_graph = marked_independence_series(hypergraph_from_system(a, sp), trunc)
-    assert direct == via_graph, "system series disagrees with its hypergraph route"
+    if direct != via_graph:
+        raise VerificationError("system series disagrees with its hypergraph route")
     return direct
 
 

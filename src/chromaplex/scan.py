@@ -105,7 +105,12 @@ def odd_edge_witness(g: Hypergraph) -> Optional[tuple[tuple[int, ...], int]]:
     h = hypergraph(r, [tuple(range(1, r + 1))])
     inv = series_inverse(_signed_independence_series(h, (2,) * r))
     value = inv.terms.get((2,) * r, Fraction(0))
-    assert value.denominator == 1
+    expected = 2 + (-2) ** r
+    if value != expected:
+        raise VerificationError(
+            f"witness coefficient for an edge of size {r} is {value} by series "
+            f"inversion but {expected} in closed form"
+        )
     return e, int(value)
 
 

@@ -314,22 +314,12 @@ def qpoly_eval(p: QPolynomial, v: int | Fraction) -> Fraction:
 @lru_cache(maxsize=None)
 def binomial_poly(k: int) -> QPolynomial:
     """binomial(q, k) as a polynomial of degree k (k >= 0)."""
-    if k < 0:
-        raise ValueError("need k >= 0")
-    p = qpoly_const(1)
-    for j in range(k):
-        p = p * (Q - j)
-    return p / math.factorial(k)
+    return shifted_binomial_poly(0, k)
 
 
 def falling_factorial_poly(k: int) -> QPolynomial:
     """q(q-1)...(q-k+1), the falling factorial of length k."""
-    if k < 0:
-        raise ValueError("need k >= 0")
-    p = qpoly_const(1)
-    for j in range(k):
-        p = p * (Q - j)
-    return p
+    return binomial_poly(k) * math.factorial(k)
 
 
 def shifted_binomial_poly(shift: int | Fraction, k: int) -> QPolynomial:

@@ -10,10 +10,11 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 from chromaplex import Q, QPolynomial, arrangement, hypergraph
 from chromaplex.arrangement import Arrangement
-from chromaplex.hypergraph import Hypergraph
+from chromaplex.hypergraph import Hypergraph, marked_independent_vectors
 
 
 def chromatic_delcon(n: int, edges) -> QPolynomial:
@@ -41,6 +42,25 @@ def chromatic_delcon(n: int, edges) -> QPolynomial:
         frozenset(range(1, n + 1)),
         frozenset(frozenset(e) for e in edges),
     )
+
+
+def count_Pk_ordered_debug(g: Hypergraph, m, k: int) -> int:
+    """Debug route for count_Pk_mult: direct recursion over ordered k-tuples
+    of nonzero marked-independent blocks summing to m."""
+    m = tuple(m)
+    blocks = [b for b in marked_independent_vectors(g, m) if any(b)]
+
+    @lru_cache(maxsize=None)
+    def rec(remaining: tuple, j: int) -> int:
+        if j == 0:
+            return 0 if any(remaining) else 1
+        total = 0
+        for b in blocks:
+            if all(bv <= rv for bv, rv in zip(b, remaining)):
+                total += rec(tuple(rv - bv for rv, bv in zip(remaining, b)), j - 1)
+        return total
+
+    return rec(m, k)
 
 
 def random_hypergraph(rng: random.Random, n: int, max_edges: int) -> Hypergraph:

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 from fractions import Fraction
@@ -7,6 +8,8 @@ import pytest
 from chromaplex import (
     BadPrimeError,
     Q,
+    QPolynomial,
+    VerificationError,
     arrangement,
     arrangement_from_json,
     arrangement_to_json,
@@ -31,6 +34,8 @@ from chromaplex import (
 from helpers import random_hyperplane_arrangement
 
 F = Fraction
+# the package re-exports functions named like some of its submodules
+arrangement_module = importlib.import_module("chromaplex.arrangement")
 
 PLANE = arrangement(3, [[[1, 1, -1]]])
 BOOL2 = arrangement(2, [[[1, 0]], [[0, 1]]])
@@ -67,6 +72,12 @@ def test_rank_mod_p():
     assert rank_mod_p([[1, 1], [1, -1]], 2, 2) == 1
     assert rank_mod_p([[1, 1], [1, -1]], 2, 3) == 2
     assert rank_mod_p([[2, 4]], 2, 2) == 0
+    # later rows vanish only after reduction against earlier ones
+    assert rank_mod_p([[1, 2], [2, 1]], 2, 3) == 1
+    assert rank_mod_p([[0, 1], [1, 1], [1, 0]], 2, 5) == 2
+    assert rank_mod_p([[1, 1, 0], [1, 0, 1], [0, 1, -1]], 3, 7) == 2
+    with pytest.raises(ValueError):
+        rank_mod_p([[0, 0, 1]], 2, 5)
     rng = random.Random(19)
     for _ in range(30):
         w = rng.randint(1, 4)
@@ -135,6 +146,14 @@ def test_region_counts():
     deep = arrangement(3, [[[1, 0, 0], [0, 1, 0]]])
     with pytest.raises(ValueError):
         region_count(deep)
+
+
+def test_region_count_gate_raises(monkeypatch):
+    monkeypatch.setattr(
+        arrangement_module, "characteristic_polynomial", lambda arr: QPolynomial((F(1, 2),))
+    )
+    with pytest.raises(VerificationError):
+        region_count(BOOL2)
 
 
 def test_whitney_sign_property():

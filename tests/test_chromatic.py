@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from chromaplex import (
     Q,
     QPolynomial,
+    VerificationError,
     blow_up,
     blow_up_vertex_labels,
     brute_force_count,
@@ -29,11 +31,10 @@ from chromaplex import (
     partitions_of,
     series_int_pow,
 )
-from chromaplex.chromatic import count_Pk_ordered_debug
-
-from helpers import chromatic_delcon, random_hypergraph
+from helpers import chromatic_delcon, count_Pk_ordered_debug, random_hypergraph
 
 F = Fraction
+chromatic_module = importlib.import_module("chromaplex.chromatic")
 
 WORKED = hypergraph(4, [(1, 2, 3), (3, 4)], special=(1,))
 WORKED_M = (2, 1, 1, 2)
@@ -232,8 +233,18 @@ def test_cycle_formula():
         n = rng.randint(3, 6)
         m = tuple(rng.randint(1, 3) for _ in range(n))
         assert cycle_multichromatic(m) == marked_chromatic_poly(cycle_graph(n), m)
+    # min(m) > n: spectral terms beyond k = n contribute
+    for m in [(4, 4, 4), (5, 4, 4), (5, 5, 5, 5)]:
+        want = marked_chromatic_poly(cycle_graph(len(m)), m)
+        assert cycle_multichromatic(m, verify=False) == want
     with pytest.raises(ValueError):
         cycle_multichromatic((1, 1))
+
+
+def test_cycle_gate_raises(monkeypatch):
+    monkeypatch.setattr(chromatic_module, "marked_chromatic_poly", lambda g, m: QPolynomial())
+    with pytest.raises(VerificationError):
+        cycle_multichromatic((1, 1, 1))
 
 
 def test_coefficient_via_binomial_known():

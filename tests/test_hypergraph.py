@@ -1,9 +1,14 @@
+import importlib
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from chromaplex import (
+    BudgetError,
+    VerificationError,
+    count_Pk_mult,
     hypergraph,
     hypergraph_from_json,
     hypergraph_from_system,
@@ -16,14 +21,18 @@ from chromaplex import (
     is_marked_independent,
     is_simple,
     marked_independence_series,
+    series_zero,
     system_from_json,
     system_series,
     system_to_json,
     system_validate,
     validate,
 )
+from chromaplex.hypergraph import marked_independent_vectors
 
 F = Fraction
+# the package re-exports functions named like some of its submodules
+hypergraph_module = importlib.import_module("chromaplex.hypergraph")
 
 FIG1 = hypergraph(5, [(1, 2, 3), (2, 4, 5), (1, 4)], special=(2, 3))
 
@@ -60,9 +69,48 @@ def test_independent_sets():
     sizes = [len(s) for s in got]
     assert sizes == sorted(sizes)
     fig1 = independent_sets(FIG1)
+    assert fig1 == sorted(fig1, key=lambda s: (len(s), s))
     assert len(fig1) == 1 + 5 + 9 + 5
     assert (1, 4) not in fig1
     assert (2, 3, 5) in fig1
+
+
+def test_marked_independent_vectors_match_window_filter():
+    """Content and order against a filter of the whole window, with and
+    without special vertices."""
+    rng = random.Random(41)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        edges = [rng.sample(range(1, n + 1), rng.randint(1, n)) for _ in range(rng.randint(0, 3))]
+        marked = hypergraph(n, edges, [v for v in range(1, n + 1) if rng.random() < 0.5])
+        cap = tuple(rng.randint(0, 3) for _ in range(n))
+        for g in (marked, hypergraph(n, edges)):
+            want = []
+            for e in itertools.product(*(range(t + 1) for t in cap)):
+                supp = tuple(v for v, mult in enumerate(e, start=1) if mult)
+                plain_ok = all(mult <= 1 or v in g.special for v, mult in enumerate(e, start=1))
+                if plain_ok and not any(set(f) <= set(supp) for f in g.edges):
+                    want.append((len(supp), supp, e))
+            assert list(marked_independent_vectors(g, cap)) == [e for *_, e in sorted(want)]
+
+
+def test_enumerations_charge_their_window(monkeypatch):
+    """With the budget at 2**4 each caller of the enumerator accepts a window
+    of 16 and refuses one of 17 or more."""
+    monkeypatch.setenv("CHROMAPLEX_BUDGET", "4")
+    independent_sets(hypergraph(4))
+    with pytest.raises(BudgetError):
+        independent_sets(hypergraph(5))
+    independence_polynomial(hypergraph(5), (3, 3, 3, 3, 0))
+    with pytest.raises(BudgetError):
+        independence_polynomial(hypergraph(5), (1, 1, 1, 1, 1))
+    loop = hypergraph(1, [], special=(1,))
+    marked_independence_series(loop, (15,))
+    with pytest.raises(BudgetError):
+        marked_independence_series(loop, (16,))
+    count_Pk_mult(loop, (15,), 2)
+    with pytest.raises(BudgetError):
+        count_Pk_mult(loop, (16,), 2)
 
 
 def test_independence_polynomial():
@@ -163,6 +211,15 @@ def test_system_series_matches_hypergraph_series():
     assert s.terms[(2, 0, 0)] == F(1)
     assert s.terms[(1, 1, 0)] == F(1)
     assert (1, 0, 1) not in s.terms
+
+
+def test_system_series_gate_raises(monkeypatch):
+    monkeypatch.setattr(
+        hypergraph_module, "marked_independence_series", lambda g, trunc: series_zero(g.n, trunc)
+    )
+    a = independence_system(2, [(), (1,), (2,)])
+    with pytest.raises(VerificationError):
+        system_series(a, (), (1, 1))
 
 
 def test_system_series_warns_on_uncovered():

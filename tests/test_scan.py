@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 from fractions import Fraction
@@ -6,6 +7,8 @@ import pytest
 
 from chromaplex import (
     BudgetError,
+    TruncatedSeries,
+    VerificationError,
     canonical_form,
     enumerate_simple_hypergraphs,
     hypergraph,
@@ -16,6 +19,8 @@ from chromaplex import (
     verdict_to_json_line,
 )
 from chromaplex.scan import _recorded_keys, _signed_independence_series
+
+scan_module = importlib.import_module("chromaplex.scan")
 
 
 def test_signed_series_single_edge():
@@ -82,6 +87,16 @@ def test_odd_edge_witness():
     assert v == -6
     assert odd_edge_witness(hypergraph(4, [(1, 2), (3, 4)])) is None
     assert odd_edge_witness(hypergraph(3, [])) is None
+
+
+def test_odd_edge_witness_gate_raises(monkeypatch):
+    monkeypatch.setattr(
+        scan_module,
+        "series_inverse",
+        lambda s: TruncatedSeries(s.n, s.trunc, {(2,) * s.n: Fraction(1, 2)}),
+    )
+    with pytest.raises(VerificationError):
+        odd_edge_witness(hypergraph(3, [(1, 2, 3)]))
 
 
 def test_enumeration_counts():
