@@ -7,106 +7,4 @@ All arithmetic is exact (integers and fractions); every closed form has an
 independent brute-force counterpart used by the test suite.
 """
 
-from .arrangement import (
-    Arrangement,
-    IntersectionPoset,
-    PosetElement,
-    Subspace,
-    arrangement,
-    arrangement_from_json,
-    arrangement_to_json,
-    brute_force_arrangement_count,
-    characteristic_polynomial,
-    clan,
-    clan_lambda,
-    count_complement,
-    graphical_arrangement,
-    int_rank,
-    intersection_poset,
-    marked_chromatic_arrangement,
-    rank_mod_p,
-    region_count,
-    rref,
-    subspace,
-)
-from .budget import budget_limit, charge
-from .chromatic import (
-    blow_up,
-    blow_up_vertex_labels,
-    brute_force_count,
-    chordal_marked_chromatic,
-    chordal_multichromatic,
-    chromatic_via_blowup,
-    coefficient_via_binomial,
-    count_Pk_mult,
-    cycle_graph,
-    cycle_multichromatic,
-    duplication_factor,
-    enumerate_partition_tuples,
-    find_peo,
-    full_edge_closed_form,
-    marked_chromatic_poly,
-    ordinary_chromatic_poly,
-    partitions_of,
-    support,
-)
-from .errors import BadPrimeError, BudgetError, VerificationError
-from .hypergraph import (
-    Hypergraph,
-    IndependenceSystem,
-    hypergraph,
-    hypergraph_from_json,
-    hypergraph_from_system,
-    hypergraph_to_json,
-    independence_polynomial,
-    independence_system,
-    independent_sets,
-    induced_subhypergraph,
-    is_even,
-    is_marked_independent,
-    is_simple,
-    marked_independence_series,
-    system_from_json,
-    system_series,
-    system_to_json,
-    system_validate,
-    validate,
-)
-from .scan import (
-    CheckResult,
-    ScanReport,
-    Verdict,
-    canonical_form,
-    enumerate_simple_hypergraphs,
-    inverse_nonneg_check,
-    odd_edge_witness,
-    scan_hypergraphs,
-    verdict_to_json_line,
-)
-from .series import (
-    Q,
-    QPolynomial,
-    TruncatedSeries,
-    binomial_poly,
-    exponents_below,
-    falling_factorial_poly,
-    fraction_from_str,
-    fraction_to_str,
-    qpoly_eval,
-    qpoly_from_json,
-    qpoly_interpolate,
-    qpoly_pretty,
-    qpoly_to_json,
-    series_add,
-    series_from_json,
-    series_int_pow,
-    series_inverse,
-    series_mul,
-    series_one,
-    series_scale,
-    series_to_json,
-    series_zero,
-    shifted_binomial_poly,
-)
-
 __version__ = "0.1.0"

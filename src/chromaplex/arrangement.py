@@ -30,7 +30,7 @@ from .chromatic import (
     enumerate_partition_tuples,
     support,
 )
-from .errors import BadPrimeError, VerificationError
+from .errors import BadPrimeError, VerificationError, malformed
 from .hypergraph import Hypergraph, check_multiplicities, is_simple
 from .series import QPolynomial
 
@@ -83,10 +83,6 @@ def rref(rows: Iterable[Sequence[int]], width: int) -> tuple[Row, ...]:
     return tuple(_primitive(mat[i]) for i in range(rank))
 
 
-def int_rank(rows: Iterable[Sequence[int]], width: int) -> int:
-    return len(rref(rows, width))
-
-
 def _reduce(vec: Sequence[int], basis: Sequence[Row]) -> list[int]:
     """Remainder of vec against basis by integer cross-multiplication; zero
     exactly when vec lies in the row space.  Each basis row must be zero at
@@ -113,8 +109,25 @@ def _reduce_mod(vec: Sequence[int], basis: Sequence[Row], p: int) -> list[int]:
     return v
 
 
+def _is_prime(p: int) -> bool:
+    if p < 2:
+        return False
+    if p < 4:
+        return True
+    if p % 2 == 0:
+        return False
+    f = 3
+    while f * f <= p:
+        if p % f == 0:
+            return False
+        f += 2
+    return True
+
+
 def rank_mod_p(rows: Iterable[Sequence[int]], width: int, p: int) -> int:
     """Rank over F_p of rows of the given width, by incremental insertion."""
+    if not _is_prime(p):
+        raise ValueError(f"{p} is not prime")
     basis: list[Row] = []
     for r in rows:
         if len(r) != width:
@@ -185,12 +198,6 @@ class PosetElement(NamedTuple):
     mobius: int
 
 
-@dataclass(frozen=True)
-class IntersectionPoset:
-    n: int
-    elements: tuple[PosetElement, ...]
-
-
 @lru_cache(maxsize=None)
 def _poset_data(arr: Arrangement) -> tuple[PosetElement, ...]:
     n = arr.n
@@ -255,12 +262,6 @@ def _poset_data(arr: Arrangement) -> tuple[PosetElement, ...]:
     return tuple(elements)
 
 
-def intersection_poset(arr: Arrangement) -> IntersectionPoset:
-    """All intersections of members, ordered by reverse inclusion, with the
-    Mobius function computed from the ambient space down."""
-    return IntersectionPoset(arr.n, _poset_data(arr))
-
-
 @lru_cache(maxsize=None)
 def characteristic_polynomial(arr: Arrangement) -> QPolynomial:
     """chi(q) = sum over flats X of mobius(X) q^dim(X)."""
@@ -268,21 +269,6 @@ def characteristic_polynomial(arr: Arrangement) -> QPolynomial:
     for el in _poset_data(arr):
         coeffs[el.dim] += el.mobius
     return QPolynomial(tuple(coeffs))
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def _assert_good_prime(arr: Arrangement, p: int) -> None:
@@ -561,15 +547,6 @@ def arrangement_to_json(arr: Arrangement) -> dict:
 
 
 def arrangement_from_json(obj: Mapping) -> Arrangement:
-    try:
-        n = int(obj["n"])
-        subs = obj["subspaces"]
-        special = obj.get("special", [])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed arrangement object: {exc}") from exc
-    members = []
-    for item in subs:
-        if "forms" not in item:
-            raise ValueError("each subspace needs a 'forms' list")
-        members.append(item["forms"])
-    return arrangement(n, members, special)
+    with malformed("arrangement"):
+        members = [item["forms"] for item in obj["subspaces"]]
+        return arrangement(int(obj["n"]), members, obj.get("special", []))

@@ -8,6 +8,9 @@ between two routes that must agree exactly.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from typing import Iterator
+
 
 class BudgetError(RuntimeError):
     """Enumeration would exceed the configured budget; nothing was computed."""
@@ -20,3 +23,13 @@ class VerificationError(RuntimeError):
 class BadPrimeError(ValueError):
     """A finite-field count was requested at a prime where some intersection
     drops rank; the offending subsystem is reported in the message."""
+
+
+@contextmanager
+def malformed(what: str) -> Iterator[None]:
+    """Report a KeyError or TypeError raised while reading a JSON object and
+    building the ``what`` from it as malformed input (a ValueError)."""
+    try:
+        yield
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed {what} object: {exc}") from exc

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .budget import charge
-from .errors import VerificationError
+from .errors import VerificationError, malformed
 from .series import ONE, TruncatedSeries
 
 Edge = tuple[int, ...]
@@ -129,27 +129,6 @@ def independent_sets(g: Hypergraph) -> list[Edge]:
     ]
 
 
-def independence_polynomial(g: Hypergraph, trunc: Sequence[int]) -> TruncatedSeries:
-    """I(G, x): one squarefree term per independent set, within trunc."""
-    trunc = tuple(int(t) for t in trunc)
-    if len(trunc) != g.n:
-        raise ValueError("truncation vector length must equal vertex count")
-    cap = tuple(int(t >= 1) for t in trunc)
-    charge(1 << sum(cap), "independent-set enumeration")
-    terms = dict.fromkeys(marked_independent_vectors(g, cap), ONE)
-    return TruncatedSeries(g.n, trunc, terms)
-
-
-def is_marked_independent(g: Hypergraph, m: Sequence[int]) -> bool:
-    """Whether the multiset with multiplicity vector m is marked independent:
-    support independent, and multiplicity <= 1 off the special set."""
-    m = check_multiplicities(g.n, m)
-    if any(mult > 1 and v not in g.special for v, mult in enumerate(m, start=1)):
-        return False
-    supp = {v for v, mult in enumerate(m, start=1) if mult}
-    return not any(set(e) <= supp for e in g.edges)
-
-
 def marked_independence_series(g: Hypergraph, trunc: Sequence[int]) -> TruncatedSeries:
     """I^mark(G, x): coefficient 1 at exactly the marked-independent vectors.
 
@@ -162,22 +141,6 @@ def marked_independence_series(g: Hypergraph, trunc: Sequence[int]) -> Truncated
     charge(math.prod(t + 1 for t in trunc), "truncation-window enumeration")
     terms = dict.fromkeys(marked_independent_vectors(g, trunc), ONE)
     return TruncatedSeries(g.n, trunc, terms)
-
-
-def induced_subhypergraph(g: Hypergraph, vertices: Iterable[int]) -> tuple[Hypergraph, tuple[int, ...]]:
-    """Restriction to a vertex subset, relabeled 1..|U|.
-
-    Returns (subhypergraph, kept) where kept[i-1] is the original name of new
-    vertex i.  Only edges entirely inside the subset survive.
-    """
-    kept = tuple(sorted(set(int(v) for v in vertices)))
-    if any(v < 1 or v > g.n for v in kept):
-        raise ValueError(f"vertices {kept} outside 1..{g.n}")
-    rename = {old: new + 1 for new, old in enumerate(kept)}
-    keep = set(kept)
-    edges = [tuple(rename[v] for v in e) for e in g.edges if set(e) <= keep]
-    special = [rename[v] for v in g.special if v in keep]
-    return hypergraph(len(kept), edges, special), kept
 
 
 # ---------------------------------------------------------------------------
@@ -306,23 +269,10 @@ def hypergraph_to_json(g: Hypergraph) -> dict:
 
 
 def hypergraph_from_json(obj: Mapping) -> Hypergraph:
-    try:
-        n = int(obj["n"])
-        edges = obj["edges"]
-        special = obj.get("special", [])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed hypergraph object: {exc}") from exc
-    return hypergraph(n, edges, special)
-
-
-def system_to_json(a: IndependenceSystem) -> dict:
-    return {"n": a.n, "members": [list(m) for m in a.members]}
+    with malformed("hypergraph"):
+        return hypergraph(int(obj["n"]), obj["edges"], obj.get("special", []))
 
 
 def system_from_json(obj: Mapping) -> IndependenceSystem:
-    try:
-        n = int(obj["n"])
-        members = obj["members"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed independence-system object: {exc}") from exc
-    return independence_system(n, members)
+    with malformed("independence-system"):
+        return independence_system(int(obj["n"]), obj["members"])

@@ -23,8 +23,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from multiprocessing import Pool
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
+from . import __version__
 from .budget import charge
 from .chromatic import count_Pk_mult
 from .errors import VerificationError
@@ -187,27 +188,42 @@ def _canon_key(canon: tuple[int, tuple[tuple[int, ...], ...]]) -> str:
     return json.dumps([canon[0], [list(e) for e in canon[1]]], separators=(",", ":"))
 
 
-def _recorded_keys(path: Path) -> set[str]:
+def report_header(m_per_var: int) -> str:
+    """First line of a report: the version and the window its verdicts hold for."""
+    return json.dumps({"version": __version__, "window": m_per_var}, separators=(",", ":"))
+
+
+def _recorded_keys(path: Path, header: str) -> set[str]:
+    """Canonical forms recorded in an existing report, which must start with
+    ``header``.  A torn last line (no newline, as a killed run leaves it) is
+    cut off the file, so that its hypergraph is checked again."""
+    data = path.read_bytes()
+    kept = data[: data.rfind(b"\n") + 1]
+    lines = kept.decode().splitlines()
+    if lines and lines[0] != header:
+        raise ValueError(
+            f"report {path} starts with {lines[0][:80]!r}, not the header {header!r} "
+            "of this version and window"
+        )
+    if len(kept) < len(data):
+        with path.open("r+b") as fh:
+            fh.truncate(len(kept))
     keys = set()
-    with path.open() as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                keys.add(json.dumps(obj["canon"], separators=(",", ":")))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ValueError(f"corrupt report line in {path}: {line[:80]}") from exc
+    for line in lines[1:]:
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+            keys.add(json.dumps(obj["canon"], separators=(",", ":")))
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise ValueError(f"corrupt report line in {path}: {line[:80]}") from exc
     return keys
 
 
-def _work(item: tuple[int, tuple[tuple[int, ...], ...], int]) -> tuple[bool, bool, Optional[tuple[int, ...]], Optional[str]]:
+def _work(item: tuple[int, tuple[tuple[int, ...], ...], int]) -> CheckResult:
     n, edges, m_per_var = item
-    g = hypergraph(n, edges)
-    res = inverse_nonneg_check(g, (m_per_var,) * n)
-    coeff = fraction_to_str(res.coeff) if res.coeff is not None else None
-    return (is_even(g), res.nonneg, res.neg_at, coeff)
+    return inverse_nonneg_check(hypergraph(n, edges), (m_per_var,) * n)
 
 
 @dataclass
@@ -248,9 +264,10 @@ def scan_hypergraphs(
     """Check 1/I(G, -x) >= 0 within the window for every simple hypergraph
     on up to n_max vertices.
 
-    Verdicts stream to ``out`` as JSON lines when given; with ``resume`` the
-    canonical forms already recorded there are skipped, so interrupted scans
-    can continue by rerunning the same command.  ``dedup`` skips isomorphic
+    Verdicts stream to ``out`` as JSON lines when given, after a header line
+    (``report_header``) that an existing report must already start with; with
+    ``resume`` the canonical forms recorded there are skipped, so interrupted
+    scans can continue by rerunning the same command.  ``dedup`` skips isomorphic
     duplicates inside the run.  ``workers`` > 1 distributes the per-
     hypergraph checks over a process pool; the verdict order stays the
     deterministic enumeration order either way.
@@ -273,19 +290,21 @@ def scan_hypergraphs(
     start = time.monotonic()
     report = ScanReport(n_max=n_max, m_per_var=m_per_var, dedup=dedup)
 
+    header = report_header(m_per_var)
     recorded: set[str] = set()
     out_path = Path(out) if out is not None else None
-    if out_path is not None and resume and out_path.exists():
-        recorded = _recorded_keys(out_path)
+    if out_path is not None and out_path.exists():
+        # appended verdicts, too, must share the window of the report's header
+        recorded = _recorded_keys(out_path, header)
 
     items: list[tuple[int, tuple[tuple[int, ...], ...], int]] = []
-    canons: list[tuple[int, tuple[tuple[int, ...], ...]]] = []
+    entries: list[tuple[tuple[int, tuple[tuple[int, ...], ...]], bool]] = []
     seen: set[str] = set()
     for n in range(1, n_max + 1):
         for g in enumerate_simple_hypergraphs(n):
             canon = canonical_form(g)
             key = _canon_key(canon)
-            if key in recorded:
+            if resume and key in recorded:
                 report.skipped += 1
                 continue
             if dedup:
@@ -293,7 +312,7 @@ def scan_hypergraphs(
                     continue
                 seen.add(key)
             items.append((canon[0], canon[1], m_per_var))
-            canons.append(canon)
+            entries.append((canon, is_even(g)))
 
     if workers == 1:
         results = map(_work, items)
@@ -303,17 +322,18 @@ def scan_hypergraphs(
 
     fh = out_path.open("a") if out_path is not None else None
     try:
-        for canon, (even, nonneg, neg_at, coeff_str) in zip(canons, results):
-            coeff = Fraction(coeff_str) if coeff_str is not None else None
-            v = Verdict(canon, even, nonneg, neg_at, coeff)
+        if fh is not None and fh.tell() == 0:
+            fh.write(header + "\n")
+        for (canon, even), res in zip(entries, results):
+            v = Verdict(canon, even, *res)
             report.verdicts.append(v)
             if even:
                 report.even_total += 1
-                if not nonneg:
+                if not v.nonneg:
                     report.even_failures.append(_canon_key(canon))
             else:
                 report.odd_total += 1
-                if nonneg:
+                if v.nonneg:
                     report.odd_passes.append(_canon_key(canon))
             if fh is not None:
                 fh.write(verdict_to_json_line(v) + "\n")

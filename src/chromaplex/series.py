@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import itertools
 import math
-import re
 from functools import lru_cache
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Exponent = tuple[int, ...]
 
@@ -83,10 +82,6 @@ class TruncatedSeries:
         return (self.n, self.trunc, self.terms) == (other.n, other.trunc, other.terms)
 
 
-def series_zero(n: int, trunc: Sequence[int]) -> TruncatedSeries:
-    return TruncatedSeries(n, tuple(trunc), {})
-
-
 def series_one(n: int, trunc: Sequence[int]) -> TruncatedSeries:
     return TruncatedSeries(n, tuple(trunc), {(0,) * n: ONE})
 
@@ -102,25 +97,6 @@ def _check_compatible(a: TruncatedSeries, b: TruncatedSeries) -> None:
         raise ValueError(
             f"incompatible series: n/trunc ({a.n}, {a.trunc}) vs ({b.n}, {b.trunc})"
         )
-
-
-def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    _check_compatible(a, b)
-    terms = dict(a.terms)
-    for e, c in b.terms.items():
-        s = terms.get(e, ZERO) + c
-        if s:
-            terms[e] = s
-        else:
-            terms.pop(e, None)
-    return TruncatedSeries(a.n, a.trunc, terms)
-
-
-def series_scale(a: TruncatedSeries, c: int | Fraction) -> TruncatedSeries:
-    c = _as_fraction(c)
-    if c == 0:
-        return series_zero(a.n, a.trunc)
-    return TruncatedSeries(a.n, a.trunc, {e: v * c for e, v in a.terms.items()})
 
 
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -197,12 +173,6 @@ def fraction_to_str(c: Fraction) -> str:
     return str(c)
 
 
-def fraction_from_str(s: str) -> Fraction:
-    if not isinstance(s, str) or not re.fullmatch(r"-?\d+(/[1-9]\d*)?", s):
-        raise ValueError(f"expected an integer-ratio string, got {s!r}")
-    return Fraction(s)
-
-
 def series_to_json(a: TruncatedSeries) -> dict:
     items = sorted(a.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
     return {
@@ -210,24 +180,6 @@ def series_to_json(a: TruncatedSeries) -> dict:
         "trunc": list(a.trunc),
         "terms": [{"e": list(e), "c": fraction_to_str(c)} for e, c in items],
     }
-
-
-def series_from_json(obj: Mapping) -> TruncatedSeries:
-    try:
-        n = int(obj["n"])
-        trunc = tuple(int(t) for t in obj["trunc"])
-        raw = obj["terms"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed series object: {exc}") from exc
-    terms: dict[Exponent, Fraction] = {}
-    for item in raw:
-        e = tuple(int(v) for v in item["e"])
-        if e in terms:
-            raise ValueError(f"duplicate exponent {e} in series terms")
-        if len(e) != n or any(v < 0 for v in e) or any(v > t for v, t in zip(e, trunc)):
-            raise ValueError(f"exponent {e} outside truncation window {trunc}")
-        terms[e] = fraction_from_str(item["c"])
-    return TruncatedSeries(n, trunc, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -307,19 +259,10 @@ def qpoly_const(c: int | Fraction) -> QPolynomial:
     return QPolynomial((_as_fraction(c),))
 
 
-def qpoly_eval(p: QPolynomial, v: int | Fraction) -> Fraction:
-    return p.eval(v)
-
-
 @lru_cache(maxsize=None)
 def binomial_poly(k: int) -> QPolynomial:
     """binomial(q, k) as a polynomial of degree k (k >= 0)."""
     return shifted_binomial_poly(0, k)
-
-
-def falling_factorial_poly(k: int) -> QPolynomial:
-    """q(q-1)...(q-k+1), the falling factorial of length k."""
-    return binomial_poly(k) * math.factorial(k)
 
 
 def shifted_binomial_poly(shift: int | Fraction, k: int) -> QPolynomial:
@@ -355,14 +298,6 @@ def qpoly_interpolate(
 
 def qpoly_to_json(p: QPolynomial) -> dict:
     return {"coeffs": [fraction_to_str(c) for c in p.coeffs]}
-
-
-def qpoly_from_json(obj: Mapping) -> QPolynomial:
-    try:
-        raw = obj["coeffs"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed polynomial object: {exc}") from exc
-    return QPolynomial(tuple(fraction_from_str(c) for c in raw))
 
 
 def qpoly_pretty(p: QPolynomial) -> str:

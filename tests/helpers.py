@@ -12,9 +12,9 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from chromaplex import Q, QPolynomial, arrangement, hypergraph
-from chromaplex.arrangement import Arrangement
-from chromaplex.hypergraph import Hypergraph, marked_independent_vectors
+from chromaplex.arrangement import Arrangement, arrangement
+from chromaplex.hypergraph import Hypergraph, hypergraph, marked_independent_vectors
+from chromaplex.series import Q, QPolynomial
 
 
 def chromatic_delcon(n: int, edges) -> QPolynomial:

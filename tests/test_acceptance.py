@@ -18,33 +18,37 @@ from helpers import (
     random_hypergraph,
 )
 
-from chromaplex import (
-    Q,
+from chromaplex.arrangement import (
     arrangement,
     brute_force_arrangement_count,
-    brute_force_count,
     characteristic_polynomial,
+    count_complement,
+    graphical_arrangement,
+    marked_chromatic_arrangement,
+    region_count,
+)
+from chromaplex.chromatic import (
+    brute_force_count,
     chordal_marked_chromatic,
     chordal_multichromatic,
     chromatic_via_blowup,
     coefficient_via_binomial,
-    count_complement,
-    enumerate_simple_hypergraphs,
     full_edge_closed_form,
-    graphical_arrangement,
+    marked_chromatic_poly,
+    ordinary_chromatic_poly,
+)
+from chromaplex.hypergraph import (
     hypergraph,
     hypergraph_from_system,
     independence_system,
-    marked_chromatic_arrangement,
-    marked_chromatic_poly,
     marked_independence_series,
-    odd_edge_witness,
-    ordinary_chromatic_poly,
-    region_count,
-    scan_hypergraphs,
-    series_int_pow,
-    shifted_binomial_poly,
 )
+from chromaplex.scan import (
+    enumerate_simple_hypergraphs,
+    odd_edge_witness,
+    scan_hypergraphs,
+)
+from chromaplex.series import Q, series_int_pow, shifted_binomial_poly
 
 BOOLEAN3 = arrangement(3, [[[1, 0, 0]], [[0, 1, 0]], [[0, 0, 1]]])
 BRAID3 = arrangement(3, [[[1, -1, 0]], [[1, 0, -1]], [[0, 1, -1]]])

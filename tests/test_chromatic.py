@@ -1,14 +1,11 @@
-import importlib
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from chromaplex import (
-    Q,
-    QPolynomial,
-    VerificationError,
+import chromaplex.chromatic as chromatic_module
+from chromaplex.chromatic import (
     blow_up,
     blow_up_vertex_labels,
     brute_force_count,
@@ -23,18 +20,21 @@ from chromaplex import (
     enumerate_partition_tuples,
     find_peo,
     full_edge_closed_form,
-    hypergraph,
-    independence_system,
     marked_chromatic_poly,
-    marked_independence_series,
     ordinary_chromatic_poly,
     partitions_of,
-    series_int_pow,
 )
+from chromaplex.errors import VerificationError
+from chromaplex.hypergraph import (
+    hypergraph,
+    hypergraph_from_system,
+    independence_system,
+    marked_independence_series,
+)
+from chromaplex.series import Q, QPolynomial, series_int_pow
 from helpers import chromatic_delcon, count_Pk_ordered_debug, random_hypergraph
 
 F = Fraction
-chromatic_module = importlib.import_module("chromaplex.chromatic")
 
 WORKED = hypergraph(4, [(1, 2, 3), (3, 4)], special=(1,))
 WORKED_M = (2, 1, 1, 2)
@@ -256,8 +256,6 @@ def test_coefficient_via_binomial_known():
 
 def test_coefficient_via_binomial_matches_marked_poly():
     a = independence_system(3, [(), (1,), (2,), (3,), (1, 2)])
-    from chromaplex import hypergraph_from_system
-
     for sp in all_special_subsets(3):
         g = hypergraph_from_system(a, sp)
         for m in itertools.product(range(3), repeat=3):

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import chromaplex
+import chromaplex.cli as cli
 from chromaplex.cli import build_parser, main
 
 WORKED = '{"n":4,"edges":[[1,2,3],[3,4]],"special":[1]}'
@@ -188,13 +189,22 @@ def test_scan_out_resume(tmp_path, capsys):
     out_path = tmp_path / "report.jsonl"
     code, _, _ = run(["scan", "--max-n", "3", "--out", str(out_path)], capsys)
     assert code == 0
-    assert len(out_path.read_text().splitlines()) == 8
+    lines = out_path.read_text().splitlines()
+    assert len(lines) == 1 + 8
+    assert lines[0] == '{"version":"0.1.0","window":2}'
     code, out, _ = run(
         ["scan", "--max-n", "3", "--out", str(out_path), "--resume"], capsys
     )
     assert code == 0
     assert out.startswith("scanned 0 hypergraphs (n<=3, window 2 per vertex, dedup=on, 12 skipped)")
-    assert len(out_path.read_text().splitlines()) == 8
+    assert out_path.read_text().splitlines() == lines
+    code, out, err = run(
+        ["scan", "--max-n", "3", "--trunc", "0", "--out", str(out_path), "--resume"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: report") and "header" in err
+    assert out_path.read_text().splitlines() == lines
 
 
 def test_scan_truncation_failure_exit(capsys):
@@ -235,6 +245,29 @@ def test_input_errors_exit_2(capsys, tmp_path):
     assert code == 2
     code, _, err = run(["series", WORKED, "--q", "1", "--trunc", "1,1"], capsys)
     assert code == 2
+
+
+def test_malformed_json_objects_exit_2(capsys):
+    cases = [
+        ["chrom", '{"n":2,"edges":5}', "--m", "1,1"],
+        ["chrom", '{"n":2,"edges":[],"special":3}', "--m", "1,1"],
+        ["arrangement", "charpoly", '{"n":2,"subspaces":[5]}'],
+        ["system", "validate", '{"n":2,"members":[[1],7]}'],
+    ]
+    for argv in cases:
+        code, out, err = run(argv, capsys)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: malformed "), err
+
+
+def test_internal_type_error_is_not_input_error(capsys, monkeypatch):
+    def broken(g, m):
+        raise TypeError("internal fault")
+
+    monkeypatch.setattr(cli, "marked_chromatic_poly", broken)
+    with pytest.raises(TypeError, match="internal fault"):
+        main(["chrom", WORKED, "--m", "2,1,1,2"])
 
 
 def test_missing_required_options(capsys):

@@ -1,26 +1,24 @@
-import importlib
 import json
 import math
 from fractions import Fraction
 
 import pytest
 
-from chromaplex import (
-    BudgetError,
-    TruncatedSeries,
-    VerificationError,
+from chromaplex.errors import BudgetError, VerificationError
+from chromaplex.hypergraph import hypergraph
+import chromaplex.scan as scan_module
+from chromaplex.scan import (
+    _recorded_keys,
+    _signed_independence_series,
     canonical_form,
     enumerate_simple_hypergraphs,
-    hypergraph,
     inverse_nonneg_check,
     odd_edge_witness,
     scan_hypergraphs,
-    series_inverse,
+    report_header,
     verdict_to_json_line,
 )
-from chromaplex.scan import _recorded_keys, _signed_independence_series
-
-scan_module = importlib.import_module("chromaplex.scan")
+from chromaplex.series import TruncatedSeries, series_inverse
 
 
 def test_signed_series_single_edge():
@@ -184,8 +182,9 @@ def test_scan_output_and_resume(tmp_path):
     out = tmp_path / "scan.jsonl"
     rep = scan_hypergraphs(3, out=out)
     lines = out.read_text().splitlines()
-    assert len(lines) == rep.total == 8
-    assert lines == [verdict_to_json_line(v) for v in rep.verdicts]
+    assert lines[0] == report_header(2) == '{"version":"0.1.0","window":2}'
+    assert len(lines) == 1 + rep.total == 9
+    assert lines[1:] == [verdict_to_json_line(v) for v in rep.verdicts]
     rep2 = scan_hypergraphs(3, out=out, resume=True)
     assert rep2.total == 0
     assert rep2.skipped == 12
@@ -193,16 +192,58 @@ def test_scan_output_and_resume(tmp_path):
     rep3 = scan_hypergraphs(4, out=out, resume=True)
     assert rep3.skipped == 12
     assert rep3.total == 20
-    assert len(out.read_text().splitlines()) == 28
+    assert len(out.read_text().splitlines()) == 1 + 28
 
 
 def test_scan_resume_rejects_corrupt_report(tmp_path):
     out = tmp_path / "scan.jsonl"
-    out.write_text('{"canon":[2,[]],"even":true,"nonneg":true,"neg_at":null,"coeff":null}\nnot json\n')
-    with pytest.raises(ValueError):
-        _recorded_keys(out)
+    verdict = '{"canon":[2,[]],"even":true,"nonneg":true,"neg_at":null,"coeff":null}'
+    out.write_text(report_header(2) + "\n" + verdict + "\nnot json\n")
+    with pytest.raises(ValueError, match="corrupt report line"):
+        _recorded_keys(out, report_header(2))
     with pytest.raises(ValueError):
         scan_hypergraphs(2, out=out, resume=True)
+
+
+def test_scan_resume_refuses_another_window(tmp_path):
+    out = tmp_path / "scan.jsonl"
+    scan_hypergraphs(3, m_per_var=0, out=out)
+    written = out.read_text()
+    assert '"canon":[3,[[1,2,3]]],"even":false,"nonneg":true' in written
+    with pytest.raises(ValueError, match="header"):
+        scan_hypergraphs(3, m_per_var=2, out=out, resume=True)
+    torn = written + '{"canon":[3,'
+    out.write_text(torn)
+    with pytest.raises(ValueError, match="header"):
+        scan_hypergraphs(3, m_per_var=2, out=out)
+    assert out.read_text() == torn
+    # a report without a header line, as written before headers existed
+    out.write_text("".join(line + "\n" for line in written.splitlines()[1:]))
+    with pytest.raises(ValueError, match="header"):
+        scan_hypergraphs(3, m_per_var=0, out=out, resume=True)
+    out.write_text('{"version":"0.0.0","window":0}\n')
+    with pytest.raises(ValueError, match="header"):
+        scan_hypergraphs(3, m_per_var=0, out=out, resume=True)
+
+
+def test_scan_resume_recomputes_torn_line(tmp_path):
+    out = tmp_path / "scan.jsonl"
+    rep = scan_hypergraphs(3, out=out)
+    whole = out.read_text()
+    last = verdict_to_json_line(rep.verdicts[-1]) + "\n"
+    assert whole.endswith(last)
+    # a run killed halfway through writing its last verdict
+    out.write_text(whole[: len(whole) - len(last) // 2])
+    rep2 = scan_hypergraphs(3, out=out, resume=True)
+    assert rep2.verdicts == rep.verdicts[-1:]
+    # the torn verdict is the triangle's, whose class has one labelled member
+    assert rep2.skipped == 12 - 1
+    assert out.read_text() == whole
+    # a run killed while writing the header leaves a report that starts afresh
+    out.write_text(report_header(2)[:5])
+    rep3 = scan_hypergraphs(3, out=out, resume=True)
+    assert rep3.skipped == 0
+    assert out.read_text() == whole
 
 
 def test_scan_workers_match_serial():

@@ -5,30 +5,22 @@ from fractions import Fraction
 
 import pytest
 
-from chromaplex import (
+from chromaplex.series import (
     Q,
     QPolynomial,
     shifted_binomial_poly,
     TruncatedSeries,
     binomial_poly,
     exponents_below,
-    falling_factorial_poly,
-    fraction_from_str,
     fraction_to_str,
-    qpoly_eval,
-    qpoly_from_json,
     qpoly_interpolate,
     qpoly_pretty,
     qpoly_to_json,
-    series_add,
-    series_from_json,
     series_int_pow,
     series_inverse,
     series_mul,
     series_one,
-    series_scale,
     series_to_json,
-    series_zero,
 )
 
 F = Fraction
@@ -62,18 +54,16 @@ def test_exponents_below_graded_lex():
 def test_add_scale_mul():
     a = s(1, (3,), {(0,): 1, (1,): -1})
     b = s(1, (3,), {(1,): 1, (2,): 4})
-    assert series_add(a, b).terms == {(0,): F(1), (2,): F(4)}
-    assert series_scale(a, F(1, 2)).terms == {(0,): F(1, 2), (1,): F(-1, 2)}
     prod = series_mul(a, b)
     assert prod.terms == {(1,): F(1), (2,): F(3), (3,): F(-4)}
     assert series_mul(a, series_one(1, (3,))) == a
-    assert series_mul(a, series_zero(1, (3,))) == series_zero(1, (3,))
+    assert series_mul(a, s(1, (3,), {})) == s(1, (3,), {})
 
 
 def test_mul_truncates_to_window():
     a = s(1, (2,), {(1,): 1})
     assert series_mul(a, a).terms == {(2,): F(1)}
-    assert series_mul(series_mul(a, a), a) == series_zero(1, (2,))
+    assert series_mul(series_mul(a, a), a) == s(1, (2,), {})
 
 
 def test_inverse_geometric():
@@ -125,21 +115,18 @@ def test_int_pow_matches_repeated_mul_random():
 def test_series_json_round_trip():
     f = s(2, (2, 1), {(0, 0): 1, (2, 1): F(-7, 3)})
     obj = series_to_json(f)
-    assert obj["terms"][0] == {"e": [0, 0], "c": "1"}
-    assert series_from_json(obj) == f
+    assert obj == {
+        "n": 2,
+        "trunc": [2, 1],
+        "terms": [{"e": [0, 0], "c": "1"}, {"e": [2, 1], "c": "-7/3"}],
+    }
     assert json.dumps(series_to_json(f)) == json.dumps(series_to_json(f))
-    dup = {"n": 1, "trunc": [2], "terms": [{"e": [1], "c": "1"}, {"e": [1], "c": "2"}]}
-    with pytest.raises(ValueError):
-        series_from_json(dup)
 
 
 def test_fraction_strings():
     assert fraction_to_str(F(-7, 3)) == "-7/3"
     assert fraction_to_str(F(5)) == "5"
-    assert fraction_from_str("-7/3") == F(-7, 3)
-    assert fraction_from_str("5") == F(5)
-    with pytest.raises(ValueError):
-        fraction_from_str("0.5")
+    assert F(fraction_to_str(F(-7, 3))) == F(-7, 3)
 
 
 def test_qpolynomial_arithmetic():
@@ -147,7 +134,7 @@ def test_qpolynomial_arithmetic():
     assert p.coeffs == (F(1), F(-1), F(1))
     assert p.degree == 2
     assert p.eval(3) == F(7)
-    assert qpoly_eval(p, F(1, 2)) == F(3, 4)
+    assert p.eval(F(1, 2)) == F(3, 4)
     assert (p - p).coeffs == ()
     assert (p * 0).degree == -1
     assert (Q * 2 / 2) == Q
@@ -157,7 +144,7 @@ def test_qpolynomial_arithmetic():
 def test_binomial_and_falling():
     assert binomial_poly(0) == QPolynomial((F(1),))
     assert binomial_poly(2) == Q * (Q - 1) / 2
-    assert falling_factorial_poly(3) == Q * (Q - 1) * (Q - 2)
+    assert binomial_poly(3) * 6 == Q * (Q - 1) * (Q - 2)
     shifted = shifted_binomial_poly(3, 2)
     assert shifted.eval(5) == F(1)
     assert shifted.eval(7) == F(6)
@@ -179,7 +166,7 @@ def test_interpolation():
 def test_qpoly_json_and_pretty():
     p = Q * Q * (Q - 1) * (Q - 1) * (Q * Q - 4) / 4
     assert qpoly_pretty(p) == "1/4*q^6 - 1/2*q^5 - 3/4*q^4 + 2*q^3 - q^2"
-    assert qpoly_from_json(qpoly_to_json(p)) == p
+    assert qpoly_to_json(p) == {"coeffs": ["0", "0", "-1", "2", "-3/4", "-1/2", "1/4"]}
     assert qpoly_pretty(QPolynomial()) == "0"
     assert qpoly_pretty(QPolynomial((F(1),))) == "1"
     assert qpoly_pretty(Q * Q - 2 * Q + 1) == "q^2 - 2*q + 1"
