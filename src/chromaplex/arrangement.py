@@ -30,7 +30,7 @@ from .chromatic import (
     enumerate_partition_tuples,
     support,
 )
-from .errors import BadPrimeError, VerificationError, malformed
+from .errors import BadPrimeError, VerificationError, json_int, json_ints, malformed
 from .hypergraph import Hypergraph, check_multiplicities, is_simple
 from .series import QPolynomial
 
@@ -548,5 +548,5 @@ def arrangement_to_json(arr: Arrangement) -> dict:
 
 def arrangement_from_json(obj: Mapping) -> Arrangement:
     with malformed("arrangement"):
-        members = [item["forms"] for item in obj["subspaces"]]
-        return arrangement(int(obj["n"]), members, obj.get("special", []))
+        members = [[json_ints(form) for form in item["forms"]] for item in obj["subspaces"]]
+        return arrangement(json_int(obj["n"]), members, json_ints(obj.get("special", [])))

@@ -9,7 +9,7 @@ between two routes that must agree exactly.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Iterable, Iterator
 
 
 class BudgetError(RuntimeError):
@@ -33,3 +33,16 @@ def malformed(what: str) -> Iterator[None]:
         yield
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed {what} object: {exc}") from exc
+
+
+def json_int(value: object) -> int:
+    """A JSON integer: an ``int`` that is not a ``bool``.  Anything else (a
+    float, a string, ``true``) raises TypeError, which ``malformed`` reports."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def json_ints(values: Iterable[object]) -> list[int]:
+    """A JSON list of integers (see ``json_int``)."""
+    return [json_int(v) for v in values]

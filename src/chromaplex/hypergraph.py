@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .budget import charge
-from .errors import VerificationError, malformed
+from .errors import VerificationError, json_int, json_ints, malformed
 from .series import ONE, TruncatedSeries
 
 Edge = tuple[int, ...]
@@ -270,9 +270,13 @@ def hypergraph_to_json(g: Hypergraph) -> dict:
 
 def hypergraph_from_json(obj: Mapping) -> Hypergraph:
     with malformed("hypergraph"):
-        return hypergraph(int(obj["n"]), obj["edges"], obj.get("special", []))
+        return hypergraph(
+            json_int(obj["n"]),
+            [json_ints(e) for e in obj["edges"]],
+            json_ints(obj.get("special", [])),
+        )
 
 
 def system_from_json(obj: Mapping) -> IndependenceSystem:
     with malformed("independence-system"):
-        return independence_system(int(obj["n"]), obj["members"])
+        return independence_system(json_int(obj["n"]), [json_ints(m) for m in obj["members"]])

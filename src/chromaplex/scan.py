@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from multiprocessing import Pool
 from pathlib import Path
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import __version__
 from .budget import charge
@@ -146,23 +146,31 @@ def enumerate_simple_hypergraphs(n: int) -> Iterator[Hypergraph]:
     yield from rec(0, [])
 
 
+def _relabelings(g: Hypergraph) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The edge family of g under every vertex permutation, each sorted by
+    size then lexicographically (with repeats where g has automorphisms)."""
+    for perm in itertools.permutations(range(1, g.n + 1)):
+        yield tuple(
+            sorted(
+                (tuple(sorted(perm[v - 1] for v in e)) for e in g.edges),
+                key=lambda e: (len(e), e),
+            )
+        )
+
+
 def canonical_form(g: Hypergraph) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Minimal relabeling of the edge family over all vertex permutations.
     Two hypergraphs on the same number of vertices are isomorphic exactly
     when their canonical forms coincide."""
     if g.special:
         raise ValueError("canonical form is defined for hypergraphs with no special vertices")
-    best = None
-    for perm in itertools.permutations(range(1, g.n + 1)):
-        edges = tuple(
-            sorted(
-                (tuple(sorted(perm[v - 1] for v in e)) for e in g.edges),
-                key=lambda e: (len(e), e),
-            )
-        )
-        if best is None or edges < best:
-            best = edges
-    return (g.n, best if best is not None else ())
+    return (g.n, min(_relabelings(g)))
+
+
+def _family_key(edges: Iterable[Sequence[int]]) -> int:
+    """A labelled edge family as one int: bit mask(e) set for each edge e,
+    where mask(e) is the vertex bitmask of e."""
+    return sum(1 << sum(1 << (v - 1) for v in e) for e in edges)
 
 
 class Verdict(NamedTuple):
@@ -301,9 +309,19 @@ def scan_hypergraphs(
     entries: list[tuple[tuple[int, tuple[tuple[int, ...], ...]], bool]] = []
     seen: set[str] = set()
     for n in range(1, n_max + 1):
+        # labelled family -> (canonical form, its key), filled with every
+        # relabeling when a class is first met; each labelled hypergraph is
+        # enumerated once, so its entry is popped when looked up
+        classes: dict[int, tuple[tuple[int, tuple[tuple[int, ...], ...]], str]] = {}
         for g in enumerate_simple_hypergraphs(n):
-            canon = canonical_form(g)
-            key = _canon_key(canon)
+            labelled = _family_key(g.edges)
+            entry = classes.pop(labelled, None)
+            if entry is None:
+                canon = canonical_form(g)
+                entry = (canon, _canon_key(canon))
+                classes.update(dict.fromkeys(map(_family_key, _relabelings(g)), entry))
+                del classes[labelled]
+            canon, key = entry
             if resume and key in recorded:
                 report.skipped += 1
                 continue

@@ -9,6 +9,13 @@ e_i <= trunc[i], and all arithmetic silently drops terms that leave the
 truncation window.  Coefficients are exact rationals throughout; there is no
 floating point anywhere in this package.
 
+``series_inverse`` works on the whole window at once: a dense list in
+mixed-radix lex order, in which the coefficient at e - d sits at index(e) -
+index(d).  An integral coefficient (and an integral 1/f_0) is carried as an
+``int`` and any other as a ``Fraction``, so the inverse of an integral series
+with constant term +-1, such as every signed independence series, is computed
+in integers alone; the result holds ``Fraction``s like every series.
+
 A ``QPolynomial`` is a dense univariate polynomial over ``Fraction`` in a
 single variable q, used for counting polynomials.  Coefficients are stored
 ascending with trailing zeros stripped, so equality of values is equality of
@@ -19,10 +26,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from functools import lru_cache
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 Exponent = tuple[int, ...]
 
@@ -86,12 +94,6 @@ def series_one(n: int, trunc: Sequence[int]) -> TruncatedSeries:
     return TruncatedSeries(n, tuple(trunc), {(0,) * n: ONE})
 
 
-def exponents_below(trunc: Sequence[int]) -> Iterator[Exponent]:
-    """All exponent tuples e with 0 <= e_i <= trunc[i], graded lex order."""
-    every = itertools.product(*(range(t + 1) for t in trunc))
-    return iter(sorted(every, key=lambda e: (sum(e), e)))
-
-
 def _check_compatible(a: TruncatedSeries, b: TruncatedSeries) -> None:
     if a.n != b.n or a.trunc != b.trunc:
         raise ValueError(
@@ -117,34 +119,51 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(a.n, trunc, terms)
 
 
+def _exact(c: Fraction) -> int | Fraction:
+    """An integral coefficient as an ``int``, any other as it is."""
+    return c.numerator if c.denominator == 1 else c
+
+
 def series_inverse(a: TruncatedSeries) -> TruncatedSeries:
     """Multiplicative inverse; requires a nonzero constant term.
 
-    Coefficients are found degreewise: once every coefficient of the inverse
-    at exponents of smaller total degree is known, the coefficient at e is
-    determined by (a * g)[x^e] = [e == 0].
+    The window is laid out densely in mixed-radix lex order, where every
+    exponent comes after all exponents below it, and the coefficient of the
+    inverse at e is determined by (a * g)[x^e] = [e == 0] once those are
+    known; the one at e - d sits at index(e) - index(d).
     """
     zero = (0,) * a.n
     f0 = a.terms.get(zero, ZERO)
     if f0 == 0:
         raise ValueError("series has zero constant term, not invertible")
-    inv0 = 1 / f0
-    g: dict[Exponent, Fraction] = {}
-    nonconst = [(e, c) for e, c in a.terms.items() if e != zero]
-    for e in exponents_below(a.trunc):
-        if e == zero:
-            g[zero] = inv0
-            continue
-        acc = ZERO
-        for d, c in nonconst:
-            if all(dv <= ev for dv, ev in zip(d, e)):
-                rest = tuple(ev - dv for ev, dv in zip(e, d))
-                gc = g.get(rest)
-                if gc is not None:
-                    acc += c * gc
+    inv0 = _exact(1 / f0)
+    window = list(itertools.product(*(range(t + 1) for t in a.trunc)))
+    strides = [math.prod(t + 1 for t in a.trunc[i + 1 :]) for i in range(a.n)]
+    # one field per variable, its top bit a guard: e >= d componentwise
+    # exactly when every guard survives (e | guards) - d
+    width = max(a.trunc, default=0).bit_length() + 1
+    shifts = [width * i for i in range(a.n)]
+    guards = sum(1 << (s + width - 1) for s in shifts)
+
+    def packed(e: Exponent) -> int:
+        return sum(v << s for v, s in zip(e, shifts))
+
+    nonconst = [
+        (packed(d), sum(map(operator.mul, d, strides)), _exact(c))
+        for d, c in a.terms.items()
+        if d != zero
+    ]
+    g: list[int | Fraction] = [0] * len(window)
+    g[0] = inv0
+    for i in range(1, len(window)):
+        pe = packed(window[i]) | guards
+        acc = 0
+        for pd, off, c in nonconst:
+            if (pe - pd) & guards == guards:
+                acc += c * g[i - off]
         if acc:
-            g[e] = -acc * inv0
-    return TruncatedSeries(a.n, a.trunc, g)
+            g[i] = -acc * inv0
+    return TruncatedSeries(a.n, a.trunc, {e: c for e, c in zip(window, g) if c})
 
 
 def series_int_pow(a: TruncatedSeries, q: int) -> TruncatedSeries:

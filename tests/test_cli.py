@@ -253,6 +253,12 @@ def test_malformed_json_objects_exit_2(capsys):
         ["chrom", '{"n":2,"edges":[],"special":3}', "--m", "1,1"],
         ["arrangement", "charpoly", '{"n":2,"subspaces":[5]}'],
         ["system", "validate", '{"n":2,"members":[[1],7]}'],
+        # JSON integers only: no float, string or boolean read as one
+        ["chrom", '{"n":2.7,"edges":[[1,2]]}', "--m", "1,1"],
+        ["chrom", '{"n":"2","edges":[[1,2]]}', "--m", "1,1"],
+        ["chrom", '{"n":2,"edges":["12"]}', "--m", "1,1"],
+        ["chrom", '{"n":2,"edges":[[1,2]],"special":[true]}', "--m", "1,1"],
+        ["arrangement", "charpoly", '{"n":2,"subspaces":[{"forms":[[1.5,1]]}]}'],
     ]
     for argv in cases:
         code, out, err = run(argv, capsys)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -156,6 +157,36 @@ def test_scan_small():
     assert rep_all.total == 12
     assert rep_all.even_failures == []
     assert rep_all.odd_passes == []
+
+
+def test_scan_canonicalizes_each_class_once(monkeypatch):
+    calls = []
+    direct = scan_module.canonical_form
+
+    def counted(g):
+        calls.append(g)
+        return direct(g)
+
+    monkeypatch.setattr(scan_module, "canonical_form", counted)
+    rep = scan_hypergraphs(4, dedup=False)
+    assert len(calls) == 1 + 2 + 5 + 20
+    # the oracle: every labelled hypergraph canonicalized on its own
+    expected = [direct(g) for n in range(1, 5) for g in enumerate_simple_hypergraphs(n)]
+    assert len(expected) == 126
+    assert [v.canon for v in rep.verdicts] == expected
+
+
+def test_scan_verdict_lines_digest():
+    # computed before the per-class canonicalization memo and the dense
+    # series inverse, with
+    # PYTHONPATH=src python3 -c 'import hashlib; from chromaplex.scan import
+    #   scan_hypergraphs, verdict_to_json_line; print(hashlib.sha256("\n".join(
+    #   verdict_to_json_line(v) for v in scan_hypergraphs(4).verdicts).encode()).hexdigest())'
+    lines = "\n".join(verdict_to_json_line(v) for v in scan_hypergraphs(4).verdicts)
+    assert (
+        hashlib.sha256(lines.encode()).hexdigest()
+        == "6cb3414e3ac911063d97d94b37b9dfeb91f5433e4d4804dd5bfa53a83164916b"
+    )
 
 
 def test_scan_agrees_with_parity():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -11,7 +12,6 @@ from chromaplex.series import (
     shifted_binomial_poly,
     TruncatedSeries,
     binomial_poly,
-    exponents_below,
     fraction_to_str,
     qpoly_interpolate,
     qpoly_pretty,
@@ -40,15 +40,6 @@ def test_normalization():
         TruncatedSeries(2, (2, 2), {(0,): F(1)})
     with pytest.raises(ValueError):
         TruncatedSeries(1, (2,), {(-1,): F(1)})
-
-
-def test_exponents_below_graded_lex():
-    got = list(exponents_below((1, 2)))
-    assert got[0] == (0, 0)
-    assert len(got) == 6
-    assert set(got) == {(a, b) for a in range(2) for b in range(3)}
-    degrees = [sum(e) for e in got]
-    assert degrees == sorted(degrees)
 
 
 def test_add_scale_mul():
@@ -81,6 +72,16 @@ def test_inverse_known_coefficients():
         series_inverse(s(1, (2,), {(1,): 1}))
 
 
+def test_inverse_wide_window():
+    # fields of several bits, at and past a power of two
+    trunc = (4, 3, 7)
+    terms = {(0, 0, 0): F(-1), (1, 0, 0): F(2), (0, 1, 1): F(-3), (2, 1, 0): F(1), (0, 0, 4): F(5)}
+    f = s(3, trunc, terms)
+    inv = series_inverse(f)
+    assert series_mul(f, inv) == series_one(3, trunc)
+    assert inv.terms[(4, 0, 0)] == F(-16)
+
+
 def test_int_pow():
     f = s(2, (2, 2), {(0, 0): 1, (1, 0): 1, (0, 1): 1})
     cube = series_int_pow(f, 3)
@@ -98,12 +99,17 @@ def test_int_pow_matches_repeated_mul_random():
         n = rng.randint(1, 3)
         trunc = tuple(rng.randint(0, 2) for _ in range(n))
         terms = {}
-        for e in exponents_below(trunc):
+        # integral and non-integral coefficients, unit and non-unit constants:
+        # the inverse runs on ints, on Fractions, or on a mix
+        integral = rng.random() < 0.5
+        for e in itertools.product(*(range(t + 1) for t in trunc)):
             if rng.random() < 0.5:
-                terms[e] = F(rng.randint(-3, 3))
-        terms[(0,) * n] = F(rng.choice([1, -1, 2]))
+                k = rng.randint(-3, 3)
+                terms[e] = F(k) if integral else F(k, 3)
+        terms[(0,) * n] = rng.choice([F(1), F(-1), F(2), F(1, 2)])
         f = TruncatedSeries(n, trunc, terms)
         inv = series_inverse(f)
+        assert all(type(c) is Fraction for c in inv.terms.values())
         assert series_mul(f, inv) == series_one(n, trunc)
         p = rng.randint(2, 4)
         acc = f
