@@ -198,7 +198,9 @@ class PosetElement(NamedTuple):
     mobius: int
 
 
-@lru_cache(maxsize=None)
+# bounded: a round of the ``arrangements`` benchmark workload keeps at most
+# ~150 arrangements alive, and an entry for K7 holds 877 flats
+@lru_cache(maxsize=512)
 def _poset_data(arr: Arrangement) -> tuple[PosetElement, ...]:
     n = arr.n
     hyps = [s.forms for s in arr.subspaces]
@@ -262,7 +264,7 @@ def _poset_data(arr: Arrangement) -> tuple[PosetElement, ...]:
     return tuple(elements)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)
 def characteristic_polynomial(arr: Arrangement) -> QPolynomial:
     """chi(q) = sum over flats X of mobius(X) q^dim(X)."""
     coeffs = [Fraction(0)] * (arr.n + 1)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -37,6 +36,7 @@ from .hypergraph import (
     system_series,
 )
 from .series import (
+    DenseWindow,
     QPolynomial,
     binomial_poly,
     qpoly_const,
@@ -169,13 +169,42 @@ def count_Pk_mult(g: Hypergraph, m: Sequence[int], k: int) -> int:
     return _ordered_block_counts(g, m).get(k, 0)
 
 
-@lru_cache(maxsize=None)
+def poly_from_binomial_coordinates(c: Sequence[int]) -> QPolynomial:
+    """The polynomial sum over k of c_k * binomial(q, k), for integers c_k.
+
+    Over the common denominator d!, d the degree, the sum is
+    sum_k c_k * (d!/k!) * (q)_k, and the coefficient of q^j in the falling
+    factorial (q)_k is the Stirling number s(k, j) of the first kind.  The
+    numerators are found in integers by Horner's rule in the falling-factorial
+    basis, (q)_(k+1) = (q)_k * (q - k), and each output coefficient becomes
+    one ``Fraction``.
+    """
+    d = len(c) - 1
+    while d >= 0 and not c[d]:
+        d -= 1
+    if d < 0:
+        return QPolynomial()
+    acc: list[int] = []
+    weight = 1  # d!/k!
+    for k in range(d, -1, -1):
+        # acc <- acc * (q - k) + c_k * d!/k!
+        nxt = [0, *acc]
+        for j, v in enumerate(acc):
+            nxt[j] -= k * v
+        nxt[0] += c[k] * weight
+        acc = nxt
+        weight *= k
+    scale = math.factorial(d)
+    return QPolynomial(tuple(Fraction(v, scale) for v in acc))
+
+
+# bounded: a round of the ``coeffs`` benchmark workload keeps at most ~1,600
+# (hypergraph, m) pairs alive
+@lru_cache(maxsize=4096)
 def _partition_formula(g: Hypergraph, m: Vector) -> QPolynomial:
-    poly = QPolynomial()
-    for k, cnt in sorted(_ordered_block_counts(g, m).items()):
-        if cnt:
-            poly = poly + binomial_poly(k) * cnt
-    return poly
+    counts = _ordered_block_counts(g, m)
+    coords = [counts.get(k, 0) for k in range(max(counts, default=-1) + 1)]
+    return poly_from_binomial_coordinates(coords)
 
 
 def marked_chromatic_poly(g: Hypergraph, m: Sequence[int]) -> QPolynomial:
@@ -202,36 +231,25 @@ def coefficient_via_binomial(
     """Coefficient polynomial of x^m in I_S(A, x)^q.
 
     Computed as sum over k of binomial(q, k) * [x^m](I_S - 1)^k, working with
-    series truncated at m.  Independent of the block-partition machinery.
+    series truncated at m, where x^m is the last entry of the dense window.
+    Independent of the block-partition machinery.
     """
     m = check_multiplicities(a.n, m)
     f = system_series(a, special, m)
     # the base series has one unit term per marked-independent multiset, so
     # its powers keep plain integer coefficients
-    base = sorted(
-        ((sum(e), e, int(c)) for e, c in f.terms.items() if any(e)), key=lambda t: t[0]
-    )
+    w = DenseWindow(m)
+    base = w.values(f)
+    base[0] = 0
+    base_terms = w.nonzero(base)
     total = sum(m)
-    poly = qpoly_const(1) if total == 0 else QPolynomial()
-    power = {e: c for _, e, c in base}
+    coords = [1 if total == 0 else 0]
+    power = base
     for k in range(1, total + 1):
-        if not power:
-            break
-        c = power.get(m, 0)
-        if c:
-            poly = poly + binomial_poly(k) * c
+        coords.append(power[-1])
         if k < total:
-            nxt: dict[Vector, int] = {}
-            for e1, c1 in power.items():
-                room = total - sum(e1)
-                for d2, e2, c2 in base:
-                    if d2 > room:
-                        break
-                    e = tuple(map(operator.add, e1, e2))
-                    if all(x <= cap for x, cap in zip(e, m)):
-                        nxt[e] = nxt.get(e, 0) + c1 * c2
-            power = nxt
-    return poly
+            power = w.mul(power, base_terms)
+    return poly_from_binomial_coordinates(coords)
 
 
 # ---------------------------------------------------------------------------

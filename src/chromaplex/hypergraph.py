@@ -98,6 +98,16 @@ def check_multiplicities(n: int, m: Sequence[int]) -> tuple[int, ...]:
     return m
 
 
+def _check_trunc(n: int, trunc: Sequence[int], what: str) -> tuple[int, ...]:
+    """trunc as a tuple of ints, refused unless it has length n and no negative bound."""
+    trunc = tuple(int(t) for t in trunc)
+    if len(trunc) != n:
+        raise ValueError(f"truncation vector length must equal {what}")
+    if any(t < 0 for t in trunc):
+        raise ValueError("truncation bounds must be >= 0")
+    return trunc
+
+
 def marked_independent_vectors(g: Hypergraph, cap: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """The multiplicity vectors e <= cap with an edge-free support and
     e_v <= 1 off the special set, ordered by support size, then support,
@@ -135,12 +145,10 @@ def marked_independence_series(g: Hypergraph, trunc: Sequence[int]) -> Truncated
     Equivalent to summing, over independent sets S, the product of x_v for
     plain v in S and x_v/(1-x_v) for special v in S, truncated at trunc.
     """
-    trunc = tuple(int(t) for t in trunc)
-    if len(trunc) != g.n:
-        raise ValueError("truncation vector length must equal vertex count")
+    trunc = _check_trunc(g.n, trunc, "vertex count")
     charge(math.prod(t + 1 for t in trunc), "truncation-window enumeration")
     terms = dict.fromkeys(marked_independent_vectors(g, trunc), ONE)
-    return TruncatedSeries(g.n, trunc, terms)
+    return TruncatedSeries._trusted(g.n, trunc, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -214,13 +222,12 @@ def system_series(
     Warns when some ground element appears in no member (it can then never
     receive a color and every coefficient touching it is zero).
     """
-    trunc = tuple(int(t) for t in trunc)
-    if len(trunc) != a.n:
-        raise ValueError("truncation vector length must equal n")
+    trunc = _check_trunc(a.n, trunc, "n")
     sp = sorted(set(int(v) for v in special))
     if any(v < 1 or v > a.n for v in sp):
         raise ValueError(f"special elements {sp} outside 1..{a.n}")
-    system_validate(a)
+    # validates the system; the gate below compares with its series
+    graph = hypergraph_from_system(a, sp)
     covered = set(itertools.chain.from_iterable(a.members))
     missing = sorted(set(range(1, a.n + 1)) - covered)
     if missing:
@@ -247,10 +254,9 @@ def system_series(
             for v, mult in zip(member, mults):
                 e[v - 1] = mult
             terms[tuple(e)] = ONE
-    direct = TruncatedSeries(a.n, trunc, terms)
+    direct = TruncatedSeries._trusted(a.n, trunc, terms)
     # the same series through the minimal-non-member hypergraph, as a gate
-    via_graph = marked_independence_series(hypergraph_from_system(a, sp), trunc)
-    if direct != via_graph:
+    if direct != marked_independence_series(graph, trunc):
         raise VerificationError("system series disagrees with its hypergraph route")
     return direct
 

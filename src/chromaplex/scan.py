@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import __version__
 from .budget import charge
-from .chromatic import count_Pk_mult
+from .chromatic import _ordered_block_counts
 from .errors import VerificationError
 from .hypergraph import Hypergraph, hypergraph, independent_sets, is_even
 from .series import TruncatedSeries, fraction_to_str, series_inverse
@@ -46,11 +46,13 @@ class CheckResult(NamedTuple):
 
 def _signed_independence_series(g: Hypergraph, window: Sequence[int]) -> TruncatedSeries:
     """I(G, -x) inside the truncation window."""
+    window = tuple(int(v) for v in window)
     terms = {}
     for s in independent_sets(g):
-        e = tuple(1 if v in s else 0 for v in range(1, g.n + 1))
-        terms[e] = Fraction(-1 if len(s) % 2 else 1)
-    return TruncatedSeries(g.n, tuple(int(v) for v in window), terms)
+        if all(window[v - 1] for v in s):
+            e = tuple(1 if v in s else 0 for v in range(1, g.n + 1))
+            terms[e] = Fraction(-1 if len(s) % 2 else 1)
+    return TruncatedSeries._trusted(g.n, window, terms)
 
 
 def inverse_nonneg_check(g: Hypergraph, window: Sequence[int]) -> CheckResult:
@@ -78,11 +80,8 @@ def inverse_nonneg_check(g: Hypergraph, window: Sequence[int]) -> CheckResult:
 def _recheck_negative(g: Hypergraph, m: tuple[int, ...], claimed: Fraction) -> None:
     """Independent recount of one inverse coefficient: the alternating sum
     of ordered block-partition counts, carrying the sign of |m|."""
-    total = sum(v for v in m)
-    acc = 1 if total == 0 else 0
-    for k in range(1, total + 1):
-        acc += (-1) ** k * count_Pk_mult(g, m, k)
-    value = Fraction((-1) ** total * acc)
+    acc = sum((-1) ** k * count for k, count in _ordered_block_counts(g, m).items())
+    value = Fraction((-1) ** sum(m) * acc)
     if value != claimed:
         raise VerificationError(
             f"inverse coefficient at {m} is {claimed} by series inversion "

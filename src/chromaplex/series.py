@@ -9,12 +9,20 @@ e_i <= trunc[i], and all arithmetic silently drops terms that leave the
 truncation window.  Coefficients are exact rationals throughout; there is no
 floating point anywhere in this package.
 
-``series_inverse`` works on the whole window at once: a dense list in
-mixed-radix lex order, in which the coefficient at e - d sits at index(e) -
-index(d).  An integral coefficient (and an integral 1/f_0) is carried as an
-``int`` and any other as a ``Fraction``, so the inverse of an integral series
-with constant term +-1, such as every signed independence series, is computed
-in integers alone; the result holds ``Fraction``s like every series.
+``series_mul``, ``series_int_pow`` and ``series_inverse`` share one kernel,
+``DenseWindow``: the whole window as a dense list in mixed-radix lex order,
+in which the coefficient at e - d sits at index(e) - index(d) and a guard bit
+per packed field tests e >= d in one subtraction.  An integral coefficient
+(and an integral 1/f_0) is carried as an ``int`` and any other as a
+``Fraction``, so products, powers and the inverse of an integral series with
+constant term +-1, such as every independence series, are computed in
+integers alone.  A power squares on the dense list and becomes a series once,
+at the end.  The window's size is charged to the budget before it is
+allocated.
+
+Every result holds ``Fraction``s like every series.  The public constructor
+checks its input; series the package builds itself (results of the kernel,
+independence series) go through ``TruncatedSeries._trusted``, which does not.
 
 A ``QPolynomial`` is a dense univariate polynomial over ``Fraction`` in a
 single variable q, used for counting polynomials.  Coefficients are stored
@@ -32,7 +40,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .budget import charge
+
 Exponent = tuple[int, ...]
+# coefficients on a dense window, and its nonzero (packed, index, coefficient)
+Dense = list[int | Fraction]
+DenseTerms = list[tuple[int, int, int | Fraction]]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -81,6 +94,17 @@ class TruncatedSeries:
                 clean[e] = c
         self.terms = clean
 
+    @classmethod
+    def _trusted(
+        cls, n: int, trunc: tuple[int, ...], terms: dict[Exponent, Fraction]
+    ) -> TruncatedSeries:
+        """A series built inside the package, taken as it is: ``trunc`` a
+        tuple of n ints >= 0 and ``terms`` nonzero ``Fraction``s at
+        exponents inside it.  Nothing is checked."""
+        self = object.__new__(cls)
+        self.n, self.trunc, self.terms = n, trunc, terms
+        return self
+
     def coeff(self, e: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(e), ZERO)
 
@@ -101,86 +125,123 @@ def _check_compatible(a: TruncatedSeries, b: TruncatedSeries) -> None:
         )
 
 
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Product, discarding exponents outside the truncation window."""
-    _check_compatible(a, b)
-    trunc = a.trunc
-    terms: dict[Exponent, Fraction] = {}
-    for e1, c1 in a.terms.items():
-        for e2, c2 in b.terms.items():
-            e = tuple(v1 + v2 for v1, v2 in zip(e1, e2))
-            if any(v > t for v, t in zip(e, trunc)):
-                continue
-            s = terms.get(e, ZERO) + c1 * c2
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
-    return TruncatedSeries(a.n, trunc, terms)
-
-
 def _exact(c: Fraction) -> int | Fraction:
     """An integral coefficient as an ``int``, any other as it is."""
     return c.numerator if c.denominator == 1 else c
 
 
-def series_inverse(a: TruncatedSeries) -> TruncatedSeries:
-    """Multiplicative inverse; requires a nonzero constant term.
+class DenseWindow:
+    """A truncation window laid out densely in mixed-radix lex order, where
+    every exponent comes after all exponents below it.
 
-    The window is laid out densely in mixed-radix lex order, where every
-    exponent comes after all exponents below it, and the coefficient of the
-    inverse at e is determined by (a * g)[x^e] = [e == 0] once those are
-    known; the one at e - d sits at index(e) - index(d).
+    A series on the window is a list of coefficients, an ``int`` where it is
+    integral and a ``Fraction`` otherwise.  Each exponent is also packed into
+    one ``int`` with a field per variable whose top bit is a guard, so that
+    componentwise comparisons are one subtraction: e >= d exactly when every
+    guard survives (e | guards) - d, and then the coefficient at e - d sits
+    at index(e) - index(d).  Building a window charges its size to the budget.
     """
-    zero = (0,) * a.n
-    f0 = a.terms.get(zero, ZERO)
-    if f0 == 0:
-        raise ValueError("series has zero constant term, not invertible")
-    inv0 = _exact(1 / f0)
-    window = list(itertools.product(*(range(t + 1) for t in a.trunc)))
-    strides = [math.prod(t + 1 for t in a.trunc[i + 1 :]) for i in range(a.n)]
-    # one field per variable, its top bit a guard: e >= d componentwise
-    # exactly when every guard survives (e | guards) - d
-    width = max(a.trunc, default=0).bit_length() + 1
-    shifts = [width * i for i in range(a.n)]
-    guards = sum(1 << (s + width - 1) for s in shifts)
 
-    def packed(e: Exponent) -> int:
-        return sum(v << s for v, s in zip(e, shifts))
+    def __init__(self, trunc: tuple[int, ...]) -> None:
+        size = math.prod(t + 1 for t in trunc)
+        charge(size, f"dense series window of {size} coefficients")
+        self.trunc = trunc
+        self.strides = [math.prod(t + 1 for t in trunc[i + 1 :]) for i in range(len(trunc))]
+        width = max(trunc, default=0).bit_length() + 1
+        shifts = range(0, width * len(trunc), width)
+        self.guards = sum(1 << (s + width - 1) for s in shifts)
+        packs = [0]
+        for t, s in zip(trunc, shifts):
+            packs = [p + (v << s) for p in packs for v in range(t + 1)]
+        self.packs = packs
+        self.top = packs[-1]
 
-    nonconst = [
-        (packed(d), sum(map(operator.mul, d, strides)), _exact(c))
-        for d, c in a.terms.items()
-        if d != zero
-    ]
-    g: list[int | Fraction] = [0] * len(window)
-    g[0] = inv0
-    for i in range(1, len(window)):
-        pe = packed(window[i]) | guards
-        acc = 0
-        for pd, off, c in nonconst:
-            if (pe - pd) & guards == guards:
-                acc += c * g[i - off]
-        if acc:
-            g[i] = -acc * inv0
-    return TruncatedSeries(a.n, a.trunc, {e: c for e, c in zip(window, g) if c})
+    def values(self, a: TruncatedSeries) -> Dense:
+        """The coefficients of a series on this window."""
+        out: Dense = [0] * len(self.packs)
+        for e, c in a.terms.items():
+            out[sum(map(operator.mul, e, self.strides))] = _exact(c)
+        return out
+
+    def nonzero(self, x: Dense) -> DenseTerms:
+        """(packed exponent, index, coefficient) for every nonzero entry."""
+        return [(self.packs[j], j, c) for j, c in enumerate(x) if c]
+
+    def mul(self, x: Dense, y_terms: DenseTerms) -> Dense:
+        """x * y truncated to the window, y given by ``nonzero``: the product
+        of the entries at e1 and e2 lands at index(e1) + index(e2) when
+        e2 <= trunc - e1, that is when every guard survives
+        ((top - packed(e1)) | guards) - packed(e2)."""
+        packs, top, guards = self.packs, self.top, self.guards
+        out: Dense = [0] * len(x)
+        for i, c1 in enumerate(x):
+            if c1:
+                room = (top - packs[i]) | guards
+                for pj, j, c2 in y_terms:
+                    if (room - pj) & guards == guards:
+                        out[i + j] += c1 * c2
+        return out
+
+    def inverse(self, x: Dense) -> Dense:
+        """1/x: the entry at e is fixed by (x * g)[e] = [e == 0] once every
+        entry before it is known, and the one at e - d sits at
+        index(e) - index(d).  An integral 1/x_0 keeps integral inputs in
+        ``int``s."""
+        if not x[0]:
+            raise ValueError("series has zero constant term, not invertible")
+        inv0 = _exact(1 / Fraction(x[0]))
+        packs, guards = self.packs, self.guards
+        nonconst = self.nonzero(x)[1:]
+        g: Dense = [0] * len(x)
+        g[0] = inv0
+        for i in range(1, len(x)):
+            pe = packs[i] | guards
+            acc = 0
+            for pd, off, c in nonconst:
+                if (pe - pd) & guards == guards:
+                    acc += c * g[i - off]
+            if acc:
+                g[i] = -acc * inv0
+        return g
+
+    def series(self, x: Dense) -> TruncatedSeries:
+        """The series with coefficients x, its terms as ``Fraction``s."""
+        exponents = itertools.product(*(range(t + 1) for t in self.trunc))
+        terms = {e: Fraction(c) for e, c in zip(exponents, x) if c}
+        return TruncatedSeries._trusted(len(self.trunc), self.trunc, terms)
+
+
+def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    """Product, discarding exponents outside the truncation window."""
+    _check_compatible(a, b)
+    w = DenseWindow(a.trunc)
+    return w.series(w.mul(w.values(a), w.nonzero(w.values(b))))
+
+
+def series_inverse(a: TruncatedSeries) -> TruncatedSeries:
+    """Multiplicative inverse; requires a nonzero constant term."""
+    w = DenseWindow(a.trunc)
+    return w.series(w.inverse(w.values(a)))
 
 
 def series_int_pow(a: TruncatedSeries, q: int) -> TruncatedSeries:
-    """a**q for any integer q (negative powers invert first)."""
+    """a**q for any integer q (negative powers invert first), by repeated
+    squaring on the dense window."""
     if not isinstance(q, int):
         raise ValueError("exponent must be an integer")
+    w = DenseWindow(a.trunc)
+    base = w.values(a)
     if q < 0:
-        return series_int_pow(series_inverse(a), -q)
-    result = series_one(a.n, a.trunc)
-    base = a
-    k = q
-    while k:
-        if k & 1:
-            result = series_mul(result, base)
-        base = series_mul(base, base) if k > 1 else base
-        k >>= 1
-    return result
+        base, q = w.inverse(base), -q
+    result: Dense = [0] * len(base)
+    result[0] = 1
+    while q:
+        if q & 1:
+            result = w.mul(result, w.nonzero(base))
+        q >>= 1
+        if q:
+            base = w.mul(base, w.nonzero(base))
+    return w.series(result)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +274,7 @@ class QPolynomial:
     coeffs: tuple[Fraction, ...] = ()
 
     def __post_init__(self) -> None:
-        cs = [_as_fraction(c) for c in self.coeffs]
+        cs = [c if type(c) is Fraction else _as_fraction(c) for c in self.coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -224,11 +285,18 @@ class QPolynomial:
         return len(self.coeffs) - 1
 
     def eval(self, v: int | Fraction) -> Fraction:
+        """The value at v, by Horner's rule in integers: with v = x/y and
+        den the common denominator of the coefficients, the value is
+        sum_i (c_i * den) * x^i * y^(d-i) over den * y^d."""
         v = _as_fraction(v)
-        acc = ZERO
+        x, y = v.numerator, v.denominator
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        total = 0
+        scale = 1  # y^(d-i)
         for c in reversed(self.coeffs):
-            acc = acc * v + c
-        return acc
+            total = total * x + c.numerator * (den // c.denominator) * scale
+            scale *= y
+        return Fraction(total, den * y ** max(self.degree, 0))
 
     def __add__(self, other: QPolynomial | int | Fraction) -> QPolynomial:
         if not isinstance(other, QPolynomial):
@@ -278,7 +346,7 @@ def qpoly_const(c: int | Fraction) -> QPolynomial:
     return QPolynomial((_as_fraction(c),))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def binomial_poly(k: int) -> QPolynomial:
     """binomial(q, k) as a polynomial of degree k (k >= 0)."""
     return shifted_binomial_poly(0, k)

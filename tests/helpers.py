@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from chromaplex.arrangement import Arrangement, arrangement
 from chromaplex.hypergraph import Hypergraph, hypergraph, marked_independent_vectors
-from chromaplex.series import Q, QPolynomial
+from chromaplex.series import Q, QPolynomial, TruncatedSeries, series_one
 
 
 def chromatic_delcon(n: int, edges) -> QPolynomial:
@@ -61,6 +61,32 @@ def count_Pk_ordered_debug(g: Hypergraph, m, k: int) -> int:
         return total
 
     return rec(m, k)
+
+
+def series_mul_sparse(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    """Oracle for the dense series kernel: the product term by term over the
+    sparse ``Fraction`` dicts, dropping exponents outside the window."""
+    assert (a.n, a.trunc) == (b.n, b.trunc)
+    terms: dict = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(v1 + v2 for v1, v2 in zip(e1, e2))
+            if any(v > t for v, t in zip(e, a.trunc)):
+                continue
+            s = terms.get(e, Fraction(0)) + c1 * c2
+            if s:
+                terms[e] = s
+            else:
+                terms.pop(e, None)
+    return TruncatedSeries(a.n, a.trunc, terms)
+
+
+def series_pow_sparse(a: TruncatedSeries, q: int) -> TruncatedSeries:
+    """a**q for q >= 0 by q products of the sparse oracle."""
+    acc = series_one(a.n, a.trunc)
+    for _ in range(q):
+        acc = series_mul_sparse(acc, a)
+    return acc
 
 
 def random_hypergraph(rng: random.Random, n: int, max_edges: int) -> Hypergraph:

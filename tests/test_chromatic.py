@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from chromaplex.chromatic import (
     marked_chromatic_poly,
     ordinary_chromatic_poly,
     partitions_of,
+    poly_from_binomial_coordinates,
 )
 from chromaplex.errors import VerificationError
 from chromaplex.hypergraph import (
@@ -31,7 +33,7 @@ from chromaplex.hypergraph import (
     independence_system,
     marked_independence_series,
 )
-from chromaplex.series import Q, QPolynomial, series_int_pow
+from chromaplex.series import Q, QPolynomial, series_int_pow, shifted_binomial_poly
 from helpers import chromatic_delcon, count_Pk_ordered_debug, random_hypergraph
 
 F = Fraction
@@ -245,6 +247,26 @@ def test_cycle_gate_raises(monkeypatch):
     monkeypatch.setattr(chromatic_module, "marked_chromatic_poly", lambda g, m: QPolynomial())
     with pytest.raises(VerificationError):
         cycle_multichromatic((1, 1, 1))
+
+
+def test_poly_from_binomial_coordinates():
+    """The integer conversion that ends both coefficient routes, against the
+    sum of binomial(q, k) product polynomials and against values at q."""
+    rng = random.Random(3141)
+    vectors = [[], [0], [0, 0, 0], [1], [0, 0, 5, 0, 0], [0] * 11]
+    for _ in range(60):
+        d = rng.randint(0, 10)
+        c = [rng.randint(-50, 50) for _ in range(d + 1)]
+        vectors.append(c + [0] * rng.randint(0, 2))
+    for c in vectors:
+        poly = poly_from_binomial_coordinates(c)
+        assert all(type(v) is Fraction for v in poly.coeffs)
+        expect = QPolynomial()
+        for k, ck in enumerate(c):
+            expect = expect + shifted_binomial_poly(0, k) * ck
+        assert poly == expect
+        for q in range(len(c) + 1):
+            assert poly.eval(q) == sum(ck * math.comb(q, k) for k, ck in enumerate(c))
 
 
 def test_coefficient_via_binomial_known():

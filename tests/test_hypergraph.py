@@ -124,6 +124,11 @@ def test_marked_series_special_geometric():
     g = hypergraph(1, [], special=(1,))
     s = marked_independence_series(g, (4,))
     assert s.terms == {(k,): F(1) for k in range(5)}
+    # series built in the package skip the constructor's checks, so the
+    # window is checked up front
+    for bad in ((4, 4), (-1,)):
+        with pytest.raises(ValueError, match="truncation"):
+            marked_independence_series(g, bad)
 
 
 def test_system_validate():
@@ -179,6 +184,9 @@ def test_system_series_matches_hypergraph_series():
     assert s.terms[(2, 0, 0)] == F(1)
     assert s.terms[(1, 1, 0)] == F(1)
     assert (1, 0, 1) not in s.terms
+    for bad in ((2, 1), (2, -1, 1)):
+        with pytest.raises(ValueError, match="truncation"):
+            system_series(a, (1,), bad)
 
 
 def test_system_series_gate_raises(monkeypatch):

@@ -8,6 +8,9 @@ import types
 from pathlib import Path
 
 import chromaplex
+import chromaplex.arrangement as arrangement
+import chromaplex.chromatic as chromatic
+import chromaplex.series as series
 
 SOURCES = sorted(Path(chromaplex.__file__).parent.glob("*.py"))
 # ``__main__`` runs the CLI when imported
@@ -42,3 +45,19 @@ def test_sources_have_no_assert():
         tree = ast.parse(path.read_text(), str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert lines == [], (path.name, lines)
+
+
+def test_caches_are_bounded():
+    """Every lru_cache has a finite bound, and the two the benchmark reads
+    hit ratios from keep their names."""
+    caches = [
+        chromatic._partition_formula,
+        series.binomial_poly,
+        arrangement._poset_data,
+        arrangement.characteristic_polynomial,
+    ]
+    for fn in caches:
+        maxsize = fn.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize < 1 << 16, fn.__name__
+    assert chromatic._partition_formula.__name__ == "_partition_formula"
+    assert series.binomial_poly.__name__ == "binomial_poly"

@@ -98,6 +98,25 @@ def test_odd_edge_witness_gate_raises(monkeypatch):
         odd_edge_witness(hypergraph(3, [(1, 2, 3)]))
 
 
+def test_negative_recheck_counts_blocks_once(monkeypatch):
+    """A negative coefficient is recounted from one block-count table, and a
+    recount that disagrees raises."""
+    calls = []
+    counts = scan_module._ordered_block_counts
+
+    def counting(g, m):
+        calls.append(m)
+        return counts(g, m)
+
+    monkeypatch.setattr(scan_module, "_ordered_block_counts", counting)
+    res = inverse_nonneg_check(hypergraph(3, [(1, 2, 3)]), (2, 2, 2))
+    assert not res.nonneg
+    assert calls == [res.neg_at]
+    monkeypatch.setattr(scan_module, "_ordered_block_counts", lambda g, m: {1: 10**6})
+    with pytest.raises(VerificationError, match="block counting"):
+        inverse_nonneg_check(hypergraph(3, [(1, 2, 3)]), (2, 2, 2))
+
+
 def test_enumeration_counts():
     assert sum(1 for _ in enumerate_simple_hypergraphs(0)) == 1
     assert sum(1 for _ in enumerate_simple_hypergraphs(1)) == 1

@@ -2,10 +2,13 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from helpers import series_mul_sparse, series_pow_sparse
 
+from chromaplex.errors import BudgetError
 from chromaplex.series import (
     Q,
     QPolynomial,
@@ -78,7 +81,7 @@ def test_inverse_wide_window():
     terms = {(0, 0, 0): F(-1), (1, 0, 0): F(2), (0, 1, 1): F(-3), (2, 1, 0): F(1), (0, 0, 4): F(5)}
     f = s(3, trunc, terms)
     inv = series_inverse(f)
-    assert series_mul(f, inv) == series_one(3, trunc)
+    assert series_mul_sparse(f, inv) == series_one(3, trunc)
     assert inv.terms[(4, 0, 0)] == F(-16)
 
 
@@ -93,29 +96,77 @@ def test_int_pow():
     assert series_mul(series_int_pow(f, -3), cube) == series_one(2, (2, 2))
 
 
+def _random_series(rng, n, trunc, integral, constant):
+    terms = {}
+    for e in itertools.product(*(range(t + 1) for t in trunc)):
+        if rng.random() < 0.5:
+            k = rng.randint(-3, 3)
+            terms[e] = F(k) if integral else F(k, 3)
+    terms[(0,) * n] = constant
+    return TruncatedSeries(n, trunc, terms)
+
+
+def _all_fractions(f):
+    return all(type(c) is Fraction for c in f.terms.values())
+
+
 def test_int_pow_matches_repeated_mul_random():
+    """The dense kernel (mul, pow, inverse) against the sparse Fraction oracle
+    on integral and non-integral coefficients, windows with zero bounds and
+    unit and non-unit constants: the kernel runs on ints, on Fractions, or on
+    a mix."""
     rng = random.Random(11)
-    for _ in range(200):
+    for _ in range(120):
         n = rng.randint(1, 3)
         trunc = tuple(rng.randint(0, 2) for _ in range(n))
-        terms = {}
-        # integral and non-integral coefficients, unit and non-unit constants:
-        # the inverse runs on ints, on Fractions, or on a mix
         integral = rng.random() < 0.5
-        for e in itertools.product(*(range(t + 1) for t in trunc)):
-            if rng.random() < 0.5:
-                k = rng.randint(-3, 3)
-                terms[e] = F(k) if integral else F(k, 3)
-        terms[(0,) * n] = rng.choice([F(1), F(-1), F(2), F(1, 2)])
-        f = TruncatedSeries(n, trunc, terms)
+        f = _random_series(rng, n, trunc, integral, rng.choice([F(1), F(-1), F(2), F(1, 2)]))
+        g = _random_series(rng, n, trunc, rng.random() < 0.5, rng.choice([F(0), F(1), F(-2)]))
+        one = series_one(n, trunc)
+        prod = series_mul(f, g)
+        assert prod == series_mul_sparse(f, g)
+        assert _all_fractions(prod)
         inv = series_inverse(f)
-        assert all(type(c) is Fraction for c in inv.terms.values())
-        assert series_mul(f, inv) == series_one(n, trunc)
-        p = rng.randint(2, 4)
-        acc = f
-        for _ in range(p - 1):
-            acc = series_mul(acc, f)
-        assert series_int_pow(f, p) == acc
+        assert _all_fractions(inv)
+        assert series_mul_sparse(f, inv) == one
+        for q in range(-3, 5):
+            power = series_int_pow(f, q)
+            assert _all_fractions(power)
+            if q >= 0:
+                assert power == series_pow_sparse(f, q)
+            else:
+                assert series_mul_sparse(power, series_pow_sparse(f, -q)) == one
+
+
+def test_dense_window_charges_before_allocating(monkeypatch):
+    """A sparse series on a huge window is refused before the window is
+    allocated (a million coefficients, past a budget of 2**12), and one on a
+    window of exactly the budget is computed."""
+    monkeypatch.setenv("CHROMAPLEX_BUDGET", "12")
+    f = s(2, (999, 999), {(0, 0): 1, (1, 0): 1})
+    for op in (lambda: series_mul(f, f), lambda: series_inverse(f), lambda: series_int_pow(f, 2)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError):
+                op()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+    g = s(2, (63, 63), {(0, 0): 1, (1, 0): 1})
+    assert series_inverse(g).terms[(63, 0)] == F(-1)
+    assert series_int_pow(g, 2).terms[(2, 0)] == F(1)
+
+
+def test_public_constructor_checks_its_input():
+    with pytest.raises(ValueError, match="floating point"):
+        TruncatedSeries(1, (2,), {(1,): 0.5})
+    with pytest.raises(ValueError, match="bad exponent"):
+        TruncatedSeries(2, (2, 2), {(0, -1): F(1)})
+    with pytest.raises(ValueError, match="bad exponent"):
+        TruncatedSeries(2, (2, 2), {(0, 0, 0): F(1)})
+    # integral input is stored as Fractions
+    assert _all_fractions(TruncatedSeries(1, (2,), {(1,): 3}))
 
 
 def test_series_json_round_trip():
@@ -141,6 +192,9 @@ def test_qpolynomial_arithmetic():
     assert p.degree == 2
     assert p.eval(3) == F(7)
     assert p.eval(F(1, 2)) == F(3, 4)
+    r = (Q * Q * Q / 6 - Q / 4 + F(2, 3)) * F(-5, 7)
+    for v in (-3, 0, 2, F(5, 3)):
+        assert r.eval(v) == F(-5, 7) * (F(v) ** 3 / 6 - F(v) / 4 + F(2, 3))
     assert (p - p).coeffs == ()
     assert (p * 0).degree == -1
     assert (Q * 2 / 2) == Q
