@@ -8,10 +8,11 @@ codimension >= 1 in R^n, with an optional special vertex set used by the
 marked constructions.
 
 The intersection poset orders all intersections of members by reverse
-inclusion.  Each flat is keyed by the bitmask of members containing it;
-because every flat equals the intersection of exactly the members in its
-mask, mask containment is the poset order, which makes the Mobius recursion
-run on integer bit tests.
+inclusion.  Its flats are found by their canonical forms, so a repeated
+intersection is recognized before any membership test.  Each flat then gets
+the bitmask of members containing it; because every flat equals the
+intersection of exactly the members in its mask, mask containment is the
+poset order, which makes the Mobius recursion run on integer bit tests.
 """
 
 from __future__ import annotations
@@ -204,7 +205,6 @@ class PosetElement(NamedTuple):
 def _poset_data(arr: Arrangement) -> tuple[PosetElement, ...]:
     n = arr.n
     hyps = [s.forms for s in arr.subspaces]
-    p = len(hyps)
 
     def mask_of(basis: tuple[Row, ...]) -> int:
         mask = 0
@@ -213,54 +213,30 @@ def _poset_data(arr: Arrangement) -> tuple[PosetElement, ...]:
                 mask |= 1 << i
         return mask
 
-    flats: dict[int, tuple[Row, ...]] = {0: ()}
-    frontier: list[tuple[tuple[Row, ...], int]] = [((), 0)]
+    # canonical forms of each flat found so far -> mask of its members
+    masks: dict[tuple[Row, ...], int] = {(): 0}
+    frontier: list[tuple[Row, ...]] = [()]
     while frontier:
-        fresh: list[tuple[tuple[Row, ...], int]] = []
-        for basis, mask in frontier:
-            for i in range(p):
+        fresh: list[tuple[Row, ...]] = []
+        for basis in frontier:
+            mask = masks[basis]
+            for i, h in enumerate(hyps):
                 if not (mask >> i) & 1:
-                    inter = rref(basis + hyps[i], n)
-                    m2 = mask_of(inter)
-                    if m2 not in flats:
-                        flats[m2] = inter
-                        fresh.append((inter, m2))
+                    inter = rref(basis + h, n)
+                    if inter not in masks:
+                        masks[inter] = mask_of(inter)
+                        fresh.append(inter)
         frontier = fresh
 
-    by_rank: dict[int, list[int]] = {}
-    for mask, basis in flats.items():
-        by_rank.setdefault(len(basis), []).append(mask)
-    mobius: dict[int, int] = {}
-    processed: list[int] = []
-    for rank in sorted(by_rank):
-        for mask in by_rank[rank]:
-            if rank == 0:
-                mobius[mask] = 1
-                continue
-            acc = 0
-            pc = mask.bit_count()
-            if (1 << pc) <= max(len(processed), 64):
-                # walk strict submasks; closed ones are exactly the flats below
-                sub = (mask - 1) & mask
-                while True:
-                    mu = mobius.get(sub)
-                    if mu is not None:
-                        acc += mu
-                    if sub == 0:
-                        break
-                    sub = (sub - 1) & mask
-            else:
-                for other in processed:
-                    if other & mask == other:
-                        acc += mobius[other]
-            mobius[mask] = -acc
-        processed.extend(by_rank[rank])
-
-    elements = [
-        PosetElement(flats[mask], n - len(flats[mask]), mobius[mask])
-        for mask in flats
-    ]
-    elements.sort(key=lambda el: (len(el.forms), el.forms))
+    # in rank order every flat below X comes first; a flat of X's own rank
+    # never has a mask inside X's, so the sum may run over all earlier flats
+    elements: list[PosetElement] = []
+    below: list[tuple[int, int]] = []
+    for forms in sorted(masks, key=lambda f: (len(f), f)):
+        mask = masks[forms]
+        mu = -sum(v for other, v in below if other & mask == other) if forms else 1
+        below.append((mask, mu))
+        elements.append(PosetElement(forms, n - len(forms), mu))
     return tuple(elements)
 
 

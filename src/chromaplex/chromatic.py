@@ -417,17 +417,10 @@ def chordal_multichromatic(g: Hypergraph, m: Sequence[int]) -> QPolynomial:
     m = check_multiplicities(g.n, m)
     if g.special:
         raise ValueError("chordal_multichromatic requires no special vertices")
-    order = find_peo(g)
-    if order is None:
-        raise ValueError("graph is not chordal")
-    adj = _require_graph(g)
-    pos = {v: i for i, v in enumerate(order)}
-    supp = sorted(support(m), key=lambda v: pos[v])
-    poly = qpoly_const(1)
-    for r, v in enumerate(supp):
-        forbidden = sum(m[u - 1] for u in supp[:r] if u in adj[v])
-        poly = poly * shifted_binomial_poly(forbidden, m[v - 1])
-    return poly
+    # with no special vertex every partition is all ones, so the marked form
+    # has one term: l_v = m_v, b_v sums m over earlier neighbors, scalar 1;
+    # it refuses a graph that is not chordal
+    return chordal_marked_chromatic(g, m)
 
 
 def chordal_marked_chromatic(g: Hypergraph, m: Sequence[int]) -> QPolynomial:

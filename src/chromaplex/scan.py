@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,8 +30,8 @@ from . import __version__
 from .budget import charge
 from .chromatic import _ordered_block_counts
 from .errors import VerificationError
-from .hypergraph import Hypergraph, hypergraph, independent_sets, is_even
-from .series import TruncatedSeries, fraction_to_str, series_inverse
+from .hypergraph import Hypergraph, hypergraph, is_even, marked_independence_series
+from .series import fraction_to_str, series_inverse
 
 # Dedekind numbers: antichain counts over the full power set of [n], an upper
 # bound for the number of simple hypergraphs on [n] (whose edge families are
@@ -42,17 +43,6 @@ class CheckResult(NamedTuple):
     nonneg: bool
     neg_at: Optional[tuple[int, ...]]
     coeff: Optional[Fraction]
-
-
-def _signed_independence_series(g: Hypergraph, window: Sequence[int]) -> TruncatedSeries:
-    """I(G, -x) inside the truncation window."""
-    window = tuple(int(v) for v in window)
-    terms = {}
-    for s in independent_sets(g):
-        if all(window[v - 1] for v in s):
-            e = tuple(1 if v in s else 0 for v in range(1, g.n + 1))
-            terms[e] = Fraction(-1 if len(s) % 2 else 1)
-    return TruncatedSeries._trusted(g.n, window, terms)
 
 
 def inverse_nonneg_check(g: Hypergraph, window: Sequence[int]) -> CheckResult:
@@ -68,9 +58,11 @@ def inverse_nonneg_check(g: Hypergraph, window: Sequence[int]) -> CheckResult:
     window = tuple(int(v) for v in window)
     if len(window) != g.n or any(v < 0 for v in window):
         raise ValueError(f"bad truncation window {window} for n={g.n}")
-    inv = series_inverse(_signed_independence_series(g, window))
-    for e in sorted(inv.terms):
-        c = inv.terms[e]
+    # with no special vertex this inverts I(G, x); substituting -x
+    # multiplies the coefficient at e by (-1)^|e|
+    inv = series_inverse(marked_independence_series(g, window)).terms
+    for e in sorted(inv):
+        c = -inv[e] if sum(e) % 2 else inv[e]
         if c < 0:
             _recheck_negative(g, e, c)
             return CheckResult(False, e, c)
@@ -103,7 +95,8 @@ def odd_edge_witness(g: Hypergraph) -> Optional[tuple[tuple[int, ...], int]]:
         return None
     r = len(e)
     h = hypergraph(r, [tuple(range(1, r + 1))])
-    inv = series_inverse(_signed_independence_series(h, (2,) * r))
+    # (2,...,2) has even degree, where 1/I(h, -x) and 1/I(h, x) agree
+    inv = series_inverse(marked_independence_series(h, (2,) * r))
     value = inv.terms.get((2,) * r, Fraction(0))
     expected = 2 + (-2) ** r
     if value != expected:
@@ -276,8 +269,9 @@ def scan_hypergraphs(
     ``resume`` the canonical forms recorded there are skipped, so interrupted
     scans can continue by rerunning the same command.  ``dedup`` skips isomorphic
     duplicates inside the run.  ``workers`` > 1 distributes the per-
-    hypergraph checks over a process pool; the verdict order stays the
-    deterministic enumeration order either way.
+    hypergraph checks over a process pool of at most that many processes,
+    and no more than there are hypergraphs to check or cores; the verdict
+    order stays the deterministic enumeration order either way.
     """
     if n_max < 0:
         raise ValueError("need n_max >= 0")
@@ -331,10 +325,11 @@ def scan_hypergraphs(
             items.append((canon[0], canon[1], m_per_var))
             entries.append((canon, is_even(g)))
 
-    if workers == 1:
+    procs = min(workers, len(items), os.cpu_count() or 1)
+    if procs <= 1:
         results = map(_work, items)
     else:
-        pool = Pool(workers)
+        pool = Pool(procs)
         results = pool.imap(_work, items, chunksize=16)
 
     fh = out_path.open("a") if out_path is not None else None
@@ -357,7 +352,7 @@ def scan_hypergraphs(
     finally:
         if fh is not None:
             fh.close()
-        if workers > 1:
+        if procs > 1:
             pool.close()
             pool.join()
 

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from chromaplex.arrangement import Arrangement, arrangement
+from chromaplex.arrangement import Arrangement, arrangement, rref
 from chromaplex.hypergraph import Hypergraph, hypergraph, marked_independent_vectors
 from chromaplex.series import Q, QPolynomial, TruncatedSeries, series_one
 
@@ -124,6 +124,44 @@ def random_hyperplane_arrangement(rng: random.Random, n: int) -> Arrangement:
         row = [rng.randint(-2, 2) for _ in range(n)]
         if any(row):
             members.append([row])
+    return arrangement(n, members)
+
+
+def poset_oracle(arr: Arrangement) -> list[tuple]:
+    """Oracle for the intersection poset from its definitions, with no member
+    masks: the flats are the distinct canonical forms of the rows of every
+    subset of members, Y lies below X when Y's forms lie in X's row space,
+    and mu is 1 at the whole space and minus the sum of mu strictly below
+    elsewhere.  Returns (forms, dim, mu) by codimension, then forms."""
+    n = arr.n
+    flats = {
+        rref([row for s in subset for row in s.forms], n)
+        for k in range(len(arr.subspaces) + 1)
+        for subset in itertools.combinations(arr.subspaces, k)
+    }
+    order = sorted(flats, key=lambda f: (len(f), f))
+    mobius: dict = {}
+    for x in order:
+        below = [y for y in order if y != x and rref(x + y, n) == x]
+        mobius[x] = -sum(mobius[y] for y in below) if x else 1
+    return [(x, n - len(x), mobius[x]) for x in order]
+
+
+def random_subspace_arrangement(rng: random.Random, n: int, count: int) -> Arrangement:
+    """``count`` random members in R^n of codimension 1 to min(3, n), forms
+    in {-1, 0, 1}^n; about a third of them are cut out of an earlier member
+    by one more form, so that members nest (a line inside a plane)."""
+    members: list[list[list[int]]] = []
+    while len(members) < count:
+        row = [rng.randint(-1, 1) for _ in range(n)]
+        if members and rng.random() < 0.35:
+            forms = rng.choice(members) + [row]
+        else:
+            extra = rng.randint(0, 2)
+            forms = [row] + [[rng.randint(-1, 1) for _ in range(n)] for _ in range(extra)]
+        codim = len(rref(forms, n))
+        if 1 <= codim <= min(3, n):
+            members.append(forms)
     return arrangement(n, members)
 
 

@@ -26,7 +26,11 @@ from chromaplex.errors import BadPrimeError, VerificationError
 from chromaplex.hypergraph import hypergraph
 from chromaplex.series import Q, QPolynomial, shifted_binomial_poly
 
-from helpers import random_hyperplane_arrangement
+from helpers import (
+    poset_oracle,
+    random_hyperplane_arrangement,
+    random_subspace_arrangement,
+)
 
 F = Fraction
 
@@ -102,6 +106,29 @@ def test_intersection_poset_braid_k3():
     assert all(el.mobius == -1 for el in by_dim[2])
     assert len(by_dim[1]) == 1 and by_dim[1][0].mobius == 2
     assert 0 not in by_dim
+
+
+def test_poset_matches_definition_oracle():
+    """Forms, dims and Mobius values of mixed-codimension arrangements, nested
+    members included, against the subset-closure oracle."""
+    fixed = [
+        K3,
+        # a line inside a plane, and beside another plane
+        arrangement(3, [[[0, 0, 1]], [[1, 0, 0], [0, 0, 1]], [[0, 1, 0]]]),
+        # the origin, a line through it and two planes
+        arrangement(
+            3,
+            [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, -1, 0], [0, 1, -1]], [[1, 1, 0]], [[0, 0, 1]]],
+        ),
+        arrangement(2, [[[1, 0]], [[0, 1]], [[1, 1]], [[1, -1]]]),
+    ]
+    rng = random.Random(29)
+    seeded = [
+        random_subspace_arrangement(rng, rng.randint(2, 4), rng.randint(1, 5)) for _ in range(120)
+    ]
+    assert any(len({s.codim for s in arr.subspaces}) == 3 for arr in seeded)
+    for arr in fixed + seeded:
+        assert [tuple(el) for el in _poset_data(arr)] == poset_oracle(arr), arrangement_to_json(arr)
 
 
 def test_characteristic_polynomials():

@@ -3,6 +3,8 @@ only the standard library, and no check in them is an ``assert`` (which
 ``python -O`` strips)."""
 
 import ast
+import functools
+import importlib
 import sys
 import types
 from pathlib import Path
@@ -48,8 +50,7 @@ def test_sources_have_no_assert():
 
 
 def test_caches_are_bounded():
-    """Every lru_cache has a finite bound, and the two the benchmark reads
-    hit ratios from keep their names."""
+    """Every lru_cache has a finite bound."""
     caches = [
         chromatic._partition_formula,
         series.binomial_poly,
@@ -59,5 +60,22 @@ def test_caches_are_bounded():
     for fn in caches:
         maxsize = fn.cache_info().maxsize
         assert maxsize is not None and 0 < maxsize < 1 << 16, fn.__name__
-    assert chromatic._partition_formula.__name__ == "_partition_formula"
-    assert series.binomial_poly.__name__ == "binomial_poly"
+
+
+def test_bench_names_resolve(monkeypatch):
+    """The names the benchmark reads exist: every traced (module, function)
+    in ``bench/spans.py`` and every cache in ``bench/run.py`` whose hit ratio
+    it reports, as an ``lru_cache`` under its own name.  ``run.py`` also
+    counts flats through ``arrangement._poset_data``."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import run
+    import spans
+
+    for mod, fn in spans.TARGETS:
+        assert callable(getattr(importlib.import_module(f"chromaplex.{mod}"), fn, None)), (mod, fn)
+    caches = [cache for _, cache in run.HIT_RATIOS] + ["arrangement._poset_data"]
+    for cache in caches:
+        mod, fn = cache.split(".")
+        value = getattr(importlib.import_module(f"chromaplex.{mod}"), fn)
+        assert isinstance(value, functools._lru_cache_wrapper), cache
+        assert value.__name__ == fn, cache

@@ -6,11 +6,10 @@ from fractions import Fraction
 import pytest
 
 from chromaplex.errors import BudgetError, VerificationError
-from chromaplex.hypergraph import hypergraph
+from chromaplex.hypergraph import hypergraph, marked_independence_series
 import chromaplex.scan as scan_module
 from chromaplex.scan import (
     _recorded_keys,
-    _signed_independence_series,
     canonical_form,
     enumerate_simple_hypergraphs,
     inverse_nonneg_check,
@@ -24,15 +23,17 @@ from chromaplex.series import TruncatedSeries, series_inverse
 
 def test_signed_series_single_edge():
     g = hypergraph(2, [(1, 2)])
-    s = _signed_independence_series(g, (2, 2))
+    s = marked_independence_series(g, (2, 2))
     assert s.terms[(0, 0)] == 1
-    assert s.terms[(1, 0)] == -1
-    assert s.terms[(0, 1)] == -1
+    assert s.terms[(1, 0)] == 1
+    assert s.terms[(0, 1)] == 1
     assert (1, 1) not in s.terms
     inv = series_inverse(s)
     for a in range(3):
         for b in range(3):
-            assert inv.terms.get((a, b), Fraction(0)) == math.comb(a + b, a)
+            # [x^(a,b)] 1/I(G, -x) is (-1)^(a+b) [x^(a,b)] 1/I(G, x)
+            signed = (-1) ** (a + b) * inv.terms.get((a, b), Fraction(0))
+            assert signed == math.comb(a + b, a)
 
 
 def test_check_even_edge_nonneg():
@@ -44,7 +45,8 @@ def test_check_even_edge_nonneg():
     g4 = hypergraph(4, [(1, 2, 3, 4)])
     res4 = inverse_nonneg_check(g4, (2, 2, 2, 2))
     assert res4.nonneg
-    inv = series_inverse(_signed_independence_series(g4, (2, 2, 2, 2)))
+    # at an exponent of even degree 1/I(G, -x) and 1/I(G, x) agree
+    inv = series_inverse(marked_independence_series(g4, (2, 2, 2, 2)))
     assert inv.terms[(2, 2, 2, 2)] == 18
 
 
@@ -54,7 +56,7 @@ def test_check_odd_edge_negative():
     assert not res.nonneg
     assert res.neg_at == (1, 1, 2)
     assert res.coeff == -1
-    inv = series_inverse(_signed_independence_series(g, (2, 2, 2)))
+    inv = series_inverse(marked_independence_series(g, (2, 2, 2)))
     assert inv.terms[(2, 2, 2)] == -6
     assert inv.terms.get((1, 1, 1), Fraction(0)) == 0
 
@@ -300,6 +302,36 @@ def test_scan_workers_match_serial():
     serial = scan_hypergraphs(3, dedup=False)
     parallel = scan_hypergraphs(3, dedup=False, workers=2)
     assert serial.verdicts == parallel.verdicts
+
+
+def test_scan_pool_is_bounded(monkeypatch):
+    """The pool gets no more processes than classes to check or cores, and
+    none at all when that bound is 1.  The fake pool maps in this process."""
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def imap(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+        def close(self):
+            pass
+
+        def join(self):
+            pass
+
+    monkeypatch.setattr(scan_module, "Pool", FakePool)
+    serial = scan_hypergraphs(3)
+    assert serial.total == 8
+    # (cores, workers, pool sizes started)
+    cases = [(64, 100_000, [8]), (4, 100_000, [4]), (4, 3, [3]), (None, 100_000, [])]
+    for cores, workers, expected in cases:
+        sizes.clear()
+        monkeypatch.setattr(scan_module.os, "cpu_count", lambda: cores)
+        assert scan_hypergraphs(3, workers=workers).verdicts == serial.verdicts
+        assert sizes == expected
 
 
 def test_scan_validation():
