@@ -14,18 +14,27 @@ such colorings is a polynomial in q; this module computes it four ways:
 
 All routes agree exactly; the test suite and the closed forms' built-in
 gates enforce that.
+
+The block-partition formula and ``coefficient_via_binomial`` (the
+coefficient of x^m in the q-th power of an independence-system series) both
+give the integer coordinates c_k of the polynomial sum_k c_k * binomial(q, k).
+Each route computes them for every m in a window at once, by one walk over
+block multisets or by one pass of series powers, and keeps that table per
+input in a small bounded cache.  A call at an m outside the window rebuilds
+the table at the componentwise max of the two.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .budget import charge
+from .budget import budget_limit, charge
 from .errors import VerificationError
 from .hypergraph import (
     Hypergraph,
@@ -101,64 +110,110 @@ def brute_force_count(g: Hypergraph, m: Sequence[int], q: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _marked_blocks(g: Hypergraph, cap: Vector) -> list[Vector]:
-    """Marked-independent multiplicity vectors b with 0 < b <= cap,
-    in descending lexicographic order (the canonical block order)."""
-    charge(math.prod(t + 1 for t in cap), "block-candidate enumeration")
-    return sorted((b for b in marked_independent_vectors(g, cap) if any(b)), reverse=True)
+# A coefficient table holds one route's answer for one input at every m in a
+# window at once: it maps each m <= the window (its last key) to the binomial
+# coordinates (c_0, ..., c_|m|) of the polynomial at m.
+Table = dict[Vector, tuple[int, ...]]
+
+
+def _block_table(g: Hypergraph, window: Vector) -> Table:
+    """|P_k(m)| for every m <= window and every k: the number of ordered
+    k-tuples of nonempty marked-independent blocks whose sum is m.
+
+    One walk over the multisets of blocks whose sum fits the window, each
+    block taken with a repeat count j, in a fixed block order.  Every node
+    adds k!/prod(j!) at its own sum; that multinomial is the number of
+    distinct orderings, which is what makes repeated identical blocks
+    (possible at special vertices) count correctly.  A block fits when every
+    guard bit of the window's packed exponents survives one subtraction.
+    """
+    w = DenseWindow(window)
+    packs, guards = w.packs, w.guards
+    blocks = []
+    for b in marked_independent_vectors(g, window):
+        if any(b):
+            i = sum(map(operator.mul, b, w.strides))
+            blocks.append((packs[i], i))
+    keys = list(w.exponents())
+    cells = [[0] * (sum(e) + 1) for e in keys]
+    cells[0][0] = 1
+    factorial = [math.factorial(k) for k in range(sum(window) + 1)]
+
+    def walk(fits: list[tuple[int, int]], pos: int, room: int, k: int, denom: int) -> None:
+        # fits: the blocks later in the order that fit room, the packed
+        # window minus the packed sum at pos with every guard set
+        for bi, (pb, ib) in enumerate(fits):
+            p, r, j, d = pos, room, 0, denom
+            while (r - pb) & guards == guards:
+                p, r, j = p + ib, r - pb, j + 1
+                d *= j
+                cells[p][k + j] += factorial[k + j] // d
+                later = [b for b in fits[bi + 1 :] if (r - b[0]) & guards == guards]
+                if later:
+                    walk(later, p, r, k + j, d)
+
+    walk(blocks, 0, w.top | guards, 0, 1)
+    return {e: tuple(c) for e, c in zip(keys, cells)}
+
+
+def _series_table(a: IndependenceSystem, special: tuple[int, ...], window: Vector) -> Table:
+    """[x^m](I_S - 1)^k for every m <= window and every k <= |m|.
+
+    The powers run once, on one dense window: truncation is componentwise,
+    so [x^m] of a power is the same in the window m as in any window above
+    it.  The base series has one unit term per marked-independent multiset,
+    so its powers keep plain integer coefficients.  Independent of the block
+    walk; ``system_series`` gates the base series over the whole window.
+    """
+    f = system_series(a, special, window)
+    w = DenseWindow(window)
+    base = w.values(f)
+    base[0] = 0
+    base_terms = w.nonzero(base)
+    powers = [[1] + [0] * (len(base) - 1), base]
+    for _ in range(2, sum(window) + 1):
+        powers.append(w.mul(powers[-1], base_terms))
+    return {e: tuple(p[i] for p in powers[: sum(e) + 1]) for i, e in enumerate(w.exponents())}
+
+
+def _coordinates(table: Table, m: Vector, build: Callable[[Vector], Table]) -> tuple[int, ...]:
+    """The coordinates at m from ``table``.  A table that does not cover m
+    is rebuilt in place by ``build`` at the componentwise max of its window
+    and m, or at m alone when that max is over budget.  Every call charges
+    m's own window, hit or miss."""
+    charge(math.prod(v + 1 for v in m), f"coefficient table at m={m}")
+    if m not in table:
+        window = tuple(map(max, next(reversed(table)), m)) if table else m
+        if math.prod(t + 1 for t in window) > budget_limit():
+            window = m
+        grown = build(window)
+        table.clear()
+        table.update(grown)
+    return table[m]
+
+
+# one table per input, grown in place as calls ask for more of it, in caches
+# that a caller can clear; every caller in the package, its tests and its
+# benchmark asks for all the m of one input in a row, so a few tables suffice
+@lru_cache(maxsize=8)
+def _block_tables(g: Hypergraph) -> Table:
+    return {}
+
+
+@lru_cache(maxsize=8)
+def _series_tables(a: IndependenceSystem, special: tuple[int, ...]) -> Table:
+    return {}
+
+
+def _block_cell(g: Hypergraph, m: Vector) -> tuple[int, ...]:
+    return _coordinates(_block_tables(g), m, lambda window: _block_table(g, window))
 
 
 def _ordered_block_counts(g: Hypergraph, m: Vector) -> dict[int, int]:
-    """|P_k| for every k: the number of ordered k-tuples of nonempty
-    marked-independent blocks whose disjoint union has multiplicities m.
-
-    Enumerates unordered block multisets (blocks in descending canonical
-    order, each with its repeat count j) and adds k!/prod(j!) per multiset;
-    that multinomial is the number of distinct orderings, which is what makes
-    repeated identical blocks (possible at special vertices) count correctly.
-    """
-    blocks = _marked_blocks(g, m)
-    counts: Counter[int] = Counter()
-    nblocks = len(blocks)
-    items = [
-        tuple((i, mult) for i, mult in enumerate(b) if mult) for b in blocks
-    ]
-    sizes = [sum(b) for b in blocks]
-    # for pruning: beyond this block index, vertex i can never be covered
-    last_use = [-1] * len(m)
-    for bi, entry in enumerate(items):
-        for i, _ in entry:
-            last_use[i] = max(last_use[i], bi)
-    remaining = list(m)
-    left = sum(m)
-    factorial = math.factorial
-
-    def walk(start: int, k: int, denom: int) -> None:
-        nonlocal left
-        if left == 0:
-            counts[k] += factorial(k) // denom
-            return
-        if any(v > 0 and last_use[i] < start for i, v in enumerate(remaining)):
-            return
-        for bi in range(start, nblocks):
-            entry = items[bi]
-            if all(remaining[i] >= mult for i, mult in entry):
-                size = sizes[bi]
-                j = 0
-                fj = 1
-                while all(remaining[i] >= mult for i, mult in entry):
-                    for i, mult in entry:
-                        remaining[i] -= mult
-                    left -= size
-                    j += 1
-                    fj *= j
-                    walk(bi + 1, k + j, denom * fj)
-                for i, mult in entry:
-                    remaining[i] += mult * j
-                left += size * j
-
-    walk(0, 0, 1)
-    return dict(counts)
+    """|P_k| for every k where it is nonzero: the number of ordered k-tuples
+    of nonempty marked-independent blocks whose sum is m, read from the
+    block table of g."""
+    return {k: c for k, c in enumerate(_block_cell(g, m)) if c}
 
 
 def count_Pk_mult(g: Hypergraph, m: Sequence[int], k: int) -> int:
@@ -198,26 +253,21 @@ def poly_from_binomial_coordinates(c: Sequence[int]) -> QPolynomial:
     return QPolynomial(tuple(Fraction(v, scale) for v in acc))
 
 
-# bounded: a round of the ``coeffs`` benchmark workload keeps at most ~1,600
+# bounded: a round of the ``coeffs`` benchmark workload keeps ~2,430
 # (hypergraph, m) pairs alive
 @lru_cache(maxsize=4096)
 def _partition_formula(g: Hypergraph, m: Vector) -> QPolynomial:
-    counts = _ordered_block_counts(g, m)
-    coords = [counts.get(k, 0) for k in range(max(counts, default=-1) + 1)]
-    return poly_from_binomial_coordinates(coords)
+    return poly_from_binomial_coordinates(_block_cell(g, m))
 
 
 def marked_chromatic_poly(g: Hypergraph, m: Sequence[int]) -> QPolynomial:
     """The marked chromatic polynomial at multiplicities m, via the
-    block-partition formula: sum over k of |P_k| * binomial(q, k)."""
-    m = check_multiplicities(g.n, m)
-    supp = set(support(m))
-    # vertices outside the support carry empty color multisets, so edges and
-    # special flags beyond the support cannot affect the count; normalizing
-    # them away improves cache reuse
-    edges = [e for e in g.edges if set(e) <= supp]
-    special = [v for v in g.special if v in supp]
-    return _partition_formula(hypergraph(g.n, edges, special), m)
+    block-partition formula: sum over k of |P_k| * binomial(q, k).
+
+    Edges and special flags outside the support of m do not change the
+    count, since no block <= m reaches them; the table of g serves every m.
+    """
+    return _partition_formula(g, check_multiplicities(g.n, m))
 
 
 def ordinary_chromatic_poly(g: Hypergraph) -> QPolynomial:
@@ -230,26 +280,16 @@ def coefficient_via_binomial(
 ) -> QPolynomial:
     """Coefficient polynomial of x^m in I_S(A, x)^q.
 
-    Computed as sum over k of binomial(q, k) * [x^m](I_S - 1)^k, working with
-    series truncated at m, where x^m is the last entry of the dense window.
-    Independent of the block-partition machinery.
+    Computed as sum over k of binomial(q, k) * [x^m](I_S - 1)^k, read from
+    the series table of (A, S).  Independent of the block-partition
+    machinery.
     """
     m = check_multiplicities(a.n, m)
-    f = system_series(a, special, m)
-    # the base series has one unit term per marked-independent multiset, so
-    # its powers keep plain integer coefficients
-    w = DenseWindow(m)
-    base = w.values(f)
-    base[0] = 0
-    base_terms = w.nonzero(base)
-    total = sum(m)
-    coords = [1 if total == 0 else 0]
-    power = base
-    for k in range(1, total + 1):
-        coords.append(power[-1])
-        if k < total:
-            power = w.mul(power, base_terms)
-    return poly_from_binomial_coordinates(coords)
+    sp = tuple(sorted(set(int(v) for v in special)))
+    cell = _coordinates(
+        _series_tables(a, sp), m, lambda window: _series_table(a, sp, window)
+    )
+    return poly_from_binomial_coordinates(cell)
 
 
 # ---------------------------------------------------------------------------

@@ -88,9 +88,19 @@ def is_even(g: Hypergraph) -> bool:
     return validate(g).even
 
 
+def _ints(values: Sequence[int], what: str) -> tuple[int, ...]:
+    """values as a tuple, refused unless every entry is an ``int`` (a
+    ``bool`` is not one): a float or a string is not silently truncated."""
+    values = tuple(values)
+    # by type, since a bool is an instance of int
+    if not set(map(type, values)) <= {int}:
+        raise ValueError(f"{what} must be integers, got {values}")
+    return values
+
+
 def check_multiplicities(n: int, m: Sequence[int]) -> tuple[int, ...]:
     """m as a tuple of ints, refused unless it has length n and no negative entry."""
-    m = tuple(int(v) for v in m)
+    m = _ints(m, "multiplicities")
     if len(m) != n:
         raise ValueError(f"multiplicity vector has length {len(m)}, need {n}")
     if any(v < 0 for v in m):
@@ -100,7 +110,7 @@ def check_multiplicities(n: int, m: Sequence[int]) -> tuple[int, ...]:
 
 def _check_trunc(n: int, trunc: Sequence[int], what: str) -> tuple[int, ...]:
     """trunc as a tuple of ints, refused unless it has length n and no negative bound."""
-    trunc = tuple(int(t) for t in trunc)
+    trunc = _ints(trunc, "truncation bounds")
     if len(trunc) != n:
         raise ValueError(f"truncation vector length must equal {what}")
     if any(t < 0 for t in trunc):

@@ -38,7 +38,7 @@ import operator
 from functools import lru_cache
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .budget import charge
 
@@ -156,6 +156,10 @@ class DenseWindow:
         self.packs = packs
         self.top = packs[-1]
 
+    def exponents(self) -> Iterator[Exponent]:
+        """Every exponent of the window, in its dense order."""
+        return itertools.product(*(range(t + 1) for t in self.trunc))
+
     def values(self, a: TruncatedSeries) -> Dense:
         """The coefficients of a series on this window."""
         out: Dense = [0] * len(self.packs)
@@ -206,8 +210,7 @@ class DenseWindow:
 
     def series(self, x: Dense) -> TruncatedSeries:
         """The series with coefficients x, its terms as ``Fraction``s."""
-        exponents = itertools.product(*(range(t + 1) for t in self.trunc))
-        terms = {e: Fraction(c) for e, c in zip(exponents, x) if c}
+        terms = {e: Fraction(c) for e, c in zip(self.exponents(), x) if c}
         return TruncatedSeries._trusted(len(self.trunc), self.trunc, terms)
 
 

@@ -214,6 +214,17 @@ def test_criterion_09_conjecture_scan():
     assert elapsed < 600
 
 
+def test_conjecture_scan_at_window_4():
+    """Criterion 9's scan with every exponent up to 4: parity still decides
+    the sign for all 208 classes on up to five vertices."""
+    t0 = time.monotonic()
+    report = scan_hypergraphs(5, 4)
+    assert report.total == 208
+    assert report.even_failures == []
+    assert report.odd_passes == []
+    _report("scan at window 4: parity decides the sign", t0)
+
+
 def test_criterion_10_hyperplane_nonnegativity():
     t0 = time.monotonic()
     rng = random.Random(777)

@@ -1,6 +1,8 @@
 import itertools
 import math
+import operator
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -26,15 +28,27 @@ from chromaplex.chromatic import (
     partitions_of,
     poly_from_binomial_coordinates,
 )
-from chromaplex.errors import VerificationError
+from chromaplex.errors import BudgetError, VerificationError
+import chromaplex.hypergraph as hypergraph_module
 from chromaplex.hypergraph import (
     hypergraph,
     hypergraph_from_system,
     independence_system,
     marked_independence_series,
 )
-from chromaplex.series import Q, QPolynomial, series_int_pow, shifted_binomial_poly
-from helpers import chromatic_delcon, count_Pk_ordered_debug, random_hypergraph
+from chromaplex.series import (
+    Q,
+    QPolynomial,
+    series_int_pow,
+    series_one,
+    shifted_binomial_poly,
+)
+from helpers import (
+    chromatic_delcon,
+    count_Pk_ordered_debug,
+    downward_closed_families,
+    random_hypergraph,
+)
 
 F = Fraction
 
@@ -298,3 +312,108 @@ def test_series_identity_small():
             for m in itertools.product(range(3), repeat=n):
                 want = marked_chromatic_poly(g, m).eval(q)
                 assert power.terms.get(m, F(0)) == want
+
+
+def clear_tables():
+    for cache in (
+        chromatic_module._block_tables,
+        chromatic_module._series_tables,
+        chromatic_module._partition_formula,
+    ):
+        cache.cache_clear()
+
+
+def test_block_table_matches_ordered_oracle():
+    """Every cell of a block table at window (2,...,2), with and without
+    special vertices, against the direct recursion over ordered tuples."""
+    rng = random.Random(2024)
+    for trial in range(24):
+        n = rng.randint(1, 4)
+        g = random_hypergraph(rng, n, rng.randint(0, 3))
+        sp = tuple(v for v in range(1, n + 1) if rng.random() < 0.5) if trial % 2 else ()
+        g = hypergraph(n, g.edges, special=sp)
+        table = chromatic_module._block_table(g, (2,) * n)
+        assert list(table) == list(itertools.product(range(3), repeat=n))
+        for m, cell in table.items():
+            assert cell == tuple(count_Pk_ordered_debug(g, m, k) for k in range(sum(m) + 1))
+
+
+def test_tables_answer_every_order(monkeypatch):
+    """Over all m <= (2,...,2) in lex, reverse and shuffled order, both
+    routes agree with the ordered-block oracle and with a call made on
+    cleared caches, and each route rebuilds its table only at a window
+    strictly above the last one."""
+    builds: list[tuple[str, tuple]] = []
+    for name in ("_block_table", "_series_table"):
+        build = getattr(chromatic_module, name)
+
+        def recording(*args, name=name, build=build):
+            builds.append((name, args[-1]))
+            return build(*args)
+
+        monkeypatch.setattr(chromatic_module, name, recording)
+    rng = random.Random(77)
+    families = {n: list(downward_closed_families(n)) for n in (2, 3, 4)}
+    with warnings.catch_warnings():
+        # families that miss a ground element warn
+        warnings.simplefilter("ignore", UserWarning)
+        for n in (2, 3, 3, 4, 4):
+            a = independence_system(n, rng.choice(families[n]))
+            sp = tuple(v for v in range(1, n + 1) if rng.random() < 0.5)
+            g = hypergraph_from_system(a, sp)
+            ms = list(itertools.product(range(3), repeat=n))
+            oracle = {
+                m: poly_from_binomial_coordinates(
+                    [count_Pk_ordered_debug(g, m, k) for k in range(sum(m) + 1)]
+                )
+                for m in ms
+            }
+            fresh = {}
+            for m in ms:
+                clear_tables()
+                fresh[m] = (marked_chromatic_poly(g, m), coefficient_via_binomial(a, sp, m))
+            shuffled = ms[:]
+            rng.shuffle(shuffled)
+            for order in (ms, ms[::-1], shuffled):
+                clear_tables()
+                builds.clear()
+                for m in order:
+                    got = (marked_chromatic_poly(g, m), coefficient_via_binomial(a, sp, m))
+                    assert got == fresh[m] == (oracle[m], oracle[m]), (a, sp, m)
+                for name in ("_block_table", "_series_table"):
+                    windows = [w for who, w in builds if who == name]
+                    for low, high in zip(windows, windows[1:]):
+                        assert low != high and all(map(operator.le, low, high)), windows
+                    assert windows[-1] == (2,) * n
+
+
+def test_series_table_gates_every_build(monkeypatch):
+    """A table rebuilt for a larger window runs the system-series gate
+    again, over the whole new window."""
+    clear_tables()
+    a = independence_system(2, [(), (1,), (2,)])
+    assert coefficient_via_binomial(a, (1,), (1, 0)) == Q
+    monkeypatch.setattr(
+        hypergraph_module, "marked_independence_series", lambda g, trunc: series_one(g.n, trunc)
+    )
+    assert coefficient_via_binomial(a, (1,), (0, 0)) == QPolynomial((F(1),))
+    with pytest.raises(VerificationError):
+        coefficient_via_binomial(a, (1,), (1, 1))
+
+
+def test_table_growth_stays_within_budget(monkeypatch):
+    """When the grown window is over budget the table is rebuilt at m alone,
+    so a call is refused only when m's own window is over budget."""
+    monkeypatch.setenv("CHROMAPLEX_BUDGET", "4")
+    clear_tables()
+    g = hypergraph(2, [(1, 2)], special=(1, 2))
+    a = independence_system(2, [(), (1,), (2,)])
+    multisets = shifted_binomial_poly(-14, 15)  # C(q + 14, 15)
+    assert marked_chromatic_poly(g, (15, 0)) == multisets
+    assert coefficient_via_binomial(a, (1, 2), (15, 0)) == multisets
+    assert marked_chromatic_poly(g, (0, 1)) == Q
+    assert coefficient_via_binomial(a, (1, 2), (0, 1)) == Q
+    with pytest.raises(BudgetError):
+        marked_chromatic_poly(g, (16, 0))
+    with pytest.raises(BudgetError):
+        coefficient_via_binomial(a, (1, 2), (16, 0))

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from chromaplex.chromatic import count_Pk_mult
+from chromaplex.chromatic import coefficient_via_binomial, count_Pk_mult, marked_chromatic_poly
 from chromaplex.errors import BudgetError, VerificationError
 from chromaplex.hypergraph import (
     hypergraph,
@@ -101,6 +101,25 @@ def test_enumerations_charge_their_window(monkeypatch):
     count_Pk_mult(loop, (15,), 2)
     with pytest.raises(BudgetError):
         count_Pk_mult(loop, (16,), 2)
+
+
+def test_vectors_must_be_integers():
+    """Multiplicities and windows are refused unless every entry is an int:
+    a float, a string or a bool is not truncated or read as a number."""
+    g = hypergraph(2, [(1, 2)], special=(1,))
+    a = independence_system(2, [(), (1,), (2,)])
+    for bad in ((2.7, 1), (1.9, True), (True, 1), ("2", 1), (F(2), 1)):
+        calls = [
+            lambda: marked_chromatic_poly(g, bad),
+            lambda: count_Pk_mult(g, bad, 1),
+            lambda: coefficient_via_binomial(a, (1,), bad),
+            lambda: marked_independence_series(g, bad),
+            lambda: system_series(a, (1,), bad),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="must be integers"):
+                call()
+    assert marked_chromatic_poly(g, (2, 1)) == coefficient_via_binomial(a, (1,), (2, 1))
 
 
 def test_independence_polynomial():

@@ -10,9 +10,6 @@ import types
 from pathlib import Path
 
 import chromaplex
-import chromaplex.arrangement as arrangement
-import chromaplex.chromatic as chromatic
-import chromaplex.series as series
 
 SOURCES = sorted(Path(chromaplex.__file__).parent.glob("*.py"))
 # ``__main__`` runs the CLI when imported
@@ -50,16 +47,17 @@ def test_sources_have_no_assert():
 
 
 def test_caches_are_bounded():
-    """Every lru_cache has a finite bound."""
-    caches = [
-        chromatic._partition_formula,
-        series.binomial_poly,
-        arrangement._poset_data,
-        arrangement.characteristic_polynomial,
-    ]
-    for fn in caches:
+    """Every lru_cache in the package's modules, found the way the benchmark
+    finds the caches it clears, has a finite bound."""
+    caches = {}
+    for name in MODULES:
+        for value in vars(importlib.import_module(f"chromaplex.{name}")).values():
+            if callable(getattr(value, "cache_clear", None)) and hasattr(value, "cache_info"):
+                caches[f"{value.__module__}.{value.__name__}"] = value
+    assert {"chromaplex.chromatic._block_tables", "chromaplex.series.binomial_poly"} <= set(caches)
+    for name, fn in caches.items():
         maxsize = fn.cache_info().maxsize
-        assert maxsize is not None and 0 < maxsize < 1 << 16, fn.__name__
+        assert maxsize is not None and 0 < maxsize < 1 << 16, name
 
 
 def test_bench_names_resolve(monkeypatch):
