@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .budget import charge
@@ -31,7 +32,7 @@ from .chromatic import (
     enumerate_partition_tuples,
     support,
 )
-from .errors import BadPrimeError, VerificationError, json_int, json_ints, malformed
+from .errors import BadPrimeError, VerificationError, int_tuple, json_int, json_ints, malformed
 from .hypergraph import Hypergraph, check_multiplicities, is_simple
 from .series import QPolynomial
 
@@ -60,7 +61,7 @@ def rref(rows: Iterable[Sequence[int]], width: int) -> tuple[Row, ...]:
     primitive integer rows with positive pivots."""
     mat = []
     for r in rows:
-        r = tuple(int(v) for v in r)
+        r = int_tuple(r, "form coefficients")
         if len(r) != width:
             raise ValueError(f"form {r} has {len(r)} coefficients, need {width}")
         if any(r):
@@ -133,7 +134,7 @@ def rank_mod_p(rows: Iterable[Sequence[int]], width: int, p: int) -> int:
     for r in rows:
         if len(r) != width:
             raise ValueError(f"form {tuple(r)} has {len(r)} coefficients, need {width}")
-        rem = _reduce_mod([int(v) for v in r], basis, p)
+        rem = _reduce_mod(int_tuple(r, "form coefficients"), basis, p)
         if any(rem):
             basis.append(tuple(rem))
     return len(basis)
@@ -186,7 +187,7 @@ def arrangement(
     if n < 0:
         raise ValueError("need n >= 0")
     members = {subspace(forms, n) for forms in subspace_forms}
-    sp = sorted(set(int(v) for v in special))
+    sp = sorted(set(int_tuple(special, "special indices")))
     if any(v < 1 or v > n for v in sp):
         raise ValueError(f"special indices {sp} outside 1..{n}")
     ordered = tuple(sorted(members, key=lambda s: (s.codim, s.forms)))
@@ -284,29 +285,90 @@ def _assert_good_prime(arr: Arrangement, p: int) -> None:
     walk(0, [], [], [])
 
 
-def count_complement(arr: Arrangement, p: int) -> int:
-    """Points of F_p^n on no member, by enumeration.
+def _count_colorings(
+    arr: Arrangement, special: Iterable[int], m: Sequence[int], p: int
+) -> int:
+    """The count of ``brute_force_arrangement_count``, with no checks.
 
-    Requires p prime and good for the arrangement (the defining rows keep
-    their matroid mod p), otherwise the count stops matching the
-    characteristic polynomial and a BadPrimeError identifies a violating
-    row set.
-    """
+    The vertices of supp(m) are taken level by level.  A member is open from
+    the first level of its support to its last, with the set of partial
+    values mod p of its forms as state: a bitmask with s in F_p^r at bit
+    sum_j s_j p^j.  At its last level it leaves the state and forbids the
+    colors that would put the zero vector in it.  The count of the remaining
+    levels is memoized on (level, states) where a member stays open."""
+    supp = support(m)
+    plans = []
+    for s in arr.subspaces:
+        if set(s.support) <= set(supp):
+            # adding t along axis j: the values whose digit j is below p - t
+            # move up by t p^j, the others wrap down by (p - t) p^j
+            moves = {}
+            for j, t in itertools.product(range(s.codim), range(1, p)):
+                d = p**j
+                below = ((1 << (p - t) * d) - 1) * ((1 << p**s.codim) - 1) // ((1 << p * d) - 1)
+                moves[j, t] = (below, t * d, (p - t) * d)
+            # per level of the support and color x, the moves adding x * column
+            # and the bit of the value that x takes to zero
+            steps = {}
+            for v in s.support:
+                col = [row[v - 1] for row in s.forms]
+                steps[supp.index(v)] = [
+                    ([moves[j, c * x % p] for j, c in enumerate(col) if c * x % p],
+                     sum(-c * x % p * p**j for j, c in enumerate(col)))
+                    for x in range(p)
+                ]
+            plans.append((min(steps), max(steps), steps))
+    memo: list[dict[tuple[int, ...], int]] = [{} for _ in supp]
+
+    def count(level: int, states: tuple[int, ...]) -> int:
+        """states: per member, its bitmask; 1 before it opens, 0 once closed."""
+        if level == len(supp):
+            return 1
+        if states in memo[level]:
+            return memo[level][states]
+        forbidden: set[int] = set()
+        images = []  # per member, its state after this level for each color
+        for (first, end, steps), state in zip(plans, states):
+            image = [state] * p
+            if level == end:
+                forbidden.update(x for x, (_, zero) in enumerate(steps[level]) if state >> zero & 1)
+                image = [0] * p
+            elif level in steps:
+                for x, (color_moves, _) in enumerate(steps[level]):
+                    for below, up, down in color_moves:
+                        image[x] = (image[x] & below) << up | (image[x] & ~below) >> down
+            images.append(image)
+        allowed = [x for x in range(p) if x not in forbidden]
+        # a multiset at a special vertex counts by its set of k colors, as
+        # C(m_v - 1, k - 1) multisets; elsewhere the set has m_v colors
+        mult = m[supp[level] - 1]
+        low = 1 if supp[level] in special else mult
+        sizes = [(k, math.comb(mult - 1, k - 1)) for k in range(low, mult + 1)]
+        if not any(first <= level < end for first, end, _ in plans):
+            here = sum(w * math.comb(len(allowed), k) for k, w in sizes)
+            return here * count(level + 1, tuple(int(level < first) for first, _, _ in plans))
+        weights: dict[tuple[int, ...], int] = {}
+        for k, w in sizes:
+            for colors in itertools.combinations(allowed, k):
+                nxt = tuple(reduce(operator.or_, (im[x] for x in colors)) for im in images)
+                weights[nxt] = weights.get(nxt, 0) + w
+        memo[level][states] = sum(w * count(level + 1, nxt) for nxt, w in weights.items())
+        return memo[level][states]
+
+    return count(0, (1,) * len(plans))
+
+
+def count_complement(arr: Arrangement, p: int) -> int:
+    """Points of F_p^n on no member: the coloring count at m = (1, ..., 1)
+    with no special vertex.  Needs p prime and good for the arrangement (the
+    defining rows keep their matroid mod p); otherwise the count stops
+    matching the characteristic polynomial, and a BadPrimeError names a
+    violating row set."""
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     _assert_good_prime(arr, p)
     charge(p**arr.n, f"point enumeration over F_{p}^{arr.n}")
-    members = [[tuple(v % p for v in row) for row in s.forms] for s in arr.subspaces]
-    count = 0
-    for x in itertools.product(range(p), repeat=arr.n):
-        hit = False
-        for forms in members:
-            if all(sum(c * v for c, v in zip(row, x)) % p == 0 for row in forms):
-                hit = True
-                break
-        if not hit:
-            count += 1
-    return count
+    return _count_colorings(arr, (), (1,) * arr.n, p)
 
 
 def region_count(arr: Arrangement) -> int:
@@ -386,7 +448,7 @@ def clan(arr: Arrangement, special: Iterable[int], m: Sequence[int]) -> Arrangem
     """The marked clan: m_i coordinate copies per vertex in supp(m),
     distinctness hyperplanes only at special vertices."""
     m = check_multiplicities(arr.n, m)
-    sp = sorted(set(int(v) for v in special))
+    sp = sorted(set(int_tuple(special, "special indices")))
     if any(v < 1 or v > arr.n for v in sp):
         raise ValueError(f"special indices {sp} outside 1..{arr.n}")
     counts = {i: m[i - 1] for i in range(1, arr.n + 1)}
@@ -397,7 +459,7 @@ def clan(arr: Arrangement, special: Iterable[int], m: Sequence[int]) -> Arrangem
 def clan_lambda(arr: Arrangement, lam: PartitionTuple, m: Sequence[int]) -> Arrangement:
     """The blow-up clan at a partition tuple: one coordinate per block of
     lambda_i, distinctness hyperplanes at every supported vertex."""
-    m = tuple(int(v) for v in m)
+    m = int_tuple(m, "multiplicities")
     if len(lam) != arr.n or len(m) != arr.n:
         raise ValueError("partition tuple and multiplicities must have length n")
     for i, part in enumerate(lam, start=1):
@@ -414,7 +476,7 @@ def marked_chromatic_arrangement(
     tuples of the blow-up clan's characteristic polynomial, each divided by
     the duplication factor of its partitions."""
     m = check_multiplicities(arr.n, m)
-    sp = sorted(set(int(v) for v in special))
+    sp = sorted(set(int_tuple(special, "special indices")))
     if not set(sp) <= set(support(m)):
         raise ValueError(
             f"special set {sp} must lie inside the support {support(m)} of m"
@@ -432,83 +494,20 @@ def brute_force_arrangement_count(
     """Oracle: count tuples (C_i) over F_p, one color collection per
     supported vertex (a multiset of size m_i at special vertices, a set
     elsewhere), such that no member with support inside supp(m) admits a
-    one-color-per-vertex solution drawn from the collections.
-
-    Multisets are counted by underlying set and weighted by the number of
-    multisets realizing it; the per-member existence check runs over partial
-    form-value sets so its state never exceeds p^(codim)."""
+    one-color-per-vertex solution drawn from the collections.  Counted level by
+    level in F_p alone (no elimination over Q, no poset); charged as the
+    number of collection tuples, though far fewer states are met."""
     m = check_multiplicities(arr.n, m)
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
-    sp = set(int(v) for v in special)
+    sp = set(int_tuple(special, "special indices"))
     supp = support(m)
     if not sp <= set(supp):
         raise ValueError(f"special set {sorted(sp)} must lie inside supp(m)={supp}")
-    level_of = {v: i for i, v in enumerate(supp)}
-
-    choices: list[list[tuple[frozenset[int], int]]] = []
-    total_size = 1
-    for v in supp:
-        mult = m[v - 1]
-        opts: list[tuple[frozenset[int], int]] = []
-        if v in sp:
-            for size in range(1, mult + 1):
-                weight = math.comb(mult - 1, size - 1)
-                for u in itertools.combinations(range(p), size):
-                    opts.append((frozenset(u), weight))
-        else:
-            for u in itertools.combinations(range(p), mult):
-                opts.append((frozenset(u), 1))
-        choices.append(opts)
-        total_size *= max(len(opts), 1)
-    charge(total_size, "arrangement coloring enumeration")
-
-    active = [s for s in arr.subspaces if set(s.support) <= set(supp)]
-    # per member: coefficient columns by level, and the level completing it
-    plans = []
-    for s in active:
-        cols = {level_of[v]: tuple(row[v - 1] for row in s.forms) for v in s.support}
-        plans.append((cols, max(cols), len(s.forms)))
-
-    k = len(supp)
-    total = 0
-
-    def descend(level: int, states: tuple, weight: int) -> None:
-        nonlocal total
-        if level == k:
-            total += weight
-            return
-        for u, w in choices[level]:
-            nxt = []
-            dead = False
-            for (cols, last, nforms), st in zip(plans, states):
-                if level not in cols:
-                    nxt.append(st)
-                    continue
-                coef = cols[level]
-                if nforms == 1:
-                    c = coef[0]
-                    cur = {(s0 + c * x) % p for s0 in st for x in u}
-                else:
-                    cur = {
-                        tuple((s0[j] + coef[j] * x) % p for j in range(nforms))
-                        for s0 in st
-                        for x in u
-                    }
-                if level == last:
-                    zero = 0 if nforms == 1 else (0,) * nforms
-                    if zero in cur:
-                        dead = True
-                        break
-                nxt.append(cur)
-            if not dead:
-                descend(level + 1, tuple(nxt), weight * w)
-
-    initial = tuple(
-        {0} if nforms == 1 else {(0,) * nforms} for (_, _, nforms) in plans
-    )
-    descend(0, initial, 1)
-    return total
+    lows = {v: 1 if v in sp else m[v - 1] for v in supp}
+    sets = (sum(math.comb(p, k) for k in range(lows[v], m[v - 1] + 1)) for v in supp)
+    charge(math.prod(max(c, 1) for c in sets), "arrangement coloring enumeration")
+    return _count_colorings(arr, sp, m, p)
 
 
 # ---------------------------------------------------------------------------

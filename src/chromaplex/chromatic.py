@@ -35,7 +35,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .budget import budget_limit, charge
-from .errors import VerificationError
+from .errors import VerificationError, int_tuple
 from .hypergraph import (
     Hypergraph,
     IndependenceSystem,
@@ -285,7 +285,7 @@ def coefficient_via_binomial(
     machinery.
     """
     m = check_multiplicities(a.n, m)
-    sp = tuple(sorted(set(int(v) for v in special)))
+    sp = tuple(sorted(set(int_tuple(special, "special elements"))))
     cell = _coordinates(
         _series_tables(a, sp), m, lambda window: _series_table(a, sp, window)
     )
@@ -320,7 +320,7 @@ def enumerate_partition_tuples(
 ) -> list[PartitionTuple]:
     """All tuples (lambda_1, ..., lambda_n) with lambda_i a partition of m_i,
     restricted to the all-ones partition at non-special vertices."""
-    m = tuple(int(v) for v in m)
+    m = int_tuple(m, "multiplicities")
     sp = set(special)
     choices: list[list[Partition]] = []
     for i, mult in enumerate(m, start=1):
@@ -399,7 +399,7 @@ def full_edge_closed_form(m: Sequence[int]) -> QPolynomial:
 
     Inclusion-exclusion over the set of colors shared by all vertices.
     """
-    m = tuple(int(v) for v in m)
+    m = int_tuple(m, "multiplicities")
     if any(v < 0 for v in m):
         raise ValueError("multiplicities must be >= 0")
     kmax = min(m) if m else 0
@@ -513,7 +513,7 @@ def cycle_multichromatic(m: Sequence[int], verify: bool = True) -> QPolynomial:
     With ``verify`` the result is gated against the block-partition formula,
     and a mismatch raises VerificationError.
     """
-    m = tuple(int(v) for v in m)
+    m = int_tuple(m, "multiplicities")
     n = len(m)
     if n < 3:
         raise ValueError("a cycle needs at least 3 vertices")

@@ -35,6 +35,16 @@ def malformed(what: str) -> Iterator[None]:
         raise ValueError(f"malformed {what} object: {exc}") from exc
 
 
+def int_tuple(values: Iterable[object], what: str) -> tuple[int, ...]:
+    """values as a tuple, refused unless every entry is an ``int`` (a
+    ``bool`` is not one): a float or a string is not silently truncated."""
+    values = tuple(values)
+    # by type, since a bool is an instance of int
+    if not set(map(type, values)) <= {int}:
+        raise ValueError(f"{what} must be integers, got {values}")
+    return values
+
+
 def json_int(value: object) -> int:
     """A JSON integer: an ``int`` that is not a ``bool``.  Anything else (a
     float, a string, ``true``) raises TypeError, which ``malformed`` reports."""

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .budget import charge
-from .errors import VerificationError, json_int, json_ints, malformed
+from .errors import VerificationError, int_tuple, json_int, json_ints, malformed
 from .series import ONE, TruncatedSeries
 
 Edge = tuple[int, ...]
@@ -29,7 +29,7 @@ Edge = tuple[int, ...]
 def _canon_vertex_sets(n: int, sets: Iterable[Iterable[int]], what: str) -> tuple[Edge, ...]:
     out: set[Edge] = set()
     for raw in sets:
-        members = sorted(set(int(v) for v in raw))
+        members = sorted(set(int_tuple(raw, f"{what} vertices")))
         if any(v < 1 or v > n for v in members):
             raise ValueError(f"{what} {tuple(raw)} has vertices outside 1..{n}")
         out.add(tuple(members))
@@ -61,7 +61,7 @@ def hypergraph(
     canon = _canon_vertex_sets(n, edges, "edge")
     if any(len(e) == 0 for e in canon):
         raise ValueError("empty edges are not allowed")
-    sp = sorted(set(int(v) for v in special))
+    sp = sorted(set(int_tuple(special, "special vertices")))
     if any(v < 1 or v > n for v in sp):
         raise ValueError(f"special vertices {sp} outside 1..{n}")
     return Hypergraph(n, canon, tuple(sp))
@@ -88,19 +88,9 @@ def is_even(g: Hypergraph) -> bool:
     return validate(g).even
 
 
-def _ints(values: Sequence[int], what: str) -> tuple[int, ...]:
-    """values as a tuple, refused unless every entry is an ``int`` (a
-    ``bool`` is not one): a float or a string is not silently truncated."""
-    values = tuple(values)
-    # by type, since a bool is an instance of int
-    if not set(map(type, values)) <= {int}:
-        raise ValueError(f"{what} must be integers, got {values}")
-    return values
-
-
 def check_multiplicities(n: int, m: Sequence[int]) -> tuple[int, ...]:
     """m as a tuple of ints, refused unless it has length n and no negative entry."""
-    m = _ints(m, "multiplicities")
+    m = int_tuple(m, "multiplicities")
     if len(m) != n:
         raise ValueError(f"multiplicity vector has length {len(m)}, need {n}")
     if any(v < 0 for v in m):
@@ -110,7 +100,7 @@ def check_multiplicities(n: int, m: Sequence[int]) -> tuple[int, ...]:
 
 def _check_trunc(n: int, trunc: Sequence[int], what: str) -> tuple[int, ...]:
     """trunc as a tuple of ints, refused unless it has length n and no negative bound."""
-    trunc = _ints(trunc, "truncation bounds")
+    trunc = int_tuple(trunc, "truncation bounds")
     if len(trunc) != n:
         raise ValueError(f"truncation vector length must equal {what}")
     if any(t < 0 for t in trunc):
@@ -233,7 +223,7 @@ def system_series(
     receive a color and every coefficient touching it is zero).
     """
     trunc = _check_trunc(a.n, trunc, "n")
-    sp = sorted(set(int(v) for v in special))
+    sp = sorted(set(int_tuple(special, "special elements")))
     if any(v < 1 or v > a.n for v in sp):
         raise ValueError(f"special elements {sp} outside 1..{a.n}")
     # validates the system; the gate below compares with its series

@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 from . import __version__
 from .budget import charge
 from .chromatic import _ordered_block_counts
-from .errors import VerificationError
+from .errors import VerificationError, int_tuple
 from .hypergraph import Hypergraph, hypergraph, is_even, marked_independence_series
 from .series import fraction_to_str, series_inverse
 
@@ -55,7 +55,7 @@ def inverse_nonneg_check(g: Hypergraph, window: Sequence[int]) -> CheckResult:
     """
     if g.special:
         raise ValueError("non-negativity check needs a hypergraph with no special vertices")
-    window = tuple(int(v) for v in window)
+    window = int_tuple(window, "window bounds")
     if len(window) != g.n or any(v < 0 for v in window):
         raise ValueError(f"bad truncation window {window} for n={g.n}")
     # with no special vertex this inverts I(G, x); substituting -x

@@ -41,6 +41,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .budget import charge
+from .errors import int_tuple
 
 Exponent = tuple[int, ...]
 # coefficients on a dense window, and its nonzero (packed, index, coefficient)
@@ -77,14 +78,14 @@ class TruncatedSeries:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("need n >= 0")
-        self.trunc = tuple(int(t) for t in self.trunc)
+        self.trunc = int_tuple(self.trunc, "truncation bounds")
         if len(self.trunc) != self.n:
             raise ValueError("truncation vector length must equal n")
         if any(t < 0 for t in self.trunc):
             raise ValueError("truncation bounds must be >= 0")
         clean: dict[Exponent, Fraction] = {}
         for e, c in self.terms.items():
-            e = tuple(int(v) for v in e)
+            e = int_tuple(e, "exponents")
             if len(e) != self.n or any(v < 0 for v in e):
                 raise ValueError(f"bad exponent {e!r} for n={self.n}")
             if any(v > t for v, t in zip(e, self.trunc)):

@@ -8,11 +8,13 @@ and the enumeration generators build instances from raw randomness.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
 
 from chromaplex.arrangement import Arrangement, arrangement, rref
+from chromaplex.chromatic import support
 from chromaplex.hypergraph import Hypergraph, hypergraph, marked_independent_vectors
 from chromaplex.series import Q, QPolynomial, TruncatedSeries, series_one
 
@@ -191,3 +193,63 @@ def downward_closed_families(n: int):
             chosen.pop()
 
     yield from rec(0, [])
+
+
+def naive_complement_count(arr: Arrangement, p: int) -> int:
+    """Oracle for the F_p point count: every point of F_p^n in turn, kept
+    when no member's forms all vanish at it.  No prime or budget checks."""
+    members = [[tuple(v % p for v in row) for row in s.forms] for s in arr.subspaces]
+    count = 0
+    for x in itertools.product(range(p), repeat=arr.n):
+        if not any(
+            all(sum(c * v for c, v in zip(row, x)) % p == 0 for row in forms)
+            for forms in members
+        ):
+            count += 1
+    return count
+
+
+def naive_arrangement_count(arr: Arrangement, special, m, p: int) -> int:
+    """Oracle for the F_p coloring count: a depth-first walk over every tuple
+    of color collections, one per vertex of supp(m) (a multiset of size m_v
+    at a special vertex, counted by its underlying set and weighted by the
+    multisets on it; a set of size m_v elsewhere).  Each member with support
+    inside supp(m) carries the set of its partial form values and kills the
+    tuple at its last vertex when the zero vector is among them.  Nothing is
+    memoized and no input is checked."""
+    m = tuple(m)
+    sp = set(special)
+    supp = support(m)
+    level_of = {v: i for i, v in enumerate(supp)}
+    choices = []
+    for v in supp:
+        mult = m[v - 1]
+        if v in sp:
+            sizes = [(k, math.comb(mult - 1, k - 1)) for k in range(1, mult + 1)]
+        else:
+            sizes = [(mult, 1)]
+        choices.append([(u, w) for k, w in sizes for u in itertools.combinations(range(p), k)])
+    plans = []
+    for s in arr.subspaces:
+        if set(s.support) <= set(supp):
+            cols = {level_of[v]: tuple(row[v - 1] for row in s.forms) for v in s.support}
+            plans.append((cols, max(cols), s.codim))
+
+    def descend(level: int, states: tuple) -> int:
+        if level == len(supp):
+            return 1
+        total = 0
+        for u, w in choices[level]:
+            nxt = []
+            for (cols, last, codim), st in zip(plans, states):
+                if level in cols:
+                    coef = cols[level]
+                    st = {tuple((a + c * x) % p for a, c in zip(s0, coef)) for s0 in st for x in u}
+                    if level == last and (0,) * codim in st:
+                        break
+                nxt.append(st)
+            else:
+                total += w * descend(level + 1, tuple(nxt))
+        return total
+
+    return descend(0, tuple({(0,) * codim} for _, _, codim in plans))

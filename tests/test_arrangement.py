@@ -1,10 +1,14 @@
+import itertools
+import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 import chromaplex.arrangement as arrangement_module
 from chromaplex.arrangement import (
+    _count_colorings,
     _poset_data,
     arrangement,
     arrangement_from_json,
@@ -22,11 +26,13 @@ from chromaplex.arrangement import (
     subspace,
 )
 from chromaplex.chromatic import marked_chromatic_poly, ordinary_chromatic_poly
-from chromaplex.errors import BadPrimeError, VerificationError
+from chromaplex.errors import BadPrimeError, BudgetError, VerificationError
 from chromaplex.hypergraph import hypergraph
 from chromaplex.series import Q, QPolynomial, shifted_binomial_poly
 
 from helpers import (
+    naive_arrangement_count,
+    naive_complement_count,
     poset_oracle,
     random_hyperplane_arrangement,
     random_subspace_arrangement,
@@ -274,6 +280,138 @@ def test_brute_force_matches_polynomial_at_primes():
         poly = marked_chromatic_arrangement(arr, sp, m)
         for p in (5, 7):
             assert poly.eval(p) == brute_force_arrangement_count(arr, sp, m, p)
+
+
+def _tuple_count(sp, m, p):
+    """The number of collection tuples the naive walk visits."""
+    sizes = [
+        sum(math.comb(p, k) for k in range(1, v + 1)) if i in sp else math.comb(p, v)
+        for i, v in enumerate(m, start=1)
+        if v
+    ]
+    return math.prod(sizes)
+
+
+def test_counter_matches_naive_oracles():
+    """The level-by-level F_p counter against the per-point loop and the
+    per-tuple walk: seeded arrangements in dimension n <= 4 with members of
+    codimension 1-3, p in {2, 3, 5, 7}, with and without special vertices,
+    at bad primes too; then the edge cases by name."""
+    rng = random.Random(43)
+    seen = set()
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        arr = random_subspace_arrangement(rng, n, rng.randint(1, 4))
+        p = rng.choice((2, 3, 5, 7))
+        m = tuple(rng.randint(0, 2) for _ in range(n))
+        sp = tuple(v for v in range(1, n + 1) if m[v - 1] and rng.random() < 0.4)
+        assert _count_colorings(arr, (), (1,) * n, p) == naive_complement_count(arr, p)
+        if _tuple_count(sp, m, p) <= 5000:
+            want = naive_arrangement_count(arr, sp, m, p)
+            assert brute_force_arrangement_count(arr, sp, m, p) == want, (arr, sp, m, p)
+            seen.update((p, bool(sp), s.codim) for s in arr.subspaces)
+    assert seen >= set(itertools.product((2, 3, 5, 7), (False, True), (1, 2, 3)))
+
+    line_x = [[1, 0, 0]]
+    edge_cases = {
+        "m = 0": (PLANE, (), (0, 0, 0), 5),
+        "n = 0": (arrangement(0, []), (), (), 3),
+        "a coefficient 0 mod p": (arrangement(2, [[[2, 1]]]), (1,), (2, 1), 2),
+        "a form 0 mod p": (arrangement(2, [[[3, 6]], [[1, -1]]]), (), (1, 2), 3),
+        "a column 0 mod p": (arrangement(3, [[[1, 5, 0], [0, 5, 1]]]), (2,), (1, 2, 1), 5),
+        "a member on one vertex": (arrangement(3, [line_x, [[1, -1, 0]]]), (1,), (2, 1, 1), 3),
+        "a member on one vertex, alone": (arrangement(1, [[[1]]]), (1,), (3,), 5),
+        "a member skipping a level": (arrangement(3, [[[1, 0, 1]]]), (2,), (1, 2, 1), 5),
+        "a support outside supp(m)": (PLANE, (1,), (2, 2, 0), 5),
+        "a bad prime": (arrangement(2, [[[1, 1]], [[1, -1]]]), (), (1, 1), 2),
+    }
+    for label, (arr, sp, m, p) in edge_cases.items():
+        want = naive_arrangement_count(arr, sp, m, p)
+        assert brute_force_arrangement_count(arr, sp, m, p) == want, label
+        assert _count_colorings(arr, (), (1,) * arr.n, p) == naive_complement_count(arr, p), label
+    assert brute_force_arrangement_count(PLANE, (), (0, 0, 0), 5) == 1
+    assert count_complement(arrangement(0, []), 3) == 1
+    # x3 gets no color, so the plane constrains nothing
+    assert brute_force_arrangement_count(PLANE, (), (1, 1, 0), 5) == 25
+    # a bad prime changes the coloring count, which is still defined, while
+    # the point count refuses it
+    bad = edge_cases["a bad prime"][0]
+    assert brute_force_arrangement_count(bad, (), (1, 1), 2) == 2
+    assert characteristic_polynomial(bad).eval(2) == 1
+    with pytest.raises(BadPrimeError):
+        count_complement(bad, 2)
+
+
+def test_counter_drops_closed_members():
+    """A member leaves the state at its last level, so the levels after it
+    add no memo entries for what it saw.  x2 = x3 (x2 special, 63 color
+    sets at p = 7) closes at level 2 while x1 = x_n stays open; with one or
+    with four free vertices between, the peak memory is about the same (it
+    grew 2.9-fold when the closed member was carried along)."""
+
+    def peak(free):
+        n = 4 + free
+        first, second = [0] * n, [0] * n
+        first[1], first[2], second[0], second[-1] = 1, -1, 1, -1
+        arr = arrangement(n, [[first], [second]])
+        m = (1, 3) + (1,) * (n - 2)
+        # x1 and x_n: 7 * 6; x2 on k colors (C(2, k - 1) multisets each) and
+        # x3 off them: 7 * 6 + 21 * 2 * 5 + 35 * 4 = 392
+        assert _count_colorings(arr, (2,), m, 7) == 42 * 392 * 7**free
+        tracemalloc.start()  # after a first run, which allocates once per process
+        try:
+            _count_colorings(arr, (2,), m, 7)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4) < 1.5 * peak(1)
+
+
+def test_oracles_keep_their_refusals(monkeypatch):
+    """The budget estimates and messages, the prime check and the bad-prime
+    refusal are those of the enumerations the counter replaced."""
+    monkeypatch.setenv("CHROMAPLEX_BUDGET", "9")
+    assert count_complement(K3, 7) == 7 * 6 * 5  # 343 points
+    with pytest.raises(BudgetError, match=r"point enumeration over F_11\^3"):
+        count_complement(K3, 11)  # 1331 points
+    # at m = (2, 2, 0) a vertex has C(7, 2) = 21 color sets, or 7 + 21 = 28
+    # when special: 21 * 21 = 441 tuples fit in 2**9, 28 * 21 = 588 do not
+    assert brute_force_arrangement_count(PLANE, (), (2, 2, 0), 7) == 441
+    with pytest.raises(BudgetError, match="arrangement coloring enumeration"):
+        brute_force_arrangement_count(PLANE, (1,), (2, 2, 0), 7)
+    monkeypatch.delenv("CHROMAPLEX_BUDGET")
+    with pytest.raises(ValueError, match="4 is not prime"):
+        count_complement(BOOL2, 4)
+    with pytest.raises(ValueError, match="4 is not prime"):
+        brute_force_arrangement_count(PLANE, (), (1, 1, 1), 4)
+    with pytest.raises(BadPrimeError, match="prime 2 makes the rows"):
+        count_complement(arrangement(2, [[[1, 1]], [[1, -1]]]), 2)
+
+
+_INTEGER_ENTRY_POINTS = {
+    "rref": lambda v: rref([[v, 1]], 2),
+    "rank_mod_p": lambda v: rank_mod_p([[v, 1]], 2, 5),
+    "arrangement_forms": lambda v: arrangement(2, [[[v, 1]]]),
+    "arrangement_special": lambda v: arrangement(2, [[[1, 1]]], [v]),
+    "clan": lambda v: clan(PLANE, [v], (2, 1, 1)),
+    "clan_lambda": lambda v: clan_lambda(PLANE, ((2,), (1,), (1,)), (2, v, 1)),
+    "marked_chromatic_arrangement": lambda v: marked_chromatic_arrangement(PLANE, [v], (2, 1, 1)),
+    "brute_force_arrangement_count": lambda v: brute_force_arrangement_count(
+        PLANE, [v], (2, 1, 1), 5
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_INTEGER_ENTRY_POINTS))
+def test_arrangement_inputs_must_be_integers(entry):
+    """Forms, special vertices and multiplicities are refused unless every
+    entry is an int: 1.5 is not read as 1, nor True as 1."""
+    call = _INTEGER_ENTRY_POINTS[entry]
+    for bad in (1.5, 1.0, True, "1", F(1)):
+        with pytest.raises(ValueError, match="must be integers"):
+            call(bad)
+    call(1)  # the same call with an int goes through
 
 
 def test_arrangement_json_round_trip():

@@ -239,6 +239,20 @@ def test_multiset_count_identity():
         assert poly.eval(q) == F(q * (q + 1) * (q + 2), 6)
 
 
+def test_closed_forms_refuse_non_integer_multiplicities():
+    """(2.7, 1) is not read as (2, 1), nor (1.5, 1, 1) as (1, 1, 1)."""
+    with pytest.raises(ValueError, match="must be integers"):
+        full_edge_closed_form((2.7, 1))
+    with pytest.raises(ValueError, match="must be integers"):
+        full_edge_closed_form((True, 1))
+    with pytest.raises(ValueError, match="must be integers"):
+        cycle_multichromatic((1.5, 1, 1))
+    with pytest.raises(ValueError, match="must be integers"):
+        cycle_multichromatic((F(1), 1, 1))
+    assert full_edge_closed_form((2, 1)) == Q * (Q - 1) * (Q - 2) / 2
+    assert cycle_multichromatic((1, 1, 1)) == Q * (Q - 1) * (Q - 2)
+
+
 def test_cycle_formula():
     assert cycle_multichromatic((1, 1, 1)) == Q * (Q - 1) * (Q - 2)
     c4 = (Q - 1) * (Q - 1) * (Q - 1) * (Q - 1) + (Q - 1)

@@ -44,6 +44,21 @@ def test_constructor_normalizes():
         hypergraph(-1, [])
 
 
+def test_constructor_refuses_non_integer_vertices():
+    """The edge (1.5, 2) is not read as (1, 2), nor the special vertex True
+    as 1; independence-system members and special elements likewise."""
+    for bad in (1.5, True, "1", F(1)):
+        with pytest.raises(ValueError, match="edge vertices must be integers"):
+            hypergraph(2, [(bad, 2)])
+        with pytest.raises(ValueError, match="special vertices must be integers"):
+            hypergraph(2, [(1, 2)], special=[bad])
+        with pytest.raises(ValueError, match="member vertices must be integers"):
+            independence_system(2, [(), (bad,), (2,)])
+        with pytest.raises(ValueError, match="special elements must be integers"):
+            system_series(independence_system(2, [(), (1,), (2,)]), [bad], (1, 1))
+    assert hypergraph(2, [(1, 2)], special=[1]).edges == ((1, 2),)
+
+
 def test_shape_flags():
     assert validate(FIG1) == (True, False)
     assert is_simple(FIG1) and not is_even(FIG1)

@@ -70,6 +70,15 @@ def test_check_validation():
         inverse_nonneg_check(hypergraph(2, [(1, 2)]), (2, -1))
 
 
+def test_check_refuses_non_integer_window():
+    """(2.9, 2, 2) is not scanned as the window (2, 2, 2)."""
+    g = hypergraph(3, [(1, 2, 3)])
+    for bad in ((2.9, 2, 2), (True, 2, 2), ("2", 2, 2)):
+        with pytest.raises(ValueError, match="must be integers"):
+            inverse_nonneg_check(g, bad)
+    assert not inverse_nonneg_check(g, (2, 2, 2)).nonneg
+
+
 def test_check_zero_window_trivially_nonneg():
     res = inverse_nonneg_check(hypergraph(3, [(1, 2, 3)]), (0, 0, 0))
     assert res.nonneg

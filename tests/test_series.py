@@ -169,6 +169,16 @@ def test_public_constructor_checks_its_input():
     assert _all_fractions(TruncatedSeries(1, (2,), {(1,): 3}))
 
 
+def test_public_constructor_refuses_non_integer_bounds():
+    """A window (1.5,) is not read as (1,), nor an exponent (1.5,) as (1,)."""
+    for bad in (1.5, True, "1", F(1)):
+        with pytest.raises(ValueError, match="truncation bounds must be integers"):
+            TruncatedSeries(1, (bad,), {})
+        with pytest.raises(ValueError, match="exponents must be integers"):
+            TruncatedSeries(1, (2,), {(bad,): F(1)})
+    assert TruncatedSeries(1, (1,), {(1,): F(1)}).trunc == (1,)
+
+
 def test_series_json_round_trip():
     f = s(2, (2, 1), {(0, 0): 1, (2, 1): F(-7, 3)})
     obj = series_to_json(f)
