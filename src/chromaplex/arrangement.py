@@ -37,6 +37,8 @@ from .hypergraph import Hypergraph, check_multiplicities, is_simple
 from .series import QPolynomial
 
 Row = tuple[int, ...]
+# an echelon basis: (pivot column, row) pairs, each row zero before its pivot
+Basis = tuple[tuple[int, Row], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -44,71 +46,66 @@ Row = tuple[int, ...]
 # ---------------------------------------------------------------------------
 
 
-def _primitive(row: Sequence[int]) -> Row:
-    g = 0
-    for v in row:
-        g = math.gcd(g, v)
-    if g == 0:
-        return tuple(row)
-    lead = next(v for v in row if v)
-    if lead < 0:
-        g = -g
+def _pivot(row: Sequence[int]) -> int | None:
+    return next((c for c, x in enumerate(row) if x), None)
+
+
+def _primitive(row: Sequence[int], pivot: int) -> Row:
+    """row divided by the gcd of its entries, signed so that row[pivot] > 0."""
+    g = math.gcd(*row) if row[pivot] > 0 else -math.gcd(*row)
     return tuple(v // g for v in row)
 
 
-def rref(rows: Iterable[Sequence[int]], width: int) -> tuple[Row, ...]:
-    """Canonical basis of the row space: reduced echelon form scaled to
-    primitive integer rows with positive pivots."""
-    mat = []
-    for r in rows:
-        r = int_tuple(r, "form coefficients")
-        if len(r) != width:
-            raise ValueError(f"form {r} has {len(r)} coefficients, need {width}")
-        if any(r):
-            mat.append(list(r))
-    pivots: list[int] = []
-    rank = 0
-    for c in range(width):
-        piv = next((i for i in range(rank, len(mat)) if mat[i][c]), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        a = mat[rank][c]
-        for i in range(len(mat)):
-            if i != rank and mat[i][c]:
-                b = mat[i][c]
-                mat[i] = list(_primitive([x * a - y * b for x, y in zip(mat[i], mat[rank])]))
-        pivots.append(c)
-        rank += 1
-        if rank == len(mat):
-            break
-    return tuple(_primitive(mat[i]) for i in range(rank))
-
-
-def _reduce(vec: Sequence[int], basis: Sequence[Row]) -> list[int]:
+def _reduce(vec: Sequence[int], basis: Basis) -> list[int]:
     """Remainder of vec against basis by integer cross-multiplication; zero
     exactly when vec lies in the row space.  Each basis row must be zero at
-    the leading columns of the rows before it, which holds for an echelon
-    form and for rows built as remainders against the rows before them."""
+    the pivots of the rows before it, which holds for an echelon basis and
+    for rows built as remainders against the rows before them."""
     v = list(vec)
-    for row in basis:
-        c = next(i for i, x in enumerate(row) if x)
+    for c, row in basis:
         if v[c]:
             a, b = row[c], v[c]
             v = [x * a - y * b for x, y in zip(v, row)]
     return v
 
 
-def _reduce_mod(vec: Sequence[int], basis: Sequence[Row], p: int) -> list[int]:
+def _reduce_mod(vec: Sequence[int], basis: Basis, p: int) -> list[int]:
     """Remainder of vec mod p against basis, whose rows are reduced mod p
     and kept as for ``_reduce``."""
     v = [x % p for x in vec]
-    for row in basis:
-        c = next(i for i, x in enumerate(row) if x)
+    for c, row in basis:
         if v[c]:
             b = v[c] * pow(row[c], -1, p)
             v = [(x - b * y) % p for x, y in zip(v, row)]
     return v
+
+
+def _insert(basis: Basis, vec: Sequence[int]) -> Basis:
+    """The canonical basis of the row space of basis and vec: primitive rows
+    with positive pivots, each pivot zero in every other row, sorted by
+    pivot."""
+    rem = _reduce(vec, basis)
+    c = _pivot(rem)
+    if c is None:
+        return basis
+    new = _primitive(rem, c)
+    cleared = [
+        (d, _primitive([x * new[c] - y * row[c] for x, y in zip(row, new)], d) if row[c] else row)
+        for d, row in basis
+    ]
+    return tuple(sorted(cleared + [(c, new)]))
+
+
+def rref(rows: Iterable[Sequence[int]], width: int) -> tuple[Row, ...]:
+    """Canonical basis of the row space: reduced echelon form scaled to
+    primitive integer rows with positive pivots."""
+    basis: Basis = ()
+    for r in rows:
+        r = int_tuple(r, "form coefficients")
+        if len(r) != width:
+            raise ValueError(f"form {r} has {len(r)} coefficients, need {width}")
+        basis = _insert(basis, r)
+    return tuple(row for _, row in basis)
 
 
 def _is_prime(p: int) -> bool:
@@ -130,13 +127,14 @@ def rank_mod_p(rows: Iterable[Sequence[int]], width: int, p: int) -> int:
     """Rank over F_p of rows of the given width, by incremental insertion."""
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
-    basis: list[Row] = []
+    basis: Basis = ()
     for r in rows:
         if len(r) != width:
             raise ValueError(f"form {tuple(r)} has {len(r)} coefficients, need {width}")
         rem = _reduce_mod(int_tuple(r, "form coefficients"), basis, p)
-        if any(rem):
-            basis.append(tuple(rem))
+        c = _pivot(rem)
+        if c is not None:
+            basis += ((c, tuple(rem)),)
     return len(basis)
 
 
@@ -207,23 +205,23 @@ def _poset_data(arr: Arrangement) -> tuple[PosetElement, ...]:
     n = arr.n
     hyps = [s.forms for s in arr.subspaces]
 
-    def mask_of(basis: tuple[Row, ...]) -> int:
+    def mask_of(basis: Basis) -> int:
         mask = 0
         for i, h in enumerate(hyps):
             if not any(any(_reduce(row, basis)) for row in h):
                 mask |= 1 << i
         return mask
 
-    # canonical forms of each flat found so far -> mask of its members
-    masks: dict[tuple[Row, ...], int] = {(): 0}
-    frontier: list[tuple[Row, ...]] = [()]
+    # echelon basis of each flat found so far -> mask of its members
+    masks: dict[Basis, int] = {(): 0}
+    frontier: list[Basis] = [()]
     while frontier:
-        fresh: list[tuple[Row, ...]] = []
+        fresh: list[Basis] = []
         for basis in frontier:
             mask = masks[basis]
             for i, h in enumerate(hyps):
                 if not (mask >> i) & 1:
-                    inter = rref(basis + h, n)
+                    inter = reduce(_insert, h, basis)
                     if inter not in masks:
                         masks[inter] = mask_of(inter)
                         fresh.append(inter)
@@ -233,8 +231,9 @@ def _poset_data(arr: Arrangement) -> tuple[PosetElement, ...]:
     # never has a mask inside X's, so the sum may run over all earlier flats
     elements: list[PosetElement] = []
     below: list[tuple[int, int]] = []
-    for forms in sorted(masks, key=lambda f: (len(f), f)):
-        mask = masks[forms]
+    flats = {tuple(row for _, row in basis): mask for basis, mask in masks.items()}
+    for forms in sorted(flats, key=lambda f: (len(f), f)):
+        mask = flats[forms]
         mu = -sum(v for other, v in below if other & mask == other) if forms else 1
         below.append((mask, mu))
         elements.append(PosetElement(forms, n - len(forms), mu))
@@ -255,34 +254,29 @@ def _assert_good_prime(arr: Arrangement, p: int) -> None:
     mod p: every rationally independent subset of rows stays independent.
     That pins the whole intersection poset over F_p to the rational one.
     Walks the independent subsets depth-first, extending exact and mod-p
-    row bases together."""
+    echelon bases together."""
     rows = [row for s in arr.subspaces for row in s.forms]
     n = arr.n
     total = sum(math.comb(len(rows), k) for k in range(min(n, len(rows)) + 1))
     charge(total, f"good-prime certification for p={p}")
 
-    def walk(start: int, basis_q: list, basis_p: list, chosen: list[int]) -> None:
+    def walk(start: int, basis_q: Basis, basis_p: Basis, chosen: tuple[int, ...]) -> None:
         if len(basis_q) == n:
             return
         for i in range(start, len(rows)):
-            rem_q = _reduce(rows[i], basis_q)
-            if not any(rem_q):
+            ext = _insert(basis_q, rows[i])
+            if len(ext) == len(basis_q):
                 continue
-            rem_p = _reduce_mod(rows[i], basis_p, p)
-            if not any(rem_p):
+            rem = _reduce_mod(rows[i], basis_p, p)
+            c = _pivot(rem)
+            if c is None:
                 raise BadPrimeError(
                     f"prime {p} makes the rows {[list(rows[j]) for j in chosen]} "
                     f"+ {list(rows[i])} dependent (independent over Q)"
                 )
-            basis_q.append(_primitive(rem_q))
-            basis_p.append(tuple(rem_p))
-            chosen.append(i)
-            walk(i + 1, basis_q, basis_p, chosen)
-            basis_q.pop()
-            basis_p.pop()
-            chosen.pop()
+            walk(i + 1, ext, basis_p + ((c, tuple(rem)),), chosen + (i,))
 
-    walk(0, [], [], [])
+    walk(0, (), (), ())
 
 
 def _count_colorings(

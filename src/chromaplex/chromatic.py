@@ -70,7 +70,8 @@ def support(m: Sequence[int]) -> tuple[int, ...]:
 def brute_force_count(g: Hypergraph, m: Sequence[int], q: int) -> int:
     """Count marked colorings with q colors by direct enumeration."""
     m = check_multiplicities(g.n, m)
-    if not isinstance(q, int) or q < 0:
+    (q,) = int_tuple((q,), "q")
+    if q < 0:
         raise ValueError("q must be a nonnegative integer")
     sp = set(g.special)
     per_vertex: list[list[frozenset[int]]] = []
@@ -333,7 +334,7 @@ def enumerate_partition_tuples(
     return [tuple(combo) for combo in itertools.product(*choices)]
 
 
-def blow_up_vertex_labels(lam: PartitionTuple, m: Sequence[int]) -> list[tuple[int, int]]:
+def blow_up_vertex_labels(lam: PartitionTuple) -> list[tuple[int, int]]:
     """Blow-up vertices as (original vertex, block index) pairs, in order."""
     return [
         (i, r)
@@ -361,7 +362,7 @@ def blow_up(g: Hypergraph, lam: PartitionTuple, m: Sequence[int]) -> Hypergraph:
             raise ValueError(f"lambda_{i}={part} must have descending positive parts")
         if i not in sp and part != (1,) * m[i - 1]:
             raise ValueError(f"vertex {i} is not special; lambda_{i} must be all ones")
-    labels = blow_up_vertex_labels(lam, m)
+    labels = blow_up_vertex_labels(lam)
     index = {lab: pos + 1 for pos, lab in enumerate(labels)}
     edges: list[tuple[int, ...]] = []
     for i, part in enumerate(lam, start=1):
@@ -494,7 +495,7 @@ def cycle_graph(n: int) -> Hypergraph:
     return hypergraph(n, edges, ())
 
 
-def cycle_multichromatic(m: Sequence[int], verify: bool = True) -> QPolynomial:
+def cycle_multichromatic(m: Sequence[int]) -> QPolynomial:
     """Closed form for the multichromatic polynomial of the cycle C_n,
     n = len(m) >= 3, all multiplicities >= 1 and no special vertices:
 
@@ -510,8 +511,8 @@ def cycle_multichromatic(m: Sequence[int], verify: bool = True) -> QPolynomial:
     beyond.  Evaluated exactly at |m|+1 integer points large enough that no
     denominator vanishes, then interpolated.
 
-    With ``verify`` the result is gated against the block-partition formula,
-    and a mismatch raises VerificationError.
+    The result is gated against the block-partition formula, and a mismatch
+    raises VerificationError.
     """
     m = int_tuple(m, "multiplicities")
     n = len(m)
@@ -536,10 +537,6 @@ def cycle_multichromatic(m: Sequence[int], verify: bool = True) -> QPolynomial:
             acc += (-1) ** (k * n) * vk * prod
         points.append((q, Fraction(outer) * acc / scale))
     candidate = qpoly_interpolate(points)
-    if verify:
-        reference = marked_chromatic_poly(cycle_graph(n), m)
-        if candidate != reference:
-            raise VerificationError(
-                f"cycle closed form disagrees with the partition formula at m={m}"
-            )
+    if candidate != marked_chromatic_poly(cycle_graph(n), m):
+        raise VerificationError(f"cycle closed form disagrees with the partition formula at m={m}")
     return candidate

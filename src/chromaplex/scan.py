@@ -273,6 +273,7 @@ def scan_hypergraphs(
     and no more than there are hypergraphs to check or cores; the verdict
     order stays the deterministic enumeration order either way.
     """
+    int_tuple((n_max, m_per_var, workers), "n_max, m_per_var and workers")
     if n_max < 0:
         raise ValueError("need n_max >= 0")
     if m_per_var < 0:

@@ -109,11 +109,6 @@ class TruncatedSeries:
     def coeff(self, e: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(e), ZERO)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return (self.n, self.trunc, self.terms) == (other.n, other.trunc, other.terms)
-
 
 def series_one(n: int, trunc: Sequence[int]) -> TruncatedSeries:
     return TruncatedSeries(n, tuple(trunc), {(0,) * n: ONE})
@@ -231,8 +226,7 @@ def series_inverse(a: TruncatedSeries) -> TruncatedSeries:
 def series_int_pow(a: TruncatedSeries, q: int) -> TruncatedSeries:
     """a**q for any integer q (negative powers invert first), by repeated
     squaring on the dense window."""
-    if not isinstance(q, int):
-        raise ValueError("exponent must be an integer")
+    (q,) = int_tuple((q,), "exponent")
     w = DenseWindow(a.trunc)
     base = w.values(a)
     if q < 0:

@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from chromaplex.arrangement import Arrangement, arrangement, rref
+from chromaplex.arrangement import Arrangement, arrangement
 from chromaplex.chromatic import support
 from chromaplex.hypergraph import Hypergraph, hypergraph, marked_independent_vectors
 from chromaplex.series import Q, QPolynomial, TruncatedSeries, series_one
@@ -129,6 +129,34 @@ def random_hyperplane_arrangement(rng: random.Random, n: int) -> Arrangement:
     return arrangement(n, members)
 
 
+def rref_oracle(rows, width: int) -> tuple[tuple[int, ...], ...]:
+    """Oracle for ``rref``: Gauss-Jordan elimination column by column over
+    the integers, each row scaled to a primitive row with a positive leading
+    entry.  No input checks."""
+
+    def primitive(row: list[int]) -> list[int]:
+        g = math.gcd(*row)
+        if g == 0:
+            return row
+        lead = next(v for v in row if v)
+        return [v // (g if lead > 0 else -g) for v in row]
+
+    mat = [list(r) for r in rows if any(r)]
+    rank = 0
+    for c in range(width):
+        piv = next((i for i in range(rank, len(mat)) if mat[i][c]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        a = mat[rank][c]
+        for i in range(len(mat)):
+            if i != rank and mat[i][c]:
+                b = mat[i][c]
+                mat[i] = primitive([x * a - y * b for x, y in zip(mat[i], mat[rank])])
+        rank += 1
+    return tuple(tuple(primitive(mat[i])) for i in range(rank))
+
+
 def poset_oracle(arr: Arrangement) -> list[tuple]:
     """Oracle for the intersection poset from its definitions, with no member
     masks: the flats are the distinct canonical forms of the rows of every
@@ -137,14 +165,14 @@ def poset_oracle(arr: Arrangement) -> list[tuple]:
     elsewhere.  Returns (forms, dim, mu) by codimension, then forms."""
     n = arr.n
     flats = {
-        rref([row for s in subset for row in s.forms], n)
+        rref_oracle([row for s in subset for row in s.forms], n)
         for k in range(len(arr.subspaces) + 1)
         for subset in itertools.combinations(arr.subspaces, k)
     }
     order = sorted(flats, key=lambda f: (len(f), f))
     mobius: dict = {}
     for x in order:
-        below = [y for y in order if y != x and rref(x + y, n) == x]
+        below = [y for y in order if y != x and rref_oracle(x + y, n) == x]
         mobius[x] = -sum(mobius[y] for y in below) if x else 1
     return [(x, n - len(x), mobius[x]) for x in order]
 
@@ -161,7 +189,7 @@ def random_subspace_arrangement(rng: random.Random, n: int, count: int) -> Arran
         else:
             extra = rng.randint(0, 2)
             forms = [row] + [[rng.randint(-1, 1) for _ in range(n)] for _ in range(extra)]
-        codim = len(rref(forms, n))
+        codim = len(rref_oracle(forms, n))
         if 1 <= codim <= min(3, n):
             members.append(forms)
     return arrangement(n, members)

@@ -36,6 +36,7 @@ from helpers import (
     poset_oracle,
     random_hyperplane_arrangement,
     random_subspace_arrangement,
+    rref_oracle,
 )
 
 F = Fraction
@@ -69,6 +70,29 @@ def test_rref_row_space_invariance():
             extra = [a + b for a, b in zip(rows[0], rows[-1])]
             scaled.append(extra)
         assert rref(scaled, w) == base
+
+
+def test_rref_matches_gauss_jordan_oracle():
+    """Insertion into the echelon basis gives the Gauss-Jordan form on
+    seeded matrices of widths 1-7 with 0-7 rows and entries up to 9 in size,
+    among them zero rows and repeated or proportional rows."""
+    rng = random.Random(31)
+    shapes, kinds = set(), set()
+    for _ in range(3000):
+        w, count = rng.randint(1, 7), rng.randint(0, 7)
+        rows = [[rng.randint(-9, 9) for _ in range(w)] for _ in range(count)]
+        for i in range(1, count):
+            kind = rng.choice(("random", "zero", "repeat", "multiple"))
+            if kind == "zero":
+                rows[i] = [0] * w
+            elif kind != "random":
+                k = 1 if kind == "repeat" else rng.choice((-3, -2, 2, 3))
+                rows[i] = [k * v for v in rng.choice(rows[:i])]
+            kinds.add((kind, w))
+        shapes.add((w, count))
+        assert rref(rows, w) == rref_oracle(rows, w), rows
+    assert shapes == set(itertools.product(range(1, 8), range(8)))
+    assert kinds == set(itertools.product(("random", "zero", "repeat", "multiple"), range(1, 8)))
 
 
 def test_rank_mod_p():

@@ -79,6 +79,25 @@ def test_check_refuses_non_integer_window():
     assert not inverse_nonneg_check(g, (2, 2, 2)).nonneg
 
 
+def test_scan_refuses_non_integer_arguments(tmp_path):
+    """True is not a bound of 1 nor 2.5 one of 2, and a refused window or
+    worker count leaves no report header behind."""
+    out = tmp_path / "scan.jsonl"
+    for args, kwargs in [
+        ((True,), {}),
+        ((2.5,), {}),
+        ((2, True), {}),
+        ((2, 2.0), {}),
+        ((2,), {"workers": True}),
+        ((2,), {"workers": 1.5}),
+    ]:
+        with pytest.raises(ValueError, match="must be integers"):
+            scan_hypergraphs(*args, out=out, **kwargs)
+        assert not out.exists()
+    assert scan_hypergraphs(1, 2, out=out).total == 1
+    assert out.read_text().startswith(report_header(2))
+
+
 def test_check_zero_window_trivially_nonneg():
     res = inverse_nonneg_check(hypergraph(3, [(1, 2, 3)]), (0, 0, 0))
     assert res.nonneg

@@ -110,6 +110,15 @@ def _all_fractions(f):
     return all(type(c) is Fraction for c in f.terms.values())
 
 
+def test_int_pow_refuses_non_integer_exponents():
+    """True is not read as the exponent 1, nor 2.0 as 2."""
+    f = s(1, (2,), {(0,): 1, (1,): 1})
+    for bad in (True, 2.0, 2.5, "2", F(2)):
+        with pytest.raises(ValueError, match="exponent must be integers"):
+            series_int_pow(f, bad)
+    assert series_int_pow(f, 1) == f
+
+
 def test_int_pow_matches_repeated_mul_random():
     """The dense kernel (mul, pow, inverse) against the sparse Fraction oracle
     on integral and non-integral coefficients, windows with zero bounds and
