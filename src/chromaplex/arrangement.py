@@ -26,12 +26,7 @@ from functools import lru_cache, reduce
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .budget import charge
-from .chromatic import (
-    PartitionTuple,
-    duplication_factor,
-    enumerate_partition_tuples,
-    support,
-)
+from .chromatic import PartitionTuple, copy_columns, partition_tuple_sum, support
 from .errors import BadPrimeError, VerificationError, int_tuple, json_int, json_ints, malformed
 from .hypergraph import Hypergraph, check_multiplicities, is_simple
 from .series import QPolynomial
@@ -109,33 +104,14 @@ def rref(rows: Iterable[Sequence[int]], width: int) -> tuple[Row, ...]:
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
+    return p >= 2 and all(p % f for f in range(2, math.isqrt(p) + 1))
 
 
-def rank_mod_p(rows: Iterable[Sequence[int]], width: int, p: int) -> int:
-    """Rank over F_p of rows of the given width, by incremental insertion."""
+def _check_prime(p: int) -> None:
+    """Refuse p unless it is an int and prime."""
+    (p,) = int_tuple((p,), "p")
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
-    basis: Basis = ()
-    for r in rows:
-        if len(r) != width:
-            raise ValueError(f"form {tuple(r)} has {len(r)} coefficients, need {width}")
-        rem = _reduce_mod(int_tuple(r, "form coefficients"), basis, p)
-        c = _pivot(rem)
-        if c is not None:
-            basis += ((c, tuple(rem)),)
-    return len(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +158,7 @@ def arrangement(
 ) -> Arrangement:
     """Build an arrangement in R^n; members are deduplicated by their
     canonical forms and sorted deterministically."""
+    (n,) = int_tuple((n,), "dimension")
     if n < 0:
         raise ValueError("need n >= 0")
     members = {subspace(forms, n) for forms in subspace_forms}
@@ -358,8 +335,7 @@ def count_complement(arr: Arrangement, p: int) -> int:
     defining rows keep their matroid mod p); otherwise the count stops
     matching the characteristic polynomial, and a BadPrimeError names a
     violating row set."""
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _check_prime(p)
     _assert_good_prime(arr, p)
     charge(p**arr.n, f"point enumeration over F_{p}^{arr.n}")
     return _count_colorings(arr, (), (1,) * arr.n, p)
@@ -399,40 +375,26 @@ def graphical_arrangement(g: Hypergraph) -> Arrangement:
     return arrangement(g.n, members, g.special)
 
 
-def _clan_core(
-    arr: Arrangement,
-    block_count: Mapping[int, int],
-    distinct_at: Iterable[int],
-    m: Sequence[int],
-) -> Arrangement:
-    """Shared clan construction: one coordinate per (vertex, block) pair,
+def _clan_core(arr: Arrangement, counts: Sequence[int], distinct_at: Iterable[int]) -> Arrangement:
+    """Shared clan construction: counts[i - 1] coordinates for vertex i,
     pairwise-distinctness hyperplanes at the requested vertices, and every
-    member with support inside supp(m) lifted through all one-block-per-
-    vertex substitutions."""
-    supp = [i for i in support(m) if block_count[i] > 0]
-    cols = {}
-    for i in supp:
-        for r in range(1, block_count[i] + 1):
-            cols[(i, r)] = len(cols)
-    width = len(cols)
+    member lifted through all one-copy-per-vertex substitutions (none when
+    its support meets a vertex without copies)."""
+    cols = copy_columns(counts)
+    width = sum(counts)
     members: list[list[list[int]]] = []
     for i in distinct_at:
-        for r, s in itertools.combinations(range(1, block_count[i] + 1), 2):
+        for r, s in itertools.combinations(cols[i - 1], 2):
             row = [0] * width
-            row[cols[(i, r)]] = 1
-            row[cols[(i, s)]] = -1
+            row[r], row[s] = 1, -1
             members.append([row])
-    supp_set = set(support(m))
     for sub in arr.subspaces:
-        if not set(sub.support) <= supp_set:
-            continue
-        vars_here = sub.support
-        for combo in itertools.product(*(range(1, block_count[i] + 1) for i in vars_here)):
+        for combo in itertools.product(*(cols[i - 1] for i in sub.support)):
             forms = []
             for row in sub.forms:
                 lifted = [0] * width
-                for i, r in zip(vars_here, combo):
-                    lifted[cols[(i, r)]] = row[i - 1]
+                for i, c in zip(sub.support, combo):
+                    lifted[c] = row[i - 1]
                 forms.append(lifted)
             members.append(forms)
     return arrangement(width, members)
@@ -445,9 +407,7 @@ def clan(arr: Arrangement, special: Iterable[int], m: Sequence[int]) -> Arrangem
     sp = sorted(set(int_tuple(special, "special indices")))
     if any(v < 1 or v > arr.n for v in sp):
         raise ValueError(f"special indices {sp} outside 1..{arr.n}")
-    counts = {i: m[i - 1] for i in range(1, arr.n + 1)}
-    distinct = [i for i in sp if counts.get(i, 0) > 0]
-    return _clan_core(arr, counts, distinct, m)
+    return _clan_core(arr, m, sp)
 
 
 def clan_lambda(arr: Arrangement, lam: PartitionTuple, m: Sequence[int]) -> Arrangement:
@@ -457,10 +417,9 @@ def clan_lambda(arr: Arrangement, lam: PartitionTuple, m: Sequence[int]) -> Arra
     if len(lam) != arr.n or len(m) != arr.n:
         raise ValueError("partition tuple and multiplicities must have length n")
     for i, part in enumerate(lam, start=1):
-        if sum(part) != m[i - 1]:
+        if sum(part) != m[i - 1] or any(p < 1 for p in part):
             raise ValueError(f"lambda_{i}={part} is not a partition of {m[i - 1]}")
-    counts = {i: len(lam[i - 1]) for i in range(1, arr.n + 1)}
-    return _clan_core(arr, counts, support(m), m)
+    return _clan_core(arr, [len(part) for part in lam], support(m))
 
 
 def marked_chromatic_arrangement(
@@ -472,14 +431,36 @@ def marked_chromatic_arrangement(
     m = check_multiplicities(arr.n, m)
     sp = sorted(set(int_tuple(special, "special indices")))
     if not set(sp) <= set(support(m)):
-        raise ValueError(
-            f"special set {sp} must lie inside the support {support(m)} of m"
-        )
-    total = QPolynomial()
-    for lam in enumerate_partition_tuples(m, sp):
-        factor = math.prod(duplication_factor(part) for part in lam)
-        total = total + characteristic_polynomial(clan_lambda(arr, lam, m)) / factor
-    return total
+        raise ValueError(f"special set {sp} must lie inside the support {support(m)} of m")
+    return partition_tuple_sum(
+        m, sp, lambda lam: characteristic_polynomial(clan_lambda(arr, lam, m))
+    )
+
+
+def verification_primes(arr: Arrangement, m: Sequence[int]) -> tuple[int, int]:
+    """The first two primes >= 5 good (see ``_assert_good_prime``) for every
+    clan in the sum of ``marked_chromatic_arrangement`` at m, whatever the
+    special set.  There each clan's F_p point count is its characteristic
+    polynomial at p, so ``brute_force_arrangement_count`` must equal the
+    polynomial's value.
+
+    Only the clan with one copy per unit of m is certified: every clan in
+    the sum is its restriction to an intersection of its own distinctness
+    hyperplanes, so a prime that keeps the rank of each set of its rows
+    keeps that of each set of theirs."""
+    m = check_multiplicities(arr.n, m)
+    finest = clan_lambda(arr, tuple((1,) * v for v in m), m)
+    primes: list[int] = []
+    p = 5
+    while len(primes) < 2:
+        if _is_prime(p):
+            try:
+                _assert_good_prime(finest, p)
+                primes.append(p)
+            except BadPrimeError:
+                pass
+        p += 1
+    return primes[0], primes[1]
 
 
 def brute_force_arrangement_count(
@@ -492,8 +473,7 @@ def brute_force_arrangement_count(
     level in F_p alone (no elimination over Q, no poset); charged as the
     number of collection tuples, though far fewer states are met."""
     m = check_multiplicities(arr.n, m)
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _check_prime(p)
     sp = set(int_tuple(special, "special indices"))
     supp = support(m)
     if not sp <= set(supp):

@@ -48,6 +48,7 @@ from .series import (
     DenseWindow,
     QPolynomial,
     binomial_poly,
+    poly_from_binomial_coordinates,
     qpoly_const,
     qpoly_interpolate,
     shifted_binomial_poly,
@@ -210,48 +211,15 @@ def _block_cell(g: Hypergraph, m: Vector) -> tuple[int, ...]:
     return _coordinates(_block_tables(g), m, lambda window: _block_table(g, window))
 
 
-def _ordered_block_counts(g: Hypergraph, m: Vector) -> dict[int, int]:
-    """|P_k| for every k where it is nonzero: the number of ordered k-tuples
-    of nonempty marked-independent blocks whose sum is m, read from the
-    block table of g."""
-    return {k: c for k, c in enumerate(_block_cell(g, m)) if c}
-
-
 def count_Pk_mult(g: Hypergraph, m: Sequence[int], k: int) -> int:
-    """Number of ordered k-tuples of marked-independent blocks summing to m."""
+    """Number of ordered k-tuples of nonempty marked-independent blocks
+    summing to m, read from the block table of g."""
     m = check_multiplicities(g.n, m)
+    (k,) = int_tuple((k,), "k")
     if k < 0:
         raise ValueError("need k >= 0")
-    return _ordered_block_counts(g, m).get(k, 0)
-
-
-def poly_from_binomial_coordinates(c: Sequence[int]) -> QPolynomial:
-    """The polynomial sum over k of c_k * binomial(q, k), for integers c_k.
-
-    Over the common denominator d!, d the degree, the sum is
-    sum_k c_k * (d!/k!) * (q)_k, and the coefficient of q^j in the falling
-    factorial (q)_k is the Stirling number s(k, j) of the first kind.  The
-    numerators are found in integers by Horner's rule in the falling-factorial
-    basis, (q)_(k+1) = (q)_k * (q - k), and each output coefficient becomes
-    one ``Fraction``.
-    """
-    d = len(c) - 1
-    while d >= 0 and not c[d]:
-        d -= 1
-    if d < 0:
-        return QPolynomial()
-    acc: list[int] = []
-    weight = 1  # d!/k!
-    for k in range(d, -1, -1):
-        # acc <- acc * (q - k) + c_k * d!/k!
-        nxt = [0, *acc]
-        for j, v in enumerate(acc):
-            nxt[j] -= k * v
-        nxt[0] += c[k] * weight
-        acc = nxt
-        weight *= k
-    scale = math.factorial(d)
-    return QPolynomial(tuple(Fraction(v, scale) for v in acc))
+    cell = _block_cell(g, m)
+    return cell[k] if k < len(cell) else 0
 
 
 # bounded: a round of the ``coeffs`` benchmark workload keeps ~2,430
@@ -300,6 +268,7 @@ def coefficient_via_binomial(
 
 def partitions_of(k: int, cap: int | None = None) -> Iterator[Partition]:
     """Integer partitions of k, parts descending, reverse-lex order."""
+    int_tuple((k,) if cap is None else (k, cap), "partition sizes")
     if k < 0:
         raise ValueError("need k >= 0")
     if k == 0:
@@ -334,13 +303,23 @@ def enumerate_partition_tuples(
     return [tuple(combo) for combo in itertools.product(*choices)]
 
 
-def blow_up_vertex_labels(lam: PartitionTuple) -> list[tuple[int, int]]:
-    """Blow-up vertices as (original vertex, block index) pairs, in order."""
-    return [
-        (i, r)
-        for i, part in enumerate(lam, start=1)
-        for r in range(1, len(part) + 1)
-    ]
+def partition_tuple_sum(
+    m: Sequence[int], special: Iterable[int], term: Callable[[PartitionTuple], QPolynomial]
+) -> QPolynomial:
+    """The paper's sum over the partition tuples lambda of m (see
+    ``enumerate_partition_tuples``) of term(lambda) / dup(lambda), where
+    dup(lambda) is the product of the duplication factors of its parts."""
+    total = QPolynomial()
+    for lam in enumerate_partition_tuples(m, special):
+        total = total + term(lam) / math.prod(duplication_factor(part) for part in lam)
+    return total
+
+
+def copy_columns(counts: Sequence[int]) -> list[range]:
+    """Positions of the copies of each vertex when vertex i gets counts[i - 1]
+    copies, numbered from 0 in vertex order; index i - 1 holds vertex i's."""
+    starts = list(itertools.accumulate(counts, initial=0))
+    return [range(a, b) for a, b in zip(starts, starts[1:])]
 
 
 def blow_up(g: Hypergraph, lam: PartitionTuple, m: Sequence[int]) -> Hypergraph:
@@ -362,18 +341,12 @@ def blow_up(g: Hypergraph, lam: PartitionTuple, m: Sequence[int]) -> Hypergraph:
             raise ValueError(f"lambda_{i}={part} must have descending positive parts")
         if i not in sp and part != (1,) * m[i - 1]:
             raise ValueError(f"vertex {i} is not special; lambda_{i} must be all ones")
-    labels = blow_up_vertex_labels(lam)
-    index = {lab: pos + 1 for pos, lab in enumerate(labels)}
-    edges: list[tuple[int, ...]] = []
-    for i, part in enumerate(lam, start=1):
-        for r, s in itertools.combinations(range(1, len(part) + 1), 2):
-            edges.append((index[(i, r)], index[(i, s)]))
+    cols = copy_columns([len(part) for part in lam])
+    edges = [pair for col in cols for pair in itertools.combinations(col, 2)]
     for e in g.edges:
-        if any(m[i - 1] == 0 for i in e):
-            continue
-        for combo in itertools.product(*(range(1, len(lam[i - 1]) + 1) for i in e)):
-            edges.append(tuple(index[(i, r)] for i, r in zip(e, combo)))
-    return hypergraph(len(labels), edges, ())
+        edges.extend(itertools.product(*(cols[i - 1] for i in e)))
+    # copy positions count from 0, vertices from 1
+    return hypergraph(sum(map(len, lam)), [[c + 1 for c in e] for e in edges], ())
 
 
 def chromatic_via_blowup(g: Hypergraph, m: Sequence[int]) -> QPolynomial:
@@ -381,11 +354,9 @@ def chromatic_via_blowup(g: Hypergraph, m: Sequence[int]) -> QPolynomial:
     ordinary chromatic polynomials of blow-ups, each divided by its
     duplication factor."""
     m = check_multiplicities(g.n, m)
-    total = QPolynomial()
-    for lam in enumerate_partition_tuples(m, g.special):
-        factor = math.prod(duplication_factor(part) for part in lam)
-        total = total + ordinary_chromatic_poly(blow_up(g, lam, m)) / factor
-    return total
+    return partition_tuple_sum(
+        m, g.special, lambda lam: ordinary_chromatic_poly(blow_up(g, lam, m))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +437,8 @@ def chordal_multichromatic(g: Hypergraph, m: Sequence[int]) -> QPolynomial:
 
 def chordal_marked_chromatic(g: Hypergraph, m: Sequence[int]) -> QPolynomial:
     """Closed form for chordal graphs with special vertices: sum over
-    partition tuples; vertex j contributes binomial(q - b_j, l_j) ordered
-    block choices, b_j counting earlier neighbors' blocks."""
+    partition tuples; vertex j contributes l_j! * binomial(q - b_j, l_j)
+    ordered block choices, b_j counting earlier neighbors' blocks."""
     m = check_multiplicities(g.n, m)
     order = find_peo(g)
     if order is None:
@@ -475,17 +446,16 @@ def chordal_marked_chromatic(g: Hypergraph, m: Sequence[int]) -> QPolynomial:
     adj = _require_graph(g)
     pos = {v: i for i, v in enumerate(order)}
     supp = sorted(support(m), key=lambda v: pos[v])
-    total = QPolynomial()
-    for lam in enumerate_partition_tuples(m, g.special):
-        lengths = {v: len(lam[v - 1]) for v in range(1, g.n + 1)}
-        term = qpoly_const(1)
+
+    def term(lam: PartitionTuple) -> QPolynomial:
+        poly = qpoly_const(1)
         for r, v in enumerate(supp):
-            b = sum(lengths[u] for u in supp[:r] if u in adj[v])
-            ell = lengths[v]
-            scalar = Fraction(math.factorial(ell), duplication_factor(lam[v - 1]))
-            term = term * shifted_binomial_poly(b, ell) * scalar
-        total = total + term
-    return total
+            b = sum(len(lam[u - 1]) for u in supp[:r] if u in adj[v])
+            ell = len(lam[v - 1])
+            poly = poly * shifted_binomial_poly(b, ell) * math.factorial(ell)
+        return poly
+
+    return partition_tuple_sum(m, g.special, term)
 
 
 def cycle_graph(n: int) -> Hypergraph:

@@ -23,6 +23,7 @@ from .arrangement import (
     count_complement,
     marked_chromatic_arrangement,
     region_count,
+    verification_primes,
 )
 from .chromatic import (
     brute_force_count,
@@ -150,7 +151,7 @@ def _cmd_arrangement(args: argparse.Namespace) -> int:
     poly = marked_chromatic_arrangement(arr, arr.special, m)
     _emit(_poly_output(poly, args.format, args.at))
     if args.verify:
-        for p in (5, 7):
+        for p in verification_primes(arr, m):
             expect = poly.eval(p)
             got = brute_force_arrangement_count(arr, arr.special, m, p)
             if expect != got:
@@ -285,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--verify",
         action="store_true",
-        help="cross-check markchrom by enumeration at p=5,7 (exit 3 on mismatch)",
+        help="cross-check markchrom by enumeration at the first two primes >= 5 "
+        "that are good for its clans (exit 3 on mismatch)",
     )
     p.set_defaults(func=_cmd_arrangement)
 

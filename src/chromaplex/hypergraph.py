@@ -56,6 +56,7 @@ def hypergraph(
     Edges of size 1 are accepted; the empty edge is rejected (it would make
     every coloring count zero by fiat rather than by arithmetic).
     """
+    (n,) = int_tuple((n,), "vertex count")
     if n < 0:
         raise ValueError("need n >= 0")
     canon = _canon_vertex_sets(n, edges, "edge")
@@ -163,6 +164,7 @@ class IndependenceSystem:
 
 
 def independence_system(n: int, members: Iterable[Iterable[int]]) -> IndependenceSystem:
+    (n,) = int_tuple((n,), "ground set size")
     if n < 0:
         raise ValueError("need n >= 0")
     return IndependenceSystem(n, _canon_vertex_sets(n, members, "member"))

@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import __version__
 from .budget import charge
-from .chromatic import _ordered_block_counts
+from .chromatic import marked_chromatic_poly
 from .errors import VerificationError, int_tuple
 from .hypergraph import Hypergraph, hypergraph, is_even, marked_independence_series
 from .series import fraction_to_str, series_inverse
@@ -50,8 +50,8 @@ def inverse_nonneg_check(g: Hypergraph, window: Sequence[int]) -> CheckResult:
 
     Returns the non-negativity flag together with the lexicographically
     first negative exponent and its coefficient, if one exists.  A found
-    negative is re-verified against the alternating block-count sum before
-    being reported.
+    negative is re-verified against the marked chromatic polynomial at
+    q = -1 before being reported.
     """
     if g.special:
         raise ValueError("non-negativity check needs a hypergraph with no special vertices")
@@ -70,10 +70,10 @@ def inverse_nonneg_check(g: Hypergraph, window: Sequence[int]) -> CheckResult:
 
 
 def _recheck_negative(g: Hypergraph, m: tuple[int, ...], claimed: Fraction) -> None:
-    """Independent recount of one inverse coefficient: the alternating sum
-    of ordered block-partition counts, carrying the sign of |m|."""
-    acc = sum((-1) ** k * count for k, count in _ordered_block_counts(g, m).items())
-    value = Fraction((-1) ** sum(m) * acc)
+    """Independent recount of one inverse coefficient: by the series identity
+    at q = -1, [x^m] 1/I(G, x) is P_m(-1), which the block-partition formula
+    gives with no series inverted; 1/I(G, -x) carries the sign of |m|."""
+    value = (-1) ** sum(m) * marked_chromatic_poly(g, m).eval(-1)
     if value != claimed:
         raise VerificationError(
             f"inverse coefficient at {m} is {claimed} by series inversion "
@@ -116,6 +116,7 @@ def enumerate_simple_hypergraphs(n: int) -> Iterator[Hypergraph]:
     """All simple hypergraphs on the vertex set {1..n}: every family of
     pairwise incomparable edges of size >= 2, including the edgeless one.
     Deterministic order."""
+    (n,) = int_tuple((n,), "vertex count")
     if n < 0:
         raise ValueError("need n >= 0")
     candidates = []
@@ -232,16 +233,30 @@ class ScanReport:
     m_per_var: int
     dedup: bool
     verdicts: list[Verdict] = field(default_factory=list)
-    even_total: int = 0
-    odd_total: int = 0
-    even_failures: list[str] = field(default_factory=list)
-    odd_passes: list[str] = field(default_factory=list)
     skipped: int = 0
     elapsed: float = 0.0
 
     @property
     def total(self) -> int:
         return len(self.verdicts)
+
+    @property
+    def even_total(self) -> int:
+        return sum(v.even for v in self.verdicts)
+
+    @property
+    def odd_total(self) -> int:
+        return self.total - self.even_total
+
+    @property
+    def even_failures(self) -> list[str]:
+        """Keys of the even hypergraphs with a negative coefficient."""
+        return [_canon_key(v.canon) for v in self.verdicts if v.even and not v.nonneg]
+
+    @property
+    def odd_passes(self) -> list[str]:
+        """Keys of the odd-edged hypergraphs with no negative found."""
+        return [_canon_key(v.canon) for v in self.verdicts if not v.even and v.nonneg]
 
     def summary(self) -> str:
         return (
@@ -299,18 +314,18 @@ def scan_hypergraphs(
         # appended verdicts, too, must share the window of the report's header
         recorded = _recorded_keys(out_path, header)
 
-    items: list[tuple[int, tuple[tuple[int, ...], ...], int]] = []
     entries: list[tuple[tuple[int, tuple[tuple[int, ...], ...]], bool]] = []
-    seen: set[str] = set()
     for n in range(1, n_max + 1):
         # labelled family -> (canonical form, its key), filled with every
         # relabeling when a class is first met; each labelled hypergraph is
-        # enumerated once, so its entry is popped when looked up
+        # enumerated once, so its entry is popped when looked up, and a miss
+        # marks the first member of a class
         classes: dict[int, tuple[tuple[int, tuple[tuple[int, ...], ...]], str]] = {}
         for g in enumerate_simple_hypergraphs(n):
             labelled = _family_key(g.edges)
             entry = classes.pop(labelled, None)
-            if entry is None:
+            first = entry is None
+            if first:
                 canon = canonical_form(g)
                 entry = (canon, _canon_key(canon))
                 classes.update(dict.fromkeys(map(_family_key, _relabelings(g)), entry))
@@ -318,15 +333,11 @@ def scan_hypergraphs(
             canon, key = entry
             if resume and key in recorded:
                 report.skipped += 1
-                continue
-            if dedup:
-                if key in seen:
-                    continue
-                seen.add(key)
-            items.append((canon[0], canon[1], m_per_var))
-            entries.append((canon, is_even(g)))
+            elif first or not dedup:
+                entries.append((canon, is_even(g)))
 
-    procs = min(workers, len(items), os.cpu_count() or 1)
+    items = ((n, edges, m_per_var) for (n, edges), _ in entries)
+    procs = min(workers, len(entries), os.cpu_count() or 1)
     if procs <= 1:
         results = map(_work, items)
     else:
@@ -340,14 +351,6 @@ def scan_hypergraphs(
         for (canon, even), res in zip(entries, results):
             v = Verdict(canon, even, *res)
             report.verdicts.append(v)
-            if even:
-                report.even_total += 1
-                if not v.nonneg:
-                    report.even_failures.append(_canon_key(canon))
-            else:
-                report.odd_total += 1
-                if v.nonneg:
-                    report.odd_passes.append(_canon_key(canon))
             if fh is not None:
                 fh.write(verdict_to_json_line(v) + "\n")
     finally:

@@ -27,7 +27,9 @@ independence series) go through ``TruncatedSeries._trusted``, which does not.
 A ``QPolynomial`` is a dense univariate polynomial over ``Fraction`` in a
 single variable q, used for counting polynomials.  Coefficients are stored
 ascending with trailing zeros stripped, so equality of values is equality of
-representations.
+representations.  ``poly_from_binomial_coordinates`` is the one conversion
+from integer coordinates in the basis binomial(q, k); every binomial
+polynomial in the package goes through it.
 """
 
 from __future__ import annotations
@@ -344,20 +346,52 @@ def qpoly_const(c: int | Fraction) -> QPolynomial:
     return QPolynomial((_as_fraction(c),))
 
 
-@lru_cache(maxsize=256)
+def poly_from_binomial_coordinates(c: Sequence[int]) -> QPolynomial:
+    """The polynomial sum over k of c_k * binomial(q, k), for integers c_k.
+
+    Over the common denominator d!, d the degree, the sum is
+    sum_k c_k * (d!/k!) * (q)_k, and the coefficient of q^j in the falling
+    factorial (q)_k is the Stirling number s(k, j) of the first kind.  The
+    numerators are found in integers by Horner's rule in the falling-factorial
+    basis, (q)_(k+1) = (q)_k * (q - k), and each output coefficient becomes
+    one ``Fraction``.
+    """
+    d = len(c) - 1
+    while d >= 0 and not c[d]:
+        d -= 1
+    if d < 0:
+        return QPolynomial()
+    acc: list[int] = []
+    weight = 1  # d!/k!
+    for k in range(d, -1, -1):
+        # acc <- acc * (q - k) + c_k * d!/k!
+        nxt = [0, *acc]
+        for j, v in enumerate(acc):
+            nxt[j] -= k * v
+        nxt[0] += c[k] * weight
+        acc = nxt
+        weight *= k
+    scale = math.factorial(d)
+    return QPolynomial(tuple(Fraction(v, scale) for v in acc))
+
+
+# typed, so that True is refused rather than answered from the entry of 1
+@lru_cache(maxsize=256, typed=True)
 def binomial_poly(k: int) -> QPolynomial:
     """binomial(q, k) as a polynomial of degree k (k >= 0)."""
     return shifted_binomial_poly(0, k)
 
 
-def shifted_binomial_poly(shift: int | Fraction, k: int) -> QPolynomial:
-    """binomial(q - shift, k) as a polynomial in q."""
+def shifted_binomial_poly(shift: int, k: int) -> QPolynomial:
+    """binomial(q - shift, k) as a polynomial in q: by Vandermonde's
+    identity, the sum over j of binomial(-shift, k - j) * binomial(q, j)."""
+    shift, k = int_tuple((shift, k), "shift and k")
     if k < 0:
         raise ValueError("need k >= 0")
-    p = qpoly_const(1)
-    for j in range(k):
-        p = p * (Q - (_as_fraction(shift) + j))
-    return p / math.factorial(k)
+    # binomial(-shift, i) = (-shift)(-shift - 1)...(-shift - i + 1) / i!
+    return poly_from_binomial_coordinates(
+        [math.prod(range(-shift, -shift - i, -1)) // math.factorial(i) for i in range(k, -1, -1)]
+    )
 
 
 def qpoly_interpolate(

@@ -8,6 +8,7 @@ import pytest
 
 import chromaplex.arrangement as arrangement_module
 from chromaplex.arrangement import (
+    _assert_good_prime,
     _count_colorings,
     _poset_data,
     arrangement,
@@ -20,12 +21,17 @@ from chromaplex.arrangement import (
     count_complement,
     graphical_arrangement,
     marked_chromatic_arrangement,
-    rank_mod_p,
     region_count,
     rref,
     subspace,
+    verification_primes,
 )
-from chromaplex.chromatic import marked_chromatic_poly, ordinary_chromatic_poly
+from chromaplex.chromatic import (
+    blow_up,
+    enumerate_partition_tuples,
+    marked_chromatic_poly,
+    ordinary_chromatic_poly,
+)
 from chromaplex.errors import BadPrimeError, BudgetError, VerificationError
 from chromaplex.hypergraph import hypergraph
 from chromaplex.series import Q, QPolynomial, shifted_binomial_poly
@@ -93,25 +99,6 @@ def test_rref_matches_gauss_jordan_oracle():
         assert rref(rows, w) == rref_oracle(rows, w), rows
     assert shapes == set(itertools.product(range(1, 8), range(8)))
     assert kinds == set(itertools.product(("random", "zero", "repeat", "multiple"), range(1, 8)))
-
-
-def test_rank_mod_p():
-    assert rank_mod_p([[1, 1], [1, -1]], 2, 2) == 1
-    assert rank_mod_p([[1, 1], [1, -1]], 2, 3) == 2
-    assert rank_mod_p([[2, 4]], 2, 2) == 0
-    # later rows vanish only after reduction against earlier ones
-    assert rank_mod_p([[1, 2], [2, 1]], 2, 3) == 1
-    assert rank_mod_p([[0, 1], [1, 1], [1, 0]], 2, 5) == 2
-    assert rank_mod_p([[1, 1, 0], [1, 0, 1], [0, 1, -1]], 3, 7) == 2
-    with pytest.raises(ValueError):
-        rank_mod_p([[0, 0, 1]], 2, 5)
-    with pytest.raises(ValueError, match="4 is not prime"):
-        rank_mod_p([[2, 1], [2, 0]], 2, 4)
-    rng = random.Random(19)
-    for _ in range(30):
-        w = rng.randint(1, 4)
-        rows = [[rng.randint(-2, 2) for _ in range(w)] for _ in range(rng.randint(1, 3))]
-        assert rank_mod_p(rows, w, 101) == len(rref(rows, w))
 
 
 def test_subspace_and_arrangement_construction():
@@ -302,8 +289,64 @@ def test_brute_force_matches_polynomial_at_primes():
         m = tuple(rng.randint(0, 2) for _ in range(n))
         sp = tuple(v for v in sp if m[v - 1] > 0)
         poly = marked_chromatic_arrangement(arr, sp, m)
-        for p in (5, 7):
+        for p in verification_primes(arr, m):
             assert poly.eval(p) == brute_force_arrangement_count(arr, sp, m, p)
+
+
+def test_verification_primes_skip_bad_primes():
+    """The primes certified for the clan with one copy per unit of m are
+    good for every clan of the partition-tuple sum, and the coloring count
+    matches the polynomial at them; a bad prime below them can break that."""
+    lines = arrangement(2, [[[1, 2]], [[1, -3]]])
+    assert verification_primes(lines, (1, 1)) == (7, 11)
+    assert brute_force_arrangement_count(lines, (), (1, 1), 5) == 20
+    assert marked_chromatic_arrangement(lines, (), (1, 1)).eval(5) == 16
+    assert verification_primes(PLANE, (2, 2, 1)) == (5, 7)
+    assert verification_primes(PLANE, (0, 0, 0)) == (5, 7)
+    rng = random.Random(53)
+    checked = 0
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        arr = random_subspace_arrangement(rng, n, rng.randint(1, 3))
+        m = tuple(rng.randint(0, 2) for _ in range(n))
+        sp = tuple(v for v in range(1, n + 1) if m[v - 1] and rng.random() < 0.5)
+        finest = clan_lambda(arr, tuple((1,) * v for v in m), m)
+        for p in (2, 3, 5, 7):
+            try:
+                _assert_good_prime(finest, p)
+            except BadPrimeError:
+                continue
+            for lam in enumerate_partition_tuples(m, sp):
+                _assert_good_prime(clan_lambda(arr, lam, m), p)
+                checked += 1
+        p, r = verification_primes(arr, m)
+        poly = marked_chromatic_arrangement(arr, sp, m)
+        for prime in (p, r):
+            assert poly.eval(prime) == brute_force_arrangement_count(arr, sp, m, prime)
+    assert checked > 100
+
+
+def test_blow_up_arrangement_is_the_clan():
+    """The graphical arrangement of a blow-up is the clan of the graphical
+    arrangement at the same partition tuple: seeded simple hypergraphs with
+    special vertices, every m <= 2 and every partition tuple of it."""
+    rng = random.Random(61)
+    cases = 0
+    for _ in range(12):
+        n = rng.randint(2, 4)
+        edges: list[frozenset] = []
+        for _ in range(rng.randint(1, 3)):
+            e = frozenset(rng.sample(range(1, n + 1), rng.randint(2, n)))
+            if all(not (e <= f or f <= e) for f in edges):
+                edges.append(e)
+        sp = tuple(v for v in range(1, n + 1) if rng.random() < 0.5)
+        g = hypergraph(n, edges, special=sp)
+        arr = graphical_arrangement(g)
+        for m in itertools.product(range(3), repeat=n):
+            for lam in enumerate_partition_tuples(m, sp):
+                assert graphical_arrangement(blow_up(g, lam, m)) == clan_lambda(arr, lam, m)
+                cases += 1
+    assert cases > 500
 
 
 def _tuple_count(sp, m, p):
@@ -415,7 +458,7 @@ def test_oracles_keep_their_refusals(monkeypatch):
 
 _INTEGER_ENTRY_POINTS = {
     "rref": lambda v: rref([[v, 1]], 2),
-    "rank_mod_p": lambda v: rank_mod_p([[v, 1]], 2, 5),
+    "arrangement_dimension": lambda v: arrangement(v, []),
     "arrangement_forms": lambda v: arrangement(2, [[[v, 1]]]),
     "arrangement_special": lambda v: arrangement(2, [[[1, 1]]], [v]),
     "clan": lambda v: clan(PLANE, [v], (2, 1, 1)),
@@ -424,18 +467,26 @@ _INTEGER_ENTRY_POINTS = {
     "brute_force_arrangement_count": lambda v: brute_force_arrangement_count(
         PLANE, [v], (2, 1, 1), 5
     ),
+    "brute_force_arrangement_count_p": lambda v: brute_force_arrangement_count(
+        PLANE, (), (1, 1, 1), v
+    ),
+    "count_complement": lambda v: count_complement(PLANE, v),
 }
+# the int each entry takes; the refused values stand for the same number
+_GOOD_VALUE = {"brute_force_arrangement_count_p": 7, "count_complement": 5}
 
 
 @pytest.mark.parametrize("entry", sorted(_INTEGER_ENTRY_POINTS))
 def test_arrangement_inputs_must_be_integers(entry):
-    """Forms, special vertices and multiplicities are refused unless every
-    entry is an int: 1.5 is not read as 1, nor True as 1."""
+    """Dimensions, forms, special vertices, multiplicities and primes are
+    refused unless every entry is an int: 1.5 is not read as 1, nor True as
+    1, nor 5.0 as the prime 5."""
     call = _INTEGER_ENTRY_POINTS[entry]
-    for bad in (1.5, 1.0, True, "1", F(1)):
+    good = _GOOD_VALUE.get(entry, 1)
+    for bad in (good + 0.5, float(good), True, str(good), F(good)):
         with pytest.raises(ValueError, match="must be integers"):
             call(bad)
-    call(1)  # the same call with an int goes through
+    call(good)  # the same call with an int goes through
 
 
 def test_arrangement_json_round_trip():

@@ -10,7 +10,6 @@ import pytest
 import chromaplex.chromatic as chromatic_module
 from chromaplex.chromatic import (
     blow_up,
-    blow_up_vertex_labels,
     brute_force_count,
     chordal_marked_chromatic,
     chordal_multichromatic,
@@ -26,7 +25,6 @@ from chromaplex.chromatic import (
     marked_chromatic_poly,
     ordinary_chromatic_poly,
     partitions_of,
-    poly_from_binomial_coordinates,
 )
 from chromaplex.errors import BudgetError, VerificationError
 import chromaplex.hypergraph as hypergraph_module
@@ -39,6 +37,8 @@ from chromaplex.hypergraph import (
 from chromaplex.series import (
     Q,
     QPolynomial,
+    binomial_poly,
+    poly_from_binomial_coordinates,
     series_int_pow,
     series_one,
     shifted_binomial_poly,
@@ -170,7 +170,6 @@ def test_partition_blocks_and_duplication():
 def test_blow_up_structure():
     g = hypergraph(2, [(1, 2)])
     lam = ((1, 1), (1,))
-    assert blow_up_vertex_labels(lam) == [(1, 1), (1, 2), (2, 1)]
     b = blow_up(g, lam, (2, 1))
     assert b.n == 3
     assert b.edges == ((1, 2), (1, 3), (2, 3))
@@ -260,6 +259,27 @@ def test_closed_forms_refuse_non_integer_multiplicities():
         cycle_multichromatic((F(1), 1, 1))
     assert full_edge_closed_form((2, 1)) == Q * (Q - 1) * (Q - 2) / 2
     assert cycle_multichromatic((1, 1, 1)) == Q * (Q - 1) * (Q - 2)
+
+
+_COUNT_ENTRY_POINTS = {
+    "partitions_of": lambda v: list(partitions_of(v)),
+    "partitions_of_cap": lambda v: list(partitions_of(3, v)),
+    "count_Pk_mult": lambda v: count_Pk_mult(hypergraph(2, [(1, 2)]), (1, 1), v),
+    "binomial_poly": lambda v: binomial_poly(v),
+    "shifted_binomial_poly": lambda v: shifted_binomial_poly(v, 2),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_COUNT_ENTRY_POINTS))
+def test_counts_must_be_integers(entry):
+    """A part size, a block count k or a binomial index is refused unless it
+    is an int: 1.0 and True are not read as 1, even after the call with 1
+    has filled a cache."""
+    call = _COUNT_ENTRY_POINTS[entry]
+    call(1)
+    for bad in (1.5, 1.0, True, "1", F(1)):
+        with pytest.raises(ValueError, match="must be integers"):
+            call(bad)
 
 
 def test_cycle_formula():

@@ -140,6 +140,16 @@ def test_arrangement_markchrom(capsys):
     assert verified == out
 
 
+def test_arrangement_markchrom_verify_skips_bad_primes(capsys):
+    """The lines x1 + 2 x2 = 0 and x1 = 3 x2 coincide over F_5, where the
+    coloring count is not the polynomial's value; --verify passes over 5 and
+    checks at 7 and 11."""
+    lines = '{"n":2,"special":[],"subspaces":[{"forms":[[1,2]]},{"forms":[[1,-3]]}]}'
+    argv = ["arrangement", "markchrom", lines, "--m", "1,1"]
+    assert run(argv, capsys) == (0, "q^2 - 2*q + 1\n", "")
+    assert run(argv + ["--verify"], capsys) == (0, "q^2 - 2*q + 1\n", "")
+
+
 def test_arrangement_clan(capsys):
     code, out, _ = run(["arrangement", "clan", PLANE, "--m", "1,1,1"], capsys)
     assert code == 0

@@ -23,6 +23,7 @@ from chromaplex.hypergraph import (
     validate,
 )
 import chromaplex.hypergraph as hypergraph_module
+from chromaplex.scan import enumerate_simple_hypergraphs
 from chromaplex.series import TruncatedSeries
 
 F = Fraction
@@ -116,6 +117,26 @@ def test_enumerations_charge_their_window(monkeypatch):
     count_Pk_mult(loop, (15,), 2)
     with pytest.raises(BudgetError):
         count_Pk_mult(loop, (16,), 2)
+
+
+_SIZE_ENTRY_POINTS = {
+    "hypergraph": lambda v: hypergraph(v, []),
+    "hypergraph_edges": lambda v: hypergraph(v, [(1, 2)]),
+    "independence_system": lambda v: independence_system(v, [()]),
+    "enumerate_simple_hypergraphs": lambda v: list(enumerate_simple_hypergraphs(v)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_SIZE_ENTRY_POINTS))
+def test_sizes_must_be_integers(entry):
+    """A vertex count is refused unless it is an int: 2.0 and True are not
+    carried into the object built, where they would fail later or stand
+    for 2 and 1."""
+    call = _SIZE_ENTRY_POINTS[entry]
+    call(2)
+    for bad in (2.5, 2.0, True, "2", F(2)):
+        with pytest.raises(ValueError, match="must be integers"):
+            call(bad)
 
 
 def test_vectors_must_be_integers():

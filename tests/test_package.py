@@ -77,3 +77,16 @@ def test_bench_names_resolve(monkeypatch):
         value = getattr(importlib.import_module(f"chromaplex.{mod}"), fn)
         assert isinstance(value, functools._lru_cache_wrapper), cache
         assert value.__name__ == fn, cache
+
+
+def test_modules_import_no_private_sibling_names():
+    """No module imports an underscore name from another module of the
+    package: what one module shares with another is public."""
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").partition(".")[0] == "chromaplex"
+            ):
+                names = [alias.name for alias in node.names]
+                private = [name for name in names if name[:1] == "_" and name[-2:] != "__"]
+                assert private == [], (path.name, node.module, private)

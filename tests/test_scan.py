@@ -18,7 +18,7 @@ from chromaplex.scan import (
     report_header,
     verdict_to_json_line,
 )
-from chromaplex.series import TruncatedSeries, series_inverse
+from chromaplex.series import QPolynomial, TruncatedSeries, series_inverse
 
 
 def test_signed_series_single_edge():
@@ -129,20 +129,20 @@ def test_odd_edge_witness_gate_raises(monkeypatch):
 
 
 def test_negative_recheck_counts_blocks_once(monkeypatch):
-    """A negative coefficient is recounted from one block-count table, and a
-    recount that disagrees raises."""
+    """A negative coefficient is recounted once, from the marked chromatic
+    polynomial at q = -1, and a recount that disagrees raises."""
     calls = []
-    counts = scan_module._ordered_block_counts
+    poly = scan_module.marked_chromatic_poly
 
     def counting(g, m):
         calls.append(m)
-        return counts(g, m)
+        return poly(g, m)
 
-    monkeypatch.setattr(scan_module, "_ordered_block_counts", counting)
+    monkeypatch.setattr(scan_module, "marked_chromatic_poly", counting)
     res = inverse_nonneg_check(hypergraph(3, [(1, 2, 3)]), (2, 2, 2))
     assert not res.nonneg
     assert calls == [res.neg_at]
-    monkeypatch.setattr(scan_module, "_ordered_block_counts", lambda g, m: {1: 10**6})
+    monkeypatch.setattr(scan_module, "marked_chromatic_poly", lambda g, m: QPolynomial((10**6,)))
     with pytest.raises(VerificationError, match="block counting"):
         inverse_nonneg_check(hypergraph(3, [(1, 2, 3)]), (2, 2, 2))
 
