@@ -21,7 +21,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -220,7 +219,7 @@ def _poset_data(arr: Arrangement) -> tuple[PosetElement, ...]:
 @lru_cache(maxsize=512)
 def characteristic_polynomial(arr: Arrangement) -> QPolynomial:
     """chi(q) = sum over flats X of mobius(X) q^dim(X)."""
-    coeffs = [Fraction(0)] * (arr.n + 1)
+    coeffs = [0] * (arr.n + 1)
     for el in _poset_data(arr):
         coeffs[el.dim] += el.mobius
     return QPolynomial(tuple(coeffs))
@@ -363,15 +362,10 @@ def graphical_arrangement(g: Hypergraph) -> Arrangement:
     hypergraph so that edges have at least two vertices."""
     if not is_simple(g):
         raise ValueError("graphical arrangement needs a simple hypergraph")
-    members = []
-    for e in g.edges:
-        forms = []
-        for a, b in zip(e, e[1:]):
-            row = [0] * g.n
-            row[a - 1] = 1
-            row[b - 1] = -1
-            forms.append(row)
-        members.append(forms)
+    members = [
+        [[(v == a) - (v == b) for v in range(1, g.n + 1)] for a, b in zip(e, e[1:])]
+        for e in g.edges
+    ]
     return arrangement(g.n, members, g.special)
 
 

@@ -21,7 +21,7 @@ give the integer coordinates c_k of the polynomial sum_k c_k * binomial(q, k).
 Each route computes them for every m in a window at once, by one walk over
 block multisets or by one pass of series powers, and keeps that table per
 input in a small bounded cache.  A call at an m outside the window rebuilds
-the table at the componentwise max of the two.
+the table at a cube (M, ..., M) where the budget allows (see ``_coordinates``).
 """
 
 from __future__ import annotations
@@ -78,14 +78,8 @@ def brute_force_count(g: Hypergraph, m: Sequence[int], q: int) -> int:
     per_vertex: list[list[frozenset[int]]] = []
     total = 1
     for v in range(1, g.n + 1):
-        mult = m[v - 1]
-        if v in sp:
-            choices = [
-                frozenset(c)
-                for c in itertools.combinations_with_replacement(range(q), mult)
-            ]
-        else:
-            choices = [frozenset(c) for c in itertools.combinations(range(q), mult)]
+        pick = itertools.combinations_with_replacement if v in sp else itertools.combinations
+        choices = [frozenset(c) for c in pick(range(q), m[v - 1])]
         per_vertex.append(choices)
         total *= len(choices)
     charge(total, f"brute-force coloring enumeration of size {total}")
@@ -114,8 +108,9 @@ def brute_force_count(g: Hypergraph, m: Sequence[int], q: int) -> int:
 
 # A coefficient table holds one route's answer for one input at every m in a
 # window at once: it maps each m <= the window (its last key) to the binomial
-# coordinates (c_0, ..., c_|m|) of the polynomial at m.
-Table = dict[Vector, tuple[int, ...]]
+# coordinates (c_0, ..., c_|m|) of the polynomial at m, its cell.
+Cell = tuple[int, ...]
+Table = dict[Vector, Cell]
 
 
 def _block_table(g: Hypergraph, window: Vector) -> Table:
@@ -178,20 +173,33 @@ def _series_table(a: IndependenceSystem, special: tuple[int, ...], window: Vecto
     return {e: tuple(p[i] for p in powers[: sum(e) + 1]) for i, e in enumerate(w.exponents())}
 
 
-def _coordinates(table: Table, m: Vector, build: Callable[[Vector], Table]) -> tuple[int, ...]:
-    """The coordinates at m from ``table``.  A table that does not cover m
-    is rebuilt in place by ``build`` at the componentwise max of its window
-    and m, or at m alone when that max is over budget.  Every call charges
-    m's own window, hit or miss."""
-    charge(math.prod(v + 1 for v in m), f"coefficient table at m={m}")
+def _coordinates(table: Table, m: Vector, build: Callable[[Vector], Table], limit: int) -> Cell:
+    """The coordinates at m from ``table``.  A table that does not cover m is
+    rebuilt in place by ``build`` at the cube (M, ..., M), M the largest
+    exponent of its window and m, if that fits ``limit`` and has at most 2^n
+    times the cells of the join (the componentwise max of the two); else at
+    the join if that fits; else, and on an empty table, at m alone."""
     if m not in table:
-        window = tuple(map(max, next(reversed(table)), m)) if table else m
-        if math.prod(t + 1 for t in window) > budget_limit():
-            window = m
-        grown = build(window)
+        window = m
+        if table:
+            join = tuple(map(max, next(reversed(table)), m))
+            cells = math.prod(t + 1 for t in join)
+            if (max(join) + 1) ** len(m) <= min(limit, cells << len(m)):
+                window = (max(join),) * len(m)
+            elif cells <= limit:
+                window = join
         table.clear()
-        table.update(grown)
+        table.update(build(window))
     return table[m]
+
+
+def _charge_window(m: Vector) -> int:
+    """Charge m's own window before any cache is asked, and return the budget
+    the call's tables grow under: a call reads the budget once."""
+    limit, cells = budget_limit(), math.prod(v + 1 for v in m)
+    if cells > limit:
+        charge(cells, f"coefficient table at m={m}")
+    return limit
 
 
 # one table per input, grown in place as calls ask for more of it, in caches
@@ -207,8 +215,8 @@ def _series_tables(a: IndependenceSystem, special: tuple[int, ...]) -> Table:
     return {}
 
 
-def _block_cell(g: Hypergraph, m: Vector) -> tuple[int, ...]:
-    return _coordinates(_block_tables(g), m, lambda window: _block_table(g, window))
+def _block_cell(g: Hypergraph, m: Vector, limit: int) -> Cell:
+    return _coordinates(_block_tables(g), m, lambda window: _block_table(g, window), limit)
 
 
 def count_Pk_mult(g: Hypergraph, m: Sequence[int], k: int) -> int:
@@ -218,15 +226,15 @@ def count_Pk_mult(g: Hypergraph, m: Sequence[int], k: int) -> int:
     (k,) = int_tuple((k,), "k")
     if k < 0:
         raise ValueError("need k >= 0")
-    cell = _block_cell(g, m)
+    cell = _block_cell(g, m, _charge_window(m))
     return cell[k] if k < len(cell) else 0
 
 
 # bounded: a round of the ``coeffs`` benchmark workload keeps ~2,430
 # (hypergraph, m) pairs alive
 @lru_cache(maxsize=4096)
-def _partition_formula(g: Hypergraph, m: Vector) -> QPolynomial:
-    return poly_from_binomial_coordinates(_block_cell(g, m))
+def _partition_formula(g: Hypergraph, m: Vector, limit: int) -> QPolynomial:
+    return poly_from_binomial_coordinates(_block_cell(g, m, limit))
 
 
 def marked_chromatic_poly(g: Hypergraph, m: Sequence[int]) -> QPolynomial:
@@ -236,7 +244,8 @@ def marked_chromatic_poly(g: Hypergraph, m: Sequence[int]) -> QPolynomial:
     Edges and special flags outside the support of m do not change the
     count, since no block <= m reaches them; the table of g serves every m.
     """
-    return _partition_formula(g, check_multiplicities(g.n, m))
+    m = check_multiplicities(g.n, m)
+    return _partition_formula(g, m, _charge_window(m))
 
 
 def ordinary_chromatic_poly(g: Hypergraph) -> QPolynomial:
@@ -255,8 +264,9 @@ def coefficient_via_binomial(
     """
     m = check_multiplicities(a.n, m)
     sp = tuple(sorted(set(int_tuple(special, "special elements"))))
+    limit = _charge_window(m)
     cell = _coordinates(
-        _series_tables(a, sp), m, lambda window: _series_table(a, sp, window)
+        _series_tables(a, sp), m, lambda window: _series_table(a, sp, window), limit
     )
     return poly_from_binomial_coordinates(cell)
 

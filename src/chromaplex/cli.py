@@ -205,8 +205,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 
     g = hypergraph(4, [(1, 2, 3), (3, 4)], special=(1,))
     poly = marked_chromatic_poly(g, (2, 1, 1, 2))
-    q = Q
-    want = q * q * (q - 1) * (q - 1) * (q * q - 4) / 4
+    want = Q * Q * (Q - 1) * (Q - 1) * (Q * Q - 4) / 4
     check("worked example polynomial", poly == want)
     check(
         "worked example brute force",

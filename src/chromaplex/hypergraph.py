@@ -70,15 +70,11 @@ def hypergraph(
 
 def validate(g: Hypergraph) -> ShapeFlags:
     """Shape flags: simple (edges >= 2 and inclusion-free) and even sizes."""
-    simple = all(len(e) >= 2 for e in g.edges)
-    if simple:
-        sets = [frozenset(e) for e in g.edges]
-        for a, b in itertools.combinations(sets, 2):
-            if a <= b or b <= a:
-                simple = False
-                break
-    even = all(len(e) % 2 == 0 for e in g.edges)
-    return ShapeFlags(simple=simple, even=even)
+    sets = [frozenset(e) for e in g.edges]
+    simple = all(len(e) >= 2 for e in sets) and not any(
+        a <= b or b <= a for a, b in itertools.combinations(sets, 2)
+    )
+    return ShapeFlags(simple=simple, even=all(len(e) % 2 == 0 for e in sets))
 
 
 def is_simple(g: Hypergraph) -> bool:
@@ -94,7 +90,7 @@ def check_multiplicities(n: int, m: Sequence[int]) -> tuple[int, ...]:
     m = int_tuple(m, "multiplicities")
     if len(m) != n:
         raise ValueError(f"multiplicity vector has length {len(m)}, need {n}")
-    if any(v < 0 for v in m):
+    if min(m, default=0) < 0:
         raise ValueError(f"multiplicities must be >= 0, got {m}")
     return m
 

@@ -22,7 +22,6 @@ import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from multiprocessing import Pool
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -341,6 +340,7 @@ def scan_hypergraphs(
     if procs <= 1:
         results = map(_work, items)
     else:
+        from multiprocessing import Pool  # loaded only by a scan that starts processes
         pool = Pool(procs)
         results = pool.imap(_work, items, chunksize=16)
 

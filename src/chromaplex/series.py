@@ -24,10 +24,12 @@ Every result holds ``Fraction``s like every series.  The public constructor
 checks its input; series the package builds itself (results of the kernel,
 independence series) go through ``TruncatedSeries._trusted``, which does not.
 
-A ``QPolynomial`` is a dense univariate polynomial over ``Fraction`` in a
-single variable q, used for counting polynomials.  Coefficients are stored
-ascending with trailing zeros stripped, so equality of values is equality of
-representations.  ``poly_from_binomial_coordinates`` is the one conversion
+A ``QPolynomial`` is a dense univariate polynomial over Q in a single
+variable q, used for counting polynomials: integer numerators, ascending,
+over one positive denominator, in lowest terms and with trailing zeros
+stripped, so equality of values is equality of representations.  Arithmetic
+and ``eval`` run on ``int``s; ``Fraction``s are built only for the ``coeffs``
+view and for values.  ``poly_from_binomial_coordinates`` is the one conversion
 from integer coordinates in the basis binomial(q, k); every binomial
 polynomial in the package goes through it.
 """
@@ -52,12 +54,6 @@ DenseTerms = list[tuple[int, int, int | Fraction]]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def _as_fraction(value: int | str | Fraction) -> Fraction:
-    if isinstance(value, float):
-        raise ValueError("floating point coefficients are not accepted")
-    return Fraction(value)
 
 
 # ---------------------------------------------------------------------------
@@ -92,8 +88,9 @@ class TruncatedSeries:
                 raise ValueError(f"bad exponent {e!r} for n={self.n}")
             if any(v > t for v, t in zip(e, self.trunc)):
                 continue
-            c = _as_fraction(c)
-            if c != 0:
+            if isinstance(c, float):
+                raise ValueError("floating point coefficients are not accepted")
+            if c := Fraction(c):
                 clean[e] = c
         self.terms = clean
 
@@ -267,83 +264,100 @@ def series_to_json(a: TruncatedSeries) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+def _rational(value: int | Fraction, what: str) -> int | Fraction:
+    """value, refused unless an ``int`` or a ``Fraction`` by type (a bool is neither)."""
+    if type(value) is not int and type(value) is not Fraction:
+        raise ValueError(f"{what} must be integers or Fractions, got {value!r}")
+    return value
+
+
+@dataclass(frozen=True, init=False)
 class QPolynomial:
-    """Univariate polynomial over Fraction, ascending coefficients."""
+    """Univariate polynomial over Q, ascending: integer numerators ``num``
+    over one denominator ``den`` > 0, with no trailing zero and
+    gcd(den, *num) = 1.  ``QPolynomial(coeffs)`` takes ints and Fractions."""
 
-    coeffs: tuple[Fraction, ...] = ()
+    num: tuple[int, ...]
+    den: int
 
-    def __post_init__(self) -> None:
-        cs = [c if type(c) is Fraction else _as_fraction(c) for c in self.coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+    def __init__(self, coeffs: Iterable[int | Fraction] = ()) -> None:
+        cs = [_rational(c, "polynomial coefficients") for c in coeffs]
+        den = math.lcm(*(c.denominator for c in cs))
+        self._settle([c.numerator * (den // c.denominator) for c in cs], den)
+
+    @classmethod
+    def _of(cls, num: list[int], den: int) -> QPolynomial:
+        """The polynomial sum_i num[i] q^i / den, for ints and den != 0."""
+        self = object.__new__(cls)
+        self._settle(num, den)
+        return self
+
+    def _settle(self, num: list[int], den: int) -> None:
+        while num and not num[-1]:
+            num.pop()
+        g = math.gcd(den, *num) if den > 0 else -math.gcd(den, *num)
+        object.__setattr__(self, "num", tuple(v // g for v in num))
+        object.__setattr__(self, "den", den // g)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients, ascending, as ``Fraction``s."""
+        return tuple(Fraction(v, self.den) for v in self.num)
 
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     def eval(self, v: int | Fraction) -> Fraction:
-        """The value at v, by Horner's rule in integers: with v = x/y and
-        den the common denominator of the coefficients, the value is
-        sum_i (c_i * den) * x^i * y^(d-i) over den * y^d."""
-        v = _as_fraction(v)
+        """The value at v, by Horner's rule in integers: with v = x/y it is
+        sum_i num_i * x^i * y^(d-i) over den * y^d."""
+        v = _rational(v, "the point")
         x, y = v.numerator, v.denominator
-        den = math.lcm(*(c.denominator for c in self.coeffs))
         total = 0
         scale = 1  # y^(d-i)
-        for c in reversed(self.coeffs):
-            total = total * x + c.numerator * (den // c.denominator) * scale
+        for c in reversed(self.num):
+            total = total * x + c * scale
             scale *= y
-        return Fraction(total, den * y ** max(self.degree, 0))
+        return Fraction(total, self.den * y ** max(self.degree, 0))
 
     def __add__(self, other: QPolynomial | int | Fraction) -> QPolynomial:
         if not isinstance(other, QPolynomial):
             other = qpoly_const(other)
-        m = max(len(self.coeffs), len(other.coeffs))
-        return QPolynomial(
-            tuple(
-                (self.coeffs[i] if i < len(self.coeffs) else ZERO)
-                + (other.coeffs[i] if i < len(other.coeffs) else ZERO)
-                for i in range(m)
-            )
-        )
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        pairs = itertools.zip_longest(self.num, other.num, fillvalue=0)
+        return QPolynomial._of([x * a + y * b for x, y in pairs], den)
 
     def __neg__(self) -> QPolynomial:
-        return QPolynomial(tuple(-c for c in self.coeffs))
+        return QPolynomial._of([-v for v in self.num], self.den)
 
     def __sub__(self, other: QPolynomial | int | Fraction) -> QPolynomial:
-        if not isinstance(other, QPolynomial):
-            other = qpoly_const(other)
-        return self + (-other)
+        return self + qpoly_const(-1) * other
 
     def __mul__(self, other: QPolynomial | int | Fraction) -> QPolynomial:
         if not isinstance(other, QPolynomial):
-            c = _as_fraction(other)
-            return QPolynomial(tuple(v * c for v in self.coeffs))
-        if not self.coeffs or not other.coeffs:
-            return QPolynomial()
-        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return QPolynomial(tuple(out))
+            other = qpoly_const(other)
+        num = [0] * max(len(self.num) + len(other.num) - 1, 0)
+        for i, a in enumerate(self.num):
+            for j, b in enumerate(other.num):
+                num[i + j] += a * b
+        return QPolynomial._of(num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, c: int | Fraction) -> QPolynomial:
-        c = _as_fraction(c)
+        c = _rational(c, "scalars")
         if c == 0:
             raise ZeroDivisionError("division of polynomial by zero")
-        return QPolynomial(tuple(v / c for v in self.coeffs))
+        return QPolynomial._of([v * c.denominator for v in self.num], self.den * c.numerator)
 
 
-Q = QPolynomial((ZERO, ONE))
+Q = QPolynomial((0, 1))
 
 
 def qpoly_const(c: int | Fraction) -> QPolynomial:
-    return QPolynomial((_as_fraction(c),))
+    return QPolynomial((c,))
 
 
 def poly_from_binomial_coordinates(c: Sequence[int]) -> QPolynomial:
@@ -353,14 +367,18 @@ def poly_from_binomial_coordinates(c: Sequence[int]) -> QPolynomial:
     sum_k c_k * (d!/k!) * (q)_k, and the coefficient of q^j in the falling
     factorial (q)_k is the Stirling number s(k, j) of the first kind.  The
     numerators are found in integers by Horner's rule in the falling-factorial
-    basis, (q)_(k+1) = (q)_k * (q - k), and each output coefficient becomes
-    one ``Fraction``.
+    basis, (q)_(k+1) = (q)_k * (q - k), and they are the polynomial's, over
+    d!, once reduced by their gcd.
     """
+    return _binomial_sum(tuple(c))
+
+
+# bounded; cells recur across inputs: acceptance criterion 5 converts 441,456 cells, 560 distinct
+@lru_cache(maxsize=1024)
+def _binomial_sum(c: tuple[int, ...]) -> QPolynomial:
     d = len(c) - 1
     while d >= 0 and not c[d]:
         d -= 1
-    if d < 0:
-        return QPolynomial()
     acc: list[int] = []
     weight = 1  # d!/k!
     for k in range(d, -1, -1):
@@ -371,8 +389,7 @@ def poly_from_binomial_coordinates(c: Sequence[int]) -> QPolynomial:
         nxt[0] += c[k] * weight
         acc = nxt
         weight *= k
-    scale = math.factorial(d)
-    return QPolynomial(tuple(Fraction(v, scale) for v in acc))
+    return QPolynomial._of(acc, math.factorial(max(d, 0)))
 
 
 # typed, so that True is refused rather than answered from the entry of 1
@@ -398,18 +415,14 @@ def qpoly_interpolate(
     points: Iterable[tuple[int | Fraction, int | Fraction]],
 ) -> QPolynomial:
     """Exact Lagrange interpolation through the given (x, y) points."""
-    pts = [(_as_fraction(x), _as_fraction(y)) for x, y in points]
+    pts = [tuple(_rational(v, "interpolation points") for v in pt) for pt in points]
     xs = [x for x, _ in pts]
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation points must have distinct abscissae")
     total = QPolynomial()
     for i, (xi, yi) in enumerate(pts):
-        if yi == 0:
-            continue
         basis = qpoly_const(yi)
-        for j, (xj, _) in enumerate(pts):
-            if j == i:
-                continue
+        for xj in xs[:i] + xs[i + 1 :]:
             basis = basis * (Q - xj) / (xi - xj)
         total = total + basis
     return total
@@ -421,23 +434,11 @@ def qpoly_to_json(p: QPolynomial) -> dict:
 
 def qpoly_pretty(p: QPolynomial) -> str:
     """Human-readable form, descending powers: 'q^3 - 3/2*q + 1'."""
-    if not p.coeffs:
-        return "0"
-    parts: list[tuple[str, str]] = []
-    for k in range(len(p.coeffs) - 1, -1, -1):
-        c = p.coeffs[k]
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
-        if k == 0:
-            body = str(mag)
-        else:
+    terms = []
+    for k, c in reversed(list(enumerate(p.coeffs))):
+        if c:
             var = "q" if k == 1 else f"q^{k}"
-            body = var if mag == 1 else f"{mag}*{var}"
-        parts.append((sign, body))
-    first_sign, first_body = parts[0]
-    out = (first_sign if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
+            body = str(abs(c)) if k == 0 else var if abs(c) == 1 else f"{abs(c)}*{var}"
+            terms.append(("- " if c < 0 else "+ ") + body)
+    text = " ".join(terms)
+    return (text[2:] if text[0] == "+" else "-" + text[2:]) if text else "0"

@@ -281,3 +281,56 @@ def naive_arrangement_count(arr: Arrangement, special, m, p: int) -> int:
         return total
 
     return descend(0, tuple({(0,) * codim} for _, _, codim in plans))
+
+
+class FractionPoly:
+    """Oracle for ``QPolynomial``: the polynomial as a tuple of ``Fraction``
+    coefficients, ascending, trailing zeros stripped, with the schoolbook
+    arithmetic that ``QPolynomial`` carried before it kept integer
+    numerators over one denominator."""
+
+    def __init__(self, coeffs=()):
+        cs = [Fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    def __eq__(self, other):
+        return self.coeffs == tuple(other.coeffs)
+
+    def _coeff(self, i):
+        return self.coeffs[i] if i < len(self.coeffs) else Fraction(0)
+
+    def __add__(self, other):
+        size = max(len(self.coeffs), len(other.coeffs))
+        return FractionPoly(self._coeff(i) + other._coeff(i) for i in range(size))
+
+    def __sub__(self, other):
+        return self + other * -1
+
+    def __mul__(self, other):
+        if not isinstance(other, FractionPoly):
+            return FractionPoly(c * other for c in self.coeffs)
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs))
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return FractionPoly(out)
+
+    def __truediv__(self, c):
+        return FractionPoly(v / c for v in self.coeffs)
+
+    def eval(self, v):
+        return sum((c * Fraction(v) ** i for i, c in enumerate(self.coeffs)), Fraction(0))
+
+    @staticmethod
+    def from_binomial_coordinates(c):
+        """sum_k c_k * binomial(q, k), each binomial(q, k) built as the
+        product of (q - j) / (j + 1) over j < k."""
+        total = FractionPoly()
+        for k, ck in enumerate(c):
+            term = FractionPoly((ck,))
+            for j in range(k):
+                term = term * FractionPoly((-j, 1)) / (j + 1)
+            total = total + term
+        return total

@@ -380,11 +380,8 @@ def test_block_table_matches_ordered_oracle():
             assert cell == tuple(count_Pk_ordered_debug(g, m, k) for k in range(sum(m) + 1))
 
 
-def test_tables_answer_every_order(monkeypatch):
-    """Over all m <= (2,...,2) in lex, reverse and shuffled order, both
-    routes agree with the ordered-block oracle and with a call made on
-    cleared caches, and each route rebuilds its table only at a window
-    strictly above the last one."""
+def record_builds(monkeypatch) -> list[tuple[str, tuple]]:
+    """(builder name, window) for each table either route builds from now on."""
     builds: list[tuple[str, tuple]] = []
     for name in ("_block_table", "_series_table"):
         build = getattr(chromatic_module, name)
@@ -394,6 +391,16 @@ def test_tables_answer_every_order(monkeypatch):
             return build(*args)
 
         monkeypatch.setattr(chromatic_module, name, recording)
+    return builds
+
+
+def test_tables_answer_every_order(monkeypatch):
+    """Over all m <= (2,...,2) in lex, reverse and shuffled order, both
+    routes agree with the ordered-block oracle and with a call made on
+    cleared caches, and each route rebuilds its table only at a window
+    strictly above the last one.  In lex order the growth to a cube builds
+    each table at most 3 times: at (0,...,0), (1,...,1) and (2,...,2)."""
+    builds = record_builds(monkeypatch)
     rng = random.Random(77)
     families = {n: list(downward_closed_families(n)) for n in (2, 3, 4)}
     with warnings.catch_warnings():
@@ -427,6 +434,50 @@ def test_tables_answer_every_order(monkeypatch):
                     for low, high in zip(windows, windows[1:]):
                         assert low != high and all(map(operator.le, low, high)), windows
                     assert windows[-1] == (2,) * n
+                    if order is ms:
+                        assert len(windows) <= 3, windows
+
+
+def test_table_growth_skips_a_far_larger_cube(monkeypatch):
+    """After a table at (10,0,0,0,0,0), a call at (0,1,0,0,0,0) grows it to
+    the join (10,1,0,0,0,0): the cube (10,...,10) fits the budget but has
+    more than 2^6 times the join's 22 cells."""
+    builds = record_builds(monkeypatch)
+    clear_tables()
+    a = independence_system(6, [(), (1,), (2,), (3,), (1, 2)])
+    g = hypergraph_from_system(a, (1,))
+    with warnings.catch_warnings():
+        # ground elements 4..6 are in no member
+        warnings.simplefilter("ignore", UserWarning)
+        for m in ((10, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (10, 1, 0, 0, 0, 0)):
+            want = poly_from_binomial_coordinates(
+                [count_Pk_ordered_debug(g, m, k) for k in range(sum(m) + 1)]
+            )
+            assert marked_chromatic_poly(g, m) == coefficient_via_binomial(a, (1,), m) == want
+    for name in ("_block_table", "_series_table"):
+        windows = [w for who, w in builds if who == name]
+        assert windows == [(10, 0, 0, 0, 0, 0), (10, 1, 0, 0, 0, 0)], windows
+
+
+def test_refusal_ignores_cache_state(monkeypatch):
+    """A call whose own window is over budget is refused even when an
+    earlier call under a larger budget left its answer in every cache."""
+    clear_tables()
+    g = hypergraph(2, [(1, 2)], special=(1, 2))
+    a = independence_system(2, [(), (1,), (2,)])
+    for m in itertools.product(range(5), repeat=2):
+        marked_chromatic_poly(g, m)
+        coefficient_via_binomial(a, (1, 2), m)
+        count_Pk_mult(g, m, 1)
+    monkeypatch.setenv("CHROMAPLEX_BUDGET", "4")
+    for call in (
+        lambda: marked_chromatic_poly(g, (4, 4)),
+        lambda: coefficient_via_binomial(a, (1, 2), (4, 4)),
+        lambda: count_Pk_mult(g, (4, 4), 1),
+    ):
+        with pytest.raises(BudgetError):
+            call()
+    assert marked_chromatic_poly(g, (3, 3)) == coefficient_via_binomial(a, (1, 2), (3, 3))
 
 
 def test_series_table_gates_every_build(monkeypatch):

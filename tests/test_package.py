@@ -5,6 +5,8 @@ only the standard library, and no check in them is an ``assert`` (which
 import ast
 import functools
 import importlib
+import os
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -90,3 +92,15 @@ def test_modules_import_no_private_sibling_names():
                 names = [alias.name for alias in node.names]
                 private = [name for name in names if name[:1] == "_" and name[-2:] != "__"]
                 assert private == [], (path.name, node.module, private)
+
+
+def test_cli_import_loads_no_multiprocessing():
+    """Only a scan that starts worker processes needs ``multiprocessing``;
+    every command pays for what ``import chromaplex.cli`` loads."""
+    src = str(Path(chromaplex.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = "import sys, chromaplex.cli; print('multiprocessing' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (out.returncode, out.stdout.strip()) == (0, "False"), out.stderr

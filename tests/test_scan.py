@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import multiprocessing
 from fractions import Fraction
 
 import pytest
@@ -350,7 +351,8 @@ def test_scan_pool_is_bounded(monkeypatch):
         def join(self):
             pass
 
-    monkeypatch.setattr(scan_module, "Pool", FakePool)
+    # scan imports Pool from multiprocessing where it starts the pool
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     serial = scan_hypergraphs(3)
     assert serial.total == 8
     # (cores, workers, pool sizes started)

@@ -1,12 +1,14 @@
+import copy
 import itertools
 import json
 import math
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
 
 import pytest
-from helpers import series_mul_sparse, series_pow_sparse
+from helpers import FractionPoly, series_mul_sparse, series_pow_sparse
 
 from chromaplex.errors import BudgetError
 from chromaplex.series import (
@@ -16,6 +18,8 @@ from chromaplex.series import (
     TruncatedSeries,
     binomial_poly,
     fraction_to_str,
+    poly_from_binomial_coordinates,
+    qpoly_const,
     qpoly_interpolate,
     qpoly_pretty,
     qpoly_to_json,
@@ -249,3 +253,90 @@ def test_qpoly_json_and_pretty():
     assert qpoly_pretty(QPolynomial()) == "0"
     assert qpoly_pretty(QPolynomial((F(1),))) == "1"
     assert qpoly_pretty(Q * Q - 2 * Q + 1) == "q^2 - 2*q + 1"
+
+
+def _random_rational(rng):
+    """An int or a Fraction with one of a few denominators, so that sums and
+    products mix denominators."""
+    den = rng.choice([1, 1, 2, 3, 4, 6, 9, 35])
+    value = rng.randint(-40, 40)
+    return value if den == 1 else F(value, den)
+
+
+def test_qpolynomial_matches_fraction_oracle():
+    """Integer numerators over one denominator against the Fraction-tuple
+    arithmetic: +, -, *, / and eval on seeded polynomials with mixed
+    denominators, and the binomial-coordinate conversion."""
+    rng = random.Random(1212)
+    for _ in range(300):
+        a_cs = [_random_rational(rng) for _ in range(rng.randint(0, 6))]
+        b_cs = [_random_rational(rng) for _ in range(rng.randint(0, 6))]
+        a, b = QPolynomial(a_cs), QPolynomial(b_cs)
+        fa, fb = FractionPoly(a_cs), FractionPoly(b_cs)
+        c = _random_rational(rng) or 1
+        assert fa == a and fb == b
+        assert fa + fb == a + b
+        assert fa - fb == a - b
+        assert fa * fb == a * b
+        assert fa * c == a * c == c * a
+        assert fa / c == a / c
+        for v in (0, 1, -2, 5, F(1, 3), F(-7, 4)):
+            assert a.eval(v) == fa.eval(v)
+            assert type(a.eval(v)) is Fraction
+        coords = [rng.randint(-60, 60) for _ in range(rng.randint(0, 9))]
+        coords += [0] * rng.randint(0, 2)
+        assert poly_from_binomial_coordinates(coords) == FractionPoly.from_binomial_coordinates(
+            coords
+        )
+
+
+def test_qpolynomial_representation_invariants():
+    """den > 0, lowest terms, no trailing zero numerator; equal values built
+    from ints or from Fractions have equal fields and hashes; pickle and
+    copy keep the value."""
+    rng = random.Random(34)
+    polys = [QPolynomial(), Q, Q / -6, (Q * 2 - 4) / F(-2, 3), QPolynomial((F(4, 6), 0, 0))]
+    for _ in range(100):
+        polys.append(QPolynomial([_random_rational(rng) for _ in range(rng.randint(0, 6))]))
+        polys.append(poly_from_binomial_coordinates([rng.randint(-9, 9) for _ in range(7)]))
+    for p in polys:
+        assert p.den > 0
+        assert math.gcd(p.den, *p.num) == 1
+        assert not p.num or p.num[-1] != 0
+        assert all(type(v) is int for v in (p.den, *p.num))
+        assert all(type(c) is Fraction for c in p.coeffs)
+        assert QPolynomial(p.coeffs) == p
+        for clone in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+            assert clone == p and hash(clone) == hash(p) and clone.coeffs == p.coeffs
+    ints, fractions = QPolynomial((2, -3, 0, 1)), QPolynomial((F(4, 2), F(-3), F(0), F(5, 5)))
+    assert ints == fractions and hash(ints) == hash(fractions)
+    assert (ints.num, ints.den) == (fractions.num, fractions.den) == ((2, -3, 0, 1), 1)
+    half = QPolynomial((F(1, 2), F(-3, 4)))
+    assert (half.num, half.den) == ((2, -3), 4)
+    assert len({QPolynomial((F(1, 2),)), qpoly_const(F(2, 4)), Q / 2 - Q / 2 + F(1, 2)}) == 1
+
+
+_BAD_SCALARS = (True, False, 0.5, 1.0, "1")
+_SCALAR_ENTRIES = {
+    "constructor": lambda v: QPolynomial((1, v)),
+    "qpoly_const": qpoly_const,
+    "eval": lambda v: QPolynomial((1, 2)).eval(v),
+    "mul": lambda v: QPolynomial((1, 2)) * v,
+    "rmul": lambda v: v * QPolynomial((1, 2)),
+    "add": lambda v: Q + v,
+    "sub": lambda v: Q - v,
+    "truediv": lambda v: Q / v,
+    "interpolate": lambda v: qpoly_interpolate([(0, 1), (v, 2)]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_SCALAR_ENTRIES))
+def test_qpolynomial_takes_only_ints_and_fractions(entry):
+    """A bool is not read as 0 or 1, nor 0.5 or "1" as a number: every
+    entry point of QPolynomial refuses them, and takes ints and Fractions."""
+    call = _SCALAR_ENTRIES[entry]
+    for bad in _BAD_SCALARS:
+        with pytest.raises(ValueError, match="must be integers or Fractions"):
+            call(bad)
+    call(2)
+    call(F(3, 2))
