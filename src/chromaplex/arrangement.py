@@ -26,8 +26,16 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .budget import charge
 from .chromatic import PartitionTuple, copy_columns, partition_tuple_sum, support
-from .errors import BadPrimeError, VerificationError, int_tuple, json_int, json_ints, malformed
-from .hypergraph import Hypergraph, check_multiplicities, is_simple
+from .errors import (
+    BadPrimeError,
+    VerificationError,
+    int_tuple,
+    malformed,
+    natural,
+    vector,
+    vertex_set,
+)
+from .hypergraph import Hypergraph, is_simple
 from .series import QPolynomial
 
 Row = tuple[int, ...]
@@ -157,15 +165,11 @@ def arrangement(
 ) -> Arrangement:
     """Build an arrangement in R^n; members are deduplicated by their
     canonical forms and sorted deterministically."""
-    (n,) = int_tuple((n,), "dimension")
-    if n < 0:
-        raise ValueError("need n >= 0")
+    n = natural(n, "dimension")
     members = {subspace(forms, n) for forms in subspace_forms}
-    sp = sorted(set(int_tuple(special, "special indices")))
-    if any(v < 1 or v > n for v in sp):
-        raise ValueError(f"special indices {sp} outside 1..{n}")
+    sp = vertex_set(special, n, "special indices")
     ordered = tuple(sorted(members, key=lambda s: (s.codim, s.forms)))
-    return Arrangement(n, ordered, tuple(sp))
+    return Arrangement(n, ordered, sp)
 
 
 class PosetElement(NamedTuple):
@@ -397,19 +401,16 @@ def _clan_core(arr: Arrangement, counts: Sequence[int], distinct_at: Iterable[in
 def clan(arr: Arrangement, special: Iterable[int], m: Sequence[int]) -> Arrangement:
     """The marked clan: m_i coordinate copies per vertex in supp(m),
     distinctness hyperplanes only at special vertices."""
-    m = check_multiplicities(arr.n, m)
-    sp = sorted(set(int_tuple(special, "special indices")))
-    if any(v < 1 or v > arr.n for v in sp):
-        raise ValueError(f"special indices {sp} outside 1..{arr.n}")
-    return _clan_core(arr, m, sp)
+    m = vector(m, arr.n, "multiplicities")
+    return _clan_core(arr, m, vertex_set(special, arr.n, "special indices"))
 
 
 def clan_lambda(arr: Arrangement, lam: PartitionTuple, m: Sequence[int]) -> Arrangement:
     """The blow-up clan at a partition tuple: one coordinate per block of
     lambda_i, distinctness hyperplanes at every supported vertex."""
-    m = int_tuple(m, "multiplicities")
-    if len(lam) != arr.n or len(m) != arr.n:
-        raise ValueError("partition tuple and multiplicities must have length n")
+    m = vector(m, arr.n, "multiplicities")
+    if len(lam) != arr.n:
+        raise ValueError("partition tuple must have length n")
     for i, part in enumerate(lam, start=1):
         if sum(part) != m[i - 1] or any(p < 1 for p in part):
             raise ValueError(f"lambda_{i}={part} is not a partition of {m[i - 1]}")
@@ -422,8 +423,8 @@ def marked_chromatic_arrangement(
     """The marked chromatic polynomial of an arrangement: sum over partition
     tuples of the blow-up clan's characteristic polynomial, each divided by
     the duplication factor of its partitions."""
-    m = check_multiplicities(arr.n, m)
-    sp = sorted(set(int_tuple(special, "special indices")))
+    m = vector(m, arr.n, "multiplicities")
+    sp = vertex_set(special, arr.n, "special indices")
     if not set(sp) <= set(support(m)):
         raise ValueError(f"special set {sp} must lie inside the support {support(m)} of m")
     return partition_tuple_sum(
@@ -442,7 +443,7 @@ def verification_primes(arr: Arrangement, m: Sequence[int]) -> tuple[int, int]:
     the sum is its restriction to an intersection of its own distinctness
     hyperplanes, so a prime that keeps the rank of each set of its rows
     keeps that of each set of theirs."""
-    m = check_multiplicities(arr.n, m)
+    m = vector(m, arr.n, "multiplicities")
     finest = clan_lambda(arr, tuple((1,) * v for v in m), m)
     primes: list[int] = []
     p = 5
@@ -466,12 +467,12 @@ def brute_force_arrangement_count(
     one-color-per-vertex solution drawn from the collections.  Counted level by
     level in F_p alone (no elimination over Q, no poset); charged as the
     number of collection tuples, though far fewer states are met."""
-    m = check_multiplicities(arr.n, m)
+    m = vector(m, arr.n, "multiplicities")
     _check_prime(p)
-    sp = set(int_tuple(special, "special indices"))
+    sp = vertex_set(special, arr.n, "special indices")
     supp = support(m)
-    if not sp <= set(supp):
-        raise ValueError(f"special set {sorted(sp)} must lie inside supp(m)={supp}")
+    if not set(sp) <= set(supp):
+        raise ValueError(f"special set {sp} must lie inside supp(m)={supp}")
     lows = {v: 1 if v in sp else m[v - 1] for v in supp}
     sets = (sum(math.comb(p, k) for k in range(lows[v], m[v - 1] + 1)) for v in supp)
     charge(math.prod(max(c, 1) for c in sets), "arrangement coloring enumeration")
@@ -493,5 +494,5 @@ def arrangement_to_json(arr: Arrangement) -> dict:
 
 def arrangement_from_json(obj: Mapping) -> Arrangement:
     with malformed("arrangement"):
-        members = [[json_ints(form) for form in item["forms"]] for item in obj["subspaces"]]
-        return arrangement(json_int(obj["n"]), members, json_ints(obj.get("special", [])))
+        members = [item["forms"] for item in obj["subspaces"]]
+        return arrangement(obj["n"], members, obj.get("special", []))

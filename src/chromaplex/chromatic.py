@@ -35,11 +35,10 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .budget import budget_limit, charge
-from .errors import VerificationError, int_tuple
+from .errors import VerificationError, int_tuple, natural, vector, vertex_set
 from .hypergraph import (
     Hypergraph,
     IndependenceSystem,
-    check_multiplicities,
     hypergraph,
     marked_independent_vectors,
     system_series,
@@ -70,10 +69,8 @@ def support(m: Sequence[int]) -> tuple[int, ...]:
 
 def brute_force_count(g: Hypergraph, m: Sequence[int], q: int) -> int:
     """Count marked colorings with q colors by direct enumeration."""
-    m = check_multiplicities(g.n, m)
-    (q,) = int_tuple((q,), "q")
-    if q < 0:
-        raise ValueError("q must be a nonnegative integer")
+    m = vector(m, g.n, "multiplicities")
+    q = natural(q, "q")
     sp = set(g.special)
     per_vertex: list[list[frozenset[int]]] = []
     total = 1
@@ -138,14 +135,16 @@ def _block_table(g: Hypergraph, window: Vector) -> Table:
 
     def walk(fits: list[tuple[int, int]], pos: int, room: int, k: int, denom: int) -> None:
         # fits: the blocks later in the order that fit room, the packed
-        # window minus the packed sum at pos with every guard set
+        # window minus the packed sum at pos with every guard set; room only
+        # shrinks as j grows, so each repeat filters the previous ``later``
         for bi, (pb, ib) in enumerate(fits):
             p, r, j, d = pos, room, 0, denom
+            later = fits[bi + 1 :]
             while (r - pb) & guards == guards:
                 p, r, j = p + ib, r - pb, j + 1
                 d *= j
                 cells[p][k + j] += factorial[k + j] // d
-                later = [b for b in fits[bi + 1 :] if (r - b[0]) & guards == guards]
+                later = [b for b in later if (r - b[0]) & guards == guards]
                 if later:
                     walk(later, p, r, k + j, d)
 
@@ -222,10 +221,8 @@ def _block_cell(g: Hypergraph, m: Vector, limit: int) -> Cell:
 def count_Pk_mult(g: Hypergraph, m: Sequence[int], k: int) -> int:
     """Number of ordered k-tuples of nonempty marked-independent blocks
     summing to m, read from the block table of g."""
-    m = check_multiplicities(g.n, m)
-    (k,) = int_tuple((k,), "k")
-    if k < 0:
-        raise ValueError("need k >= 0")
+    m = vector(m, g.n, "multiplicities")
+    k = natural(k, "k")
     cell = _block_cell(g, m, _charge_window(m))
     return cell[k] if k < len(cell) else 0
 
@@ -244,7 +241,7 @@ def marked_chromatic_poly(g: Hypergraph, m: Sequence[int]) -> QPolynomial:
     Edges and special flags outside the support of m do not change the
     count, since no block <= m reaches them; the table of g serves every m.
     """
-    m = check_multiplicities(g.n, m)
+    m = vector(m, g.n, "multiplicities")
     return _partition_formula(g, m, _charge_window(m))
 
 
@@ -262,8 +259,8 @@ def coefficient_via_binomial(
     the series table of (A, S).  Independent of the block-partition
     machinery.
     """
-    m = check_multiplicities(a.n, m)
-    sp = tuple(sorted(set(int_tuple(special, "special elements"))))
+    m = vector(m, a.n, "multiplicities")
+    sp = vertex_set(special, a.n, "special elements")
     limit = _charge_window(m)
     cell = _coordinates(
         _series_tables(a, sp), m, lambda window: _series_table(a, sp, window), limit
@@ -278,9 +275,8 @@ def coefficient_via_binomial(
 
 def partitions_of(k: int, cap: int | None = None) -> Iterator[Partition]:
     """Integer partitions of k, parts descending, reverse-lex order."""
-    int_tuple((k,) if cap is None else (k, cap), "partition sizes")
-    if k < 0:
-        raise ValueError("need k >= 0")
+    natural(k, "partition sizes")
+    int_tuple(() if cap is None else (cap,), "partition sizes")
     if k == 0:
         yield ()
         return
@@ -338,7 +334,7 @@ def blow_up(g: Hypergraph, lam: PartitionTuple, m: Sequence[int]) -> Hypergraph:
 
     Edges touching a vertex with m_i = 0 disappear (no choice exists there).
     """
-    m = check_multiplicities(g.n, m)
+    m = vector(m, g.n, "multiplicities")
     if len(lam) != g.n:
         raise ValueError("partition tuple length must equal vertex count")
     sp = set(g.special)
@@ -363,7 +359,7 @@ def chromatic_via_blowup(g: Hypergraph, m: Sequence[int]) -> QPolynomial:
     """The marked chromatic polynomial as a sum over partition tuples of
     ordinary chromatic polynomials of blow-ups, each divided by its
     duplication factor."""
-    m = check_multiplicities(g.n, m)
+    m = vector(m, g.n, "multiplicities")
     return partition_tuple_sum(
         m, g.special, lambda lam: ordinary_chromatic_poly(blow_up(g, lam, m))
     )
@@ -381,9 +377,8 @@ def full_edge_closed_form(m: Sequence[int]) -> QPolynomial:
 
     Inclusion-exclusion over the set of colors shared by all vertices.
     """
-    m = int_tuple(m, "multiplicities")
-    if any(v < 0 for v in m):
-        raise ValueError("multiplicities must be >= 0")
+    m = tuple(m)
+    m = vector(m, len(m), "multiplicities")
     kmax = min(m) if m else 0
     total = QPolynomial()
     for k in range(kmax + 1):
@@ -436,7 +431,7 @@ def chordal_multichromatic(g: Hypergraph, m: Sequence[int]) -> QPolynomial:
     """Closed form for chordal graphs without special vertices: color along a
     perfect elimination ordering; each vertex sees its earlier neighbors'
     colors as one forbidden block because they form a clique."""
-    m = check_multiplicities(g.n, m)
+    m = vector(m, g.n, "multiplicities")
     if g.special:
         raise ValueError("chordal_multichromatic requires no special vertices")
     # with no special vertex every partition is all ones, so the marked form
@@ -449,7 +444,7 @@ def chordal_marked_chromatic(g: Hypergraph, m: Sequence[int]) -> QPolynomial:
     """Closed form for chordal graphs with special vertices: sum over
     partition tuples; vertex j contributes l_j! * binomial(q - b_j, l_j)
     ordered block choices, b_j counting earlier neighbors' blocks."""
-    m = check_multiplicities(g.n, m)
+    m = vector(m, g.n, "multiplicities")
     order = find_peo(g)
     if order is None:
         raise ValueError("graph is not chordal")

@@ -45,7 +45,6 @@ from .scan import inverse_nonneg_check, odd_edge_witness, scan_hypergraphs
 from .series import (
     Q,
     QPolynomial,
-    fraction_to_str,
     qpoly_pretty,
     qpoly_to_json,
     series_int_pow,
@@ -86,11 +85,11 @@ def _poly_output(p: QPolynomial, fmt: str, at: int | None) -> str:
     if fmt == "json":
         obj = {"poly": qpoly_to_json(p), "pretty": qpoly_pretty(p)}
         if at is not None:
-            obj["at"] = {"q": at, "value": fraction_to_str(p.eval(at))}
+            obj["at"] = {"q": at, "value": str(p.eval(at))}
         return _dump(obj)
     lines = [qpoly_pretty(p)]
     if at is not None:
-        lines.append(f"value at q={at}: {fraction_to_str(p.eval(at))}")
+        lines.append(f"value at q={at}: {p.eval(at)}")
     return "\n".join(lines)
 
 
@@ -116,7 +115,7 @@ def _cmd_chrom(args: argparse.Namespace) -> int:
             if expect != got:
                 sys.stderr.write(
                     f"verification mismatch at q={q}: polynomial gives "
-                    f"{fraction_to_str(expect)}, brute force counts {got}\n"
+                    f"{expect}, brute force counts {got}\n"
                 )
                 return 3
     return 0
@@ -157,7 +156,7 @@ def _cmd_arrangement(args: argparse.Namespace) -> int:
             if expect != got:
                 sys.stderr.write(
                     f"verification mismatch at p={p}: polynomial gives "
-                    f"{fraction_to_str(expect)}, enumeration counts {got}\n"
+                    f"{expect}, enumeration counts {got}\n"
                 )
                 return 3
     return 0

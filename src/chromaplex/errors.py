@@ -4,6 +4,10 @@
 ``BudgetError`` marks a refused computation whose enumeration size exceeds
 the configured budget.  ``VerificationError`` marks a cross-check mismatch
 between two routes that must agree exactly.
+
+The input contract lives here too: every size, vector and vertex set that a
+public entry point takes goes through ``natural``, ``vector`` or
+``vertex_set``, and no other module words a refusal of its own for them.
 """
 
 from __future__ import annotations
@@ -27,11 +31,12 @@ class BadPrimeError(ValueError):
 
 @contextmanager
 def malformed(what: str) -> Iterator[None]:
-    """Report a KeyError or TypeError raised while reading a JSON object and
-    building the ``what`` from it as malformed input (a ValueError)."""
+    """Report a KeyError, TypeError or ValueError raised while reading a JSON
+    object and building the ``what`` from it as malformed input (a
+    ValueError)."""
     try:
         yield
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed {what} object: {exc}") from exc
 
 
@@ -45,14 +50,27 @@ def int_tuple(values: Iterable[object], what: str) -> tuple[int, ...]:
     return values
 
 
-def json_int(value: object) -> int:
-    """A JSON integer: an ``int`` that is not a ``bool``.  Anything else (a
-    float, a string, ``true``) raises TypeError, which ``malformed`` reports."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"expected an integer, got {value!r}")
+def natural(value: object, what: str) -> int:
+    """value, refused unless an ``int`` >= 0: a size or a count."""
+    (value,) = int_tuple((value,), what)
+    if value < 0:
+        raise ValueError(f"{what} must be >= 0, got {value}")
     return value
 
 
-def json_ints(values: Iterable[object]) -> list[int]:
-    """A JSON list of integers (see ``json_int``)."""
-    return [json_int(v) for v in values]
+def vector(values: Iterable[object], n: int, what: str) -> tuple[int, ...]:
+    """values as a tuple, refused unless n ``int``s >= 0: a multiplicity
+    vector, a truncation window or an exponent on n variables."""
+    values = int_tuple(values, what)
+    if len(values) != n or min(values, default=0) < 0:
+        raise ValueError(f"bad {what} {values}: need {n} entries, each >= 0")
+    return values
+
+
+def vertex_set(values: Iterable[object], n: int, what: str) -> tuple[int, ...]:
+    """values as a sorted tuple of distinct ``int``s, refused unless each
+    lies in 1..n."""
+    out = sorted(set(int_tuple(values, what)))
+    if out and (out[0] < 1 or out[-1] > n):
+        raise ValueError(f"{what} {tuple(out)} outside 1..{n}")
+    return tuple(out)

@@ -20,19 +20,14 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .budget import charge
-from .errors import VerificationError, int_tuple, json_int, json_ints, malformed
+from .errors import VerificationError, malformed, natural, vector, vertex_set
 from .series import ONE, TruncatedSeries
 
 Edge = tuple[int, ...]
 
 
 def _canon_vertex_sets(n: int, sets: Iterable[Iterable[int]], what: str) -> tuple[Edge, ...]:
-    out: set[Edge] = set()
-    for raw in sets:
-        members = sorted(set(int_tuple(raw, f"{what} vertices")))
-        if any(v < 1 or v > n for v in members):
-            raise ValueError(f"{what} {tuple(raw)} has vertices outside 1..{n}")
-        out.add(tuple(members))
+    out = {vertex_set(raw, n, f"{what} vertices") for raw in sets}
     return tuple(sorted(out, key=lambda e: (len(e), e)))
 
 
@@ -56,16 +51,11 @@ def hypergraph(
     Edges of size 1 are accepted; the empty edge is rejected (it would make
     every coloring count zero by fiat rather than by arithmetic).
     """
-    (n,) = int_tuple((n,), "vertex count")
-    if n < 0:
-        raise ValueError("need n >= 0")
+    n = natural(n, "vertex count")
     canon = _canon_vertex_sets(n, edges, "edge")
     if any(len(e) == 0 for e in canon):
         raise ValueError("empty edges are not allowed")
-    sp = sorted(set(int_tuple(special, "special vertices")))
-    if any(v < 1 or v > n for v in sp):
-        raise ValueError(f"special vertices {sp} outside 1..{n}")
-    return Hypergraph(n, canon, tuple(sp))
+    return Hypergraph(n, canon, vertex_set(special, n, "special vertices"))
 
 
 def validate(g: Hypergraph) -> ShapeFlags:
@@ -83,26 +73,6 @@ def is_simple(g: Hypergraph) -> bool:
 
 def is_even(g: Hypergraph) -> bool:
     return validate(g).even
-
-
-def check_multiplicities(n: int, m: Sequence[int]) -> tuple[int, ...]:
-    """m as a tuple of ints, refused unless it has length n and no negative entry."""
-    m = int_tuple(m, "multiplicities")
-    if len(m) != n:
-        raise ValueError(f"multiplicity vector has length {len(m)}, need {n}")
-    if min(m, default=0) < 0:
-        raise ValueError(f"multiplicities must be >= 0, got {m}")
-    return m
-
-
-def _check_trunc(n: int, trunc: Sequence[int], what: str) -> tuple[int, ...]:
-    """trunc as a tuple of ints, refused unless it has length n and no negative bound."""
-    trunc = int_tuple(trunc, "truncation bounds")
-    if len(trunc) != n:
-        raise ValueError(f"truncation vector length must equal {what}")
-    if any(t < 0 for t in trunc):
-        raise ValueError("truncation bounds must be >= 0")
-    return trunc
 
 
 def marked_independent_vectors(g: Hypergraph, cap: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -142,7 +112,7 @@ def marked_independence_series(g: Hypergraph, trunc: Sequence[int]) -> Truncated
     Equivalent to summing, over independent sets S, the product of x_v for
     plain v in S and x_v/(1-x_v) for special v in S, truncated at trunc.
     """
-    trunc = _check_trunc(g.n, trunc, "vertex count")
+    trunc = vector(trunc, g.n, "truncation bounds")
     charge(math.prod(t + 1 for t in trunc), "truncation-window enumeration")
     terms = dict.fromkeys(marked_independent_vectors(g, trunc), ONE)
     return TruncatedSeries._trusted(g.n, trunc, terms)
@@ -160,9 +130,7 @@ class IndependenceSystem:
 
 
 def independence_system(n: int, members: Iterable[Iterable[int]]) -> IndependenceSystem:
-    (n,) = int_tuple((n,), "ground set size")
-    if n < 0:
-        raise ValueError("need n >= 0")
+    n = natural(n, "ground set size")
     return IndependenceSystem(n, _canon_vertex_sets(n, members, "member"))
 
 
@@ -220,10 +188,8 @@ def system_series(
     Warns when some ground element appears in no member (it can then never
     receive a color and every coefficient touching it is zero).
     """
-    trunc = _check_trunc(a.n, trunc, "n")
-    sp = sorted(set(int_tuple(special, "special elements")))
-    if any(v < 1 or v > a.n for v in sp):
-        raise ValueError(f"special elements {sp} outside 1..{a.n}")
+    trunc = vector(trunc, a.n, "truncation bounds")
+    sp = vertex_set(special, a.n, "special elements")
     # validates the system; the gate below compares with its series
     graph = hypergraph_from_system(a, sp)
     covered = set(itertools.chain.from_iterable(a.members))
@@ -274,13 +240,9 @@ def hypergraph_to_json(g: Hypergraph) -> dict:
 
 def hypergraph_from_json(obj: Mapping) -> Hypergraph:
     with malformed("hypergraph"):
-        return hypergraph(
-            json_int(obj["n"]),
-            [json_ints(e) for e in obj["edges"]],
-            json_ints(obj.get("special", [])),
-        )
+        return hypergraph(obj["n"], obj["edges"], obj.get("special", []))
 
 
 def system_from_json(obj: Mapping) -> IndependenceSystem:
     with malformed("independence-system"):
-        return independence_system(json_int(obj["n"]), [json_ints(m) for m in obj["members"]])
+        return independence_system(obj["n"], obj["members"])

@@ -28,9 +28,9 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 from . import __version__
 from .budget import charge
 from .chromatic import marked_chromatic_poly
-from .errors import VerificationError, int_tuple
+from .errors import VerificationError, natural, vector
 from .hypergraph import Hypergraph, hypergraph, is_even, marked_independence_series
-from .series import fraction_to_str, series_inverse
+from .series import series_inverse
 
 # Dedekind numbers: antichain counts over the full power set of [n], an upper
 # bound for the number of simple hypergraphs on [n] (whose edge families are
@@ -54,9 +54,7 @@ def inverse_nonneg_check(g: Hypergraph, window: Sequence[int]) -> CheckResult:
     """
     if g.special:
         raise ValueError("non-negativity check needs a hypergraph with no special vertices")
-    window = int_tuple(window, "window bounds")
-    if len(window) != g.n or any(v < 0 for v in window):
-        raise ValueError(f"bad truncation window {window} for n={g.n}")
+    window = vector(window, g.n, "window bounds")
     # with no special vertex this inverts I(G, x); substituting -x
     # multiplies the coefficient at e by (-1)^|e|
     inv = series_inverse(marked_independence_series(g, window)).terms
@@ -115,9 +113,7 @@ def enumerate_simple_hypergraphs(n: int) -> Iterator[Hypergraph]:
     """All simple hypergraphs on the vertex set {1..n}: every family of
     pairwise incomparable edges of size >= 2, including the edgeless one.
     Deterministic order."""
-    (n,) = int_tuple((n,), "vertex count")
-    if n < 0:
-        raise ValueError("need n >= 0")
+    n = natural(n, "vertex count")
     candidates = []
     for size in range(2, n + 1):
         candidates.extend(itertools.combinations(range(1, n + 1), size))
@@ -179,7 +175,7 @@ def verdict_to_json_line(v: Verdict) -> str:
         "even": v.even,
         "nonneg": v.nonneg,
         "neg_at": list(v.neg_at) if v.neg_at is not None else None,
-        "coeff": fraction_to_str(v.coeff) if v.coeff is not None else None,
+        "coeff": str(v.coeff) if v.coeff is not None else None,
     }
     return json.dumps(obj, separators=(",", ":"))
 
@@ -287,12 +283,9 @@ def scan_hypergraphs(
     and no more than there are hypergraphs to check or cores; the verdict
     order stays the deterministic enumeration order either way.
     """
-    int_tuple((n_max, m_per_var, workers), "n_max, m_per_var and workers")
-    if n_max < 0:
-        raise ValueError("need n_max >= 0")
-    if m_per_var < 0:
-        raise ValueError("need m_per_var >= 0")
-    if workers < 1:
+    natural(n_max, "n_max")
+    natural(m_per_var, "m_per_var")
+    if natural(workers, "workers") < 1:
         raise ValueError("need workers >= 1")
     if resume and out is None:
         raise ValueError("resume needs an output file")

@@ -45,7 +45,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .budget import charge
-from .errors import int_tuple
+from .errors import int_tuple, natural, vector
 
 Exponent = tuple[int, ...]
 # coefficients on a dense window, and its nonzero (packed, index, coefficient)
@@ -74,23 +74,14 @@ class TruncatedSeries:
     terms: dict[Exponent, Fraction] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("need n >= 0")
-        self.trunc = int_tuple(self.trunc, "truncation bounds")
-        if len(self.trunc) != self.n:
-            raise ValueError("truncation vector length must equal n")
-        if any(t < 0 for t in self.trunc):
-            raise ValueError("truncation bounds must be >= 0")
+        self.n = natural(self.n, "n")
+        self.trunc = vector(self.trunc, self.n, "truncation bounds")
         clean: dict[Exponent, Fraction] = {}
         for e, c in self.terms.items():
-            e = int_tuple(e, "exponents")
-            if len(e) != self.n or any(v < 0 for v in e):
-                raise ValueError(f"bad exponent {e!r} for n={self.n}")
+            e = vector(e, self.n, "exponents")
             if any(v > t for v, t in zip(e, self.trunc)):
                 continue
-            if isinstance(c, float):
-                raise ValueError("floating point coefficients are not accepted")
-            if c := Fraction(c):
+            if c := Fraction(_rational(c, "coefficients")):
                 clean[e] = c
         self.terms = clean
 
@@ -246,16 +237,12 @@ def series_int_pow(a: TruncatedSeries, q: int) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 
-def fraction_to_str(c: Fraction) -> str:
-    return str(c)
-
-
 def series_to_json(a: TruncatedSeries) -> dict:
     items = sorted(a.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
     return {
         "n": a.n,
         "trunc": list(a.trunc),
-        "terms": [{"e": list(e), "c": fraction_to_str(c)} for e, c in items],
+        "terms": [{"e": list(e), "c": str(c)} for e, c in items],
     }
 
 
@@ -402,9 +389,8 @@ def binomial_poly(k: int) -> QPolynomial:
 def shifted_binomial_poly(shift: int, k: int) -> QPolynomial:
     """binomial(q - shift, k) as a polynomial in q: by Vandermonde's
     identity, the sum over j of binomial(-shift, k - j) * binomial(q, j)."""
-    shift, k = int_tuple((shift, k), "shift and k")
-    if k < 0:
-        raise ValueError("need k >= 0")
+    int_tuple((shift,), "shift")
+    k = natural(k, "k")
     # binomial(-shift, i) = (-shift)(-shift - 1)...(-shift - i + 1) / i!
     return poly_from_binomial_coordinates(
         [math.prod(range(-shift, -shift - i, -1)) // math.factorial(i) for i in range(k, -1, -1)]
@@ -429,7 +415,7 @@ def qpoly_interpolate(
 
 
 def qpoly_to_json(p: QPolynomial) -> dict:
-    return {"coeffs": [fraction_to_str(c) for c in p.coeffs]}
+    return {"coeffs": [str(c) for c in p.coeffs]}
 
 
 def qpoly_pretty(p: QPolynomial) -> str:

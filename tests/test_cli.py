@@ -269,6 +269,8 @@ def test_malformed_json_objects_exit_2(capsys):
         ["chrom", '{"n":2,"edges":["12"]}', "--m", "1,1"],
         ["chrom", '{"n":2,"edges":[[1,2]],"special":[true]}', "--m", "1,1"],
         ["arrangement", "charpoly", '{"n":2,"subspaces":[{"forms":[[1.5,1]]}]}'],
+        # a vertex outside 1..n
+        ["chrom", '{"n":2,"edges":[[1,3]]}', "--m", "1,1"],
     ]
     for argv in cases:
         code, out, err = run(argv, capsys)

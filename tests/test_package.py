@@ -48,6 +48,26 @@ def test_sources_have_no_assert():
         assert lines == [], (path.name, lines)
 
 
+def test_input_contract_is_checked_in_errors_only():
+    """No module but ``errors`` raises a ValueError whose message says a value
+    is outside 1..n or must be >= 0: sizes, vectors and vertex sets are
+    checked by ``natural``, ``vector`` and ``vertex_set`` alone."""
+    for path in SOURCES:
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(exc, ast.Call) and getattr(exc.func, "id", None) == "ValueError":
+                texts = [
+                    part.value
+                    for arg in exc.args
+                    for part in ast.walk(arg)
+                    if isinstance(part, ast.Constant) and isinstance(part.value, str)
+                ]
+                bad = [t for t in texts if "outside 1.." in t or ">= 0" in t]
+                assert bad == [], (path.name, node.lineno, bad)
+
+
 def test_caches_are_bounded():
     """Every lru_cache in the package's modules, found the way the benchmark
     finds the caches it clears, has a finite bound."""

@@ -17,7 +17,6 @@ from chromaplex.series import (
     shifted_binomial_poly,
     TruncatedSeries,
     binomial_poly,
-    fraction_to_str,
     poly_from_binomial_coordinates,
     qpoly_const,
     qpoly_interpolate,
@@ -172,15 +171,18 @@ def test_dense_window_charges_before_allocating(monkeypatch):
 
 
 def test_public_constructor_checks_its_input():
-    with pytest.raises(ValueError, match="floating point"):
-        TruncatedSeries(1, (2,), {(1,): 0.5})
+    # coefficients by type, as QPolynomial takes them: True is not read as
+    # 1, nor "3/4" as 3/4, nor 0.5 as 1/2
+    for bad in (True, "3/4", 0.5):
+        with pytest.raises(ValueError, match="coefficients must be integers or Fractions"):
+            TruncatedSeries(1, (2,), {(1,): bad})
     with pytest.raises(ValueError, match="bad exponent"):
         TruncatedSeries(2, (2, 2), {(0, -1): F(1)})
     with pytest.raises(ValueError, match="bad exponent"):
         TruncatedSeries(2, (2, 2), {(0, 0, 0): F(1)})
     # integral input is stored as Fractions
     assert _all_fractions(TruncatedSeries(1, (2,), {(1,): 3}))
-
+    assert TruncatedSeries(1, (2,), {(1,): F(3, 4)}).terms == {(1,): F(3, 4)}
 
 def test_public_constructor_refuses_non_integer_bounds():
     """A window (1.5,) is not read as (1,), nor an exponent (1.5,) as (1,)."""
@@ -201,12 +203,6 @@ def test_series_json_round_trip():
         "terms": [{"e": [0, 0], "c": "1"}, {"e": [2, 1], "c": "-7/3"}],
     }
     assert json.dumps(series_to_json(f)) == json.dumps(series_to_json(f))
-
-
-def test_fraction_strings():
-    assert fraction_to_str(F(-7, 3)) == "-7/3"
-    assert fraction_to_str(F(5)) == "5"
-    assert F(fraction_to_str(F(-7, 3))) == F(-7, 3)
 
 
 def test_qpolynomial_arithmetic():
