@@ -13,6 +13,8 @@ intersection is recognized before any membership test.  Each flat then gets
 the bitmask of members containing it; because every flat equals the
 intersection of exactly the members in its mask, mask containment is the
 poset order, which makes the Mobius recursion run on integer bit tests.
+The same walk over F_p certifies a prime: it is good when the flats mod p
+carry the same masks and ranks.
 """
 
 from __future__ import annotations
@@ -52,47 +54,46 @@ def _pivot(row: Sequence[int]) -> int | None:
     return next((c for c, x in enumerate(row) if x), None)
 
 
-def _primitive(row: Sequence[int], pivot: int) -> Row:
-    """row divided by the gcd of its entries, signed so that row[pivot] > 0."""
+def _primitive(row: Sequence[int], pivot: int, p: int = 0) -> Row:
+    """row scaled to its canonical multiple: over Q (p = 0) divided by the
+    gcd of its entries and signed so that row[pivot] > 0, mod a prime p
+    scaled so that row[pivot] == 1."""
+    if p:
+        inv = pow(row[pivot], -1, p)
+        return tuple(v * inv % p for v in row)
     g = math.gcd(*row) if row[pivot] > 0 else -math.gcd(*row)
     return tuple(v // g for v in row)
 
 
-def _reduce(vec: Sequence[int], basis: Basis) -> list[int]:
-    """Remainder of vec against basis by integer cross-multiplication; zero
-    exactly when vec lies in the row space.  Each basis row must be zero at
-    the pivots of the rows before it, which holds for an echelon basis and
-    for rows built as remainders against the rows before them."""
-    v = list(vec)
+def _reduce(vec: Sequence[int], basis: Basis, p: int = 0) -> list[int]:
+    """Remainder of vec against basis by integer cross-multiplication, taken
+    mod p when p > 0; zero exactly when vec lies in the row space.  Each
+    basis row must be zero at the pivots of the rows before it, which holds
+    for an echelon basis and for rows built as remainders against the rows
+    before them."""
+    v = [x % p for x in vec] if p else list(vec)
     for c, row in basis:
         if v[c]:
             a, b = row[c], v[c]
-            v = [x * a - y * b for x, y in zip(v, row)]
+            if p:
+                v = [(x * a - y * b) % p for x, y in zip(v, row)]
+            else:
+                v = [x * a - y * b for x, y in zip(v, row)]
     return v
 
 
-def _reduce_mod(vec: Sequence[int], basis: Basis, p: int) -> list[int]:
-    """Remainder of vec mod p against basis, whose rows are reduced mod p
-    and kept as for ``_reduce``."""
-    v = [x % p for x in vec]
-    for c, row in basis:
-        if v[c]:
-            b = v[c] * pow(row[c], -1, p)
-            v = [(x - b * y) % p for x, y in zip(v, row)]
-    return v
-
-
-def _insert(basis: Basis, vec: Sequence[int]) -> Basis:
-    """The canonical basis of the row space of basis and vec: primitive rows
-    with positive pivots, each pivot zero in every other row, sorted by
-    pivot."""
-    rem = _reduce(vec, basis)
+def _insert(basis: Basis, vec: Sequence[int], p: int = 0) -> Basis:
+    """The canonical basis of the row space of basis and vec, over Q when
+    p = 0 and mod p otherwise: rows in ``_primitive`` form, each pivot zero
+    in every other row, sorted by pivot."""
+    rem = _reduce(vec, basis, p)
     c = _pivot(rem)
     if c is None:
         return basis
-    new = _primitive(rem, c)
+    new = _primitive(rem, c, p)
     cleared = [
-        (d, _primitive([x * new[c] - y * row[c] for x, y in zip(row, new)], d) if row[c] else row)
+        (d, _primitive([x * new[c] - y * row[c] for x, y in zip(row, new)], d, p))
+        if row[c] else (d, row)
         for d, row in basis
     ]
     return tuple(sorted(cleared + [(c, new)]))
@@ -176,23 +177,22 @@ class PosetElement(NamedTuple):
     forms: tuple[Row, ...]
     dim: int
     mobius: int
+    mask: int  # bit i set when member i contains the flat
 
 
-# bounded: a round of the ``arrangements`` benchmark workload keeps at most
-# ~150 arrangements alive, and an entry for K7 holds 877 flats
-@lru_cache(maxsize=512)
-def _poset_data(arr: Arrangement) -> tuple[PosetElement, ...]:
-    n = arr.n
+def _flats(arr: Arrangement, p: int = 0) -> dict[Basis, int]:
+    """The flats of the arrangement over Q (p = 0) or over F_p, found by
+    intersecting each flat with every member outside it: the canonical
+    basis of each flat -> the mask of the members containing it."""
     hyps = [s.forms for s in arr.subspaces]
 
     def mask_of(basis: Basis) -> int:
         mask = 0
         for i, h in enumerate(hyps):
-            if not any(any(_reduce(row, basis)) for row in h):
+            if not any(any(_reduce(row, basis, p)) for row in h):
                 mask |= 1 << i
         return mask
 
-    # echelon basis of each flat found so far -> mask of its members
     masks: dict[Basis, int] = {(): 0}
     frontier: list[Basis] = [()]
     while frontier:
@@ -201,22 +201,30 @@ def _poset_data(arr: Arrangement) -> tuple[PosetElement, ...]:
             mask = masks[basis]
             for i, h in enumerate(hyps):
                 if not (mask >> i) & 1:
-                    inter = reduce(_insert, h, basis)
+                    inter = basis
+                    for row in h:
+                        inter = _insert(inter, row, p)
                     if inter not in masks:
                         masks[inter] = mask_of(inter)
                         fresh.append(inter)
         frontier = fresh
+    return masks
 
+
+# bounded: a round of the ``arrangements`` benchmark workload keeps at most
+# ~150 arrangements alive, and an entry for K7 holds 877 flats
+@lru_cache(maxsize=512)
+def _poset_data(arr: Arrangement) -> tuple[PosetElement, ...]:
     # in rank order every flat below X comes first; a flat of X's own rank
     # never has a mask inside X's, so the sum may run over all earlier flats
     elements: list[PosetElement] = []
     below: list[tuple[int, int]] = []
-    flats = {tuple(row for _, row in basis): mask for basis, mask in masks.items()}
+    flats = {tuple(row for _, row in basis): mask for basis, mask in _flats(arr).items()}
     for forms in sorted(flats, key=lambda f: (len(f), f)):
         mask = flats[forms]
         mu = -sum(v for other, v in below if other & mask == other) if forms else 1
         below.append((mask, mu))
-        elements.append(PosetElement(forms, n - len(forms), mu))
+        elements.append(PosetElement(forms, arr.n - len(forms), mu, mask))
     return tuple(elements)
 
 
@@ -230,33 +238,21 @@ def characteristic_polynomial(arr: Arrangement) -> QPolynomial:
 
 
 def _assert_good_prime(arr: Arrangement, p: int) -> None:
-    """A prime is good when the matroid of all defining rows is unchanged
-    mod p: every rationally independent subset of rows stays independent.
-    That pins the whole intersection poset over F_p to the rational one.
-    Walks the independent subsets depth-first, extending exact and mod-p
-    echelon bases together."""
-    rows = [row for s in arr.subspaces for row in s.forms]
-    n = arr.n
-    total = sum(math.comb(len(rows), k) for k in range(min(n, len(rows)) + 1))
-    charge(total, f"good-prime certification for p={p}")
-
-    def walk(start: int, basis_q: Basis, basis_p: Basis, chosen: tuple[int, ...]) -> None:
-        if len(basis_q) == n:
-            return
-        for i in range(start, len(rows)):
-            ext = _insert(basis_q, rows[i])
-            if len(ext) == len(basis_q):
-                continue
-            rem = _reduce_mod(rows[i], basis_p, p)
-            c = _pivot(rem)
-            if c is None:
-                raise BadPrimeError(
-                    f"prime {p} makes the rows {[list(rows[j]) for j in chosen]} "
-                    f"+ {list(rows[i])} dependent (independent over Q)"
-                )
-            walk(i + 1, ext, basis_p + ((c, tuple(rem)),), chosen + (i,))
-
-    walk(0, (), (), ())
+    """A prime is good when reducing the members' forms mod p keeps the
+    intersection poset: the flats over F_p carry the same (mask, rank)
+    pairs as those over Q.  Mask containment is the order of both posets,
+    so they have the same Mobius function, and the complement has chi(p)
+    points over F_p (the finite field method)."""
+    over_q = {(el.mask, arr.n - el.dim) for el in _poset_data(arr)}
+    changed = over_q ^ {(mask, len(basis)) for basis, mask in _flats(arr, p).items()}
+    if changed:
+        # each changed pair names members whose intersection differs mod p;
+        # the one with the most members reads best
+        mask = max(changed, key=lambda pair: (pair[0].bit_count(), pair))[0]
+        named = ", ".join(
+            str([list(r) for r in s.forms]) for i, s in enumerate(arr.subspaces) if mask >> i & 1
+        )
+        raise BadPrimeError(f"prime {p} changes the intersection poset at the members {named}")
 
 
 def _count_colorings(
@@ -335,9 +331,9 @@ def _count_colorings(
 def count_complement(arr: Arrangement, p: int) -> int:
     """Points of F_p^n on no member: the coloring count at m = (1, ..., 1)
     with no special vertex.  Needs p prime and good for the arrangement (the
-    defining rows keep their matroid mod p); otherwise the count stops
-    matching the characteristic polynomial, and a BadPrimeError names a
-    violating row set."""
+    intersection poset is the same mod p); otherwise the count may stop
+    matching the characteristic polynomial, and a BadPrimeError names
+    members whose intersection changed."""
     _check_prime(p)
     _assert_good_prime(arr, p)
     charge(p**arr.n, f"point enumeration over F_{p}^{arr.n}")
@@ -439,10 +435,11 @@ def verification_primes(arr: Arrangement, m: Sequence[int]) -> tuple[int, int]:
     polynomial at p, so ``brute_force_arrangement_count`` must equal the
     polynomial's value.
 
-    Only the clan with one copy per unit of m is certified: every clan in
-    the sum is its restriction to an intersection of its own distinctness
-    hyperplanes, so a prime that keeps the rank of each set of its rows
-    keeps that of each set of theirs."""
+    Only the clan with one copy per unit of m is certified: the clan at
+    lambda is that finest clan restricted to a flat (the copies in each
+    block of lambda set equal), and its poset is the interval above that
+    flat, over Q and over F_p alike.  A prime that keeps the finest clan's
+    poset therefore keeps every such interval."""
     m = vector(m, arr.n, "multiplicities")
     finest = clan_lambda(arr, tuple((1,) * v for v in m), m)
     primes: list[int] = []

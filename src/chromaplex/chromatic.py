@@ -276,7 +276,8 @@ def coefficient_via_binomial(
 def partitions_of(k: int, cap: int | None = None) -> Iterator[Partition]:
     """Integer partitions of k, parts descending, reverse-lex order."""
     natural(k, "partition sizes")
-    int_tuple(() if cap is None else (cap,), "partition sizes")
+    if cap is not None:
+        natural(cap, "partition sizes")
     if k == 0:
         yield ()
         return
@@ -296,8 +297,8 @@ def enumerate_partition_tuples(
 ) -> list[PartitionTuple]:
     """All tuples (lambda_1, ..., lambda_n) with lambda_i a partition of m_i,
     restricted to the all-ones partition at non-special vertices."""
-    m = int_tuple(m, "multiplicities")
-    sp = set(special)
+    m = vector(m, len(m), "multiplicities")
+    sp = vertex_set(special, len(m), "special vertices")
     choices: list[list[Partition]] = []
     for i, mult in enumerate(m, start=1):
         if mult == 0:

@@ -12,7 +12,8 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 from .arrangement import (
     arrangement_from_json,
@@ -93,6 +94,20 @@ def _poly_output(p: QPolynomial, fmt: str, at: int | None) -> str:
     return "\n".join(lines)
 
 
+def _verify(poly: QPolynomial, var: str, xs: Sequence[int], count: Callable, oracle: str) -> int:
+    """Exit code 3, reported on stderr, at the first x in xs where poly and
+    the oracle's count differ; 0 when they agree at every x."""
+    for x in xs:
+        expect, got = poly.eval(x), count(x)
+        if expect != got:
+            sys.stderr.write(
+                f"verification mismatch at {var}={x}: polynomial gives "
+                f"{expect}, {oracle} counts {got}\n"
+            )
+            return 3
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -109,15 +124,7 @@ def _cmd_chrom(args: argparse.Namespace) -> int:
         poly = chordal_marked_chromatic(g, m)
     _emit(_poly_output(poly, args.format, args.at))
     if args.verify:
-        for q in (2, 3, 4):
-            expect = poly.eval(q)
-            got = brute_force_count(g, m, q)
-            if expect != got:
-                sys.stderr.write(
-                    f"verification mismatch at q={q}: polynomial gives "
-                    f"{expect}, brute force counts {got}\n"
-                )
-                return 3
+        return _verify(poly, "q", (2, 3, 4), partial(brute_force_count, g, m), "brute force")
     return 0
 
 
@@ -150,15 +157,8 @@ def _cmd_arrangement(args: argparse.Namespace) -> int:
     poly = marked_chromatic_arrangement(arr, arr.special, m)
     _emit(_poly_output(poly, args.format, args.at))
     if args.verify:
-        for p in verification_primes(arr, m):
-            expect = poly.eval(p)
-            got = brute_force_arrangement_count(arr, arr.special, m, p)
-            if expect != got:
-                sys.stderr.write(
-                    f"verification mismatch at p={p}: polynomial gives "
-                    f"{expect}, enumeration counts {got}\n"
-                )
-                return 3
+        count = partial(brute_force_arrangement_count, arr, arr.special, m)
+        return _verify(poly, "p", verification_primes(arr, m), count, "enumeration")
     return 0
 
 

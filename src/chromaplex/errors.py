@@ -25,8 +25,9 @@ class VerificationError(RuntimeError):
 
 
 class BadPrimeError(ValueError):
-    """A finite-field count was requested at a prime where some intersection
-    drops rank; the offending subsystem is reported in the message."""
+    """A finite-field count was requested at a prime that changes the
+    intersection poset; the message names members whose intersection
+    changed."""
 
 
 @contextmanager

@@ -16,8 +16,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Container, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .budget import charge
 from .errors import VerificationError, malformed, natural, vector, vertex_set
@@ -75,6 +74,19 @@ def is_even(g: Hypergraph) -> bool:
     return validate(g).even
 
 
+def _lift(
+    n: int, supp: Sequence[int], special: Container[int], cap: Sequence[int]
+) -> Iterator[tuple[int, ...]]:
+    """The vectors on n variables with support supp, e_v in 1..cap[v - 1]
+    at special v and e_v = 1 at the others, in lex order of supp's entries."""
+    ranges = [range(1, cap[v - 1] + 1) if v in special else (1,) for v in supp]
+    for mults in itertools.product(*ranges):
+        e = [0] * n
+        for v, mult in zip(supp, mults):
+            e[v - 1] = mult
+        yield tuple(e)
+
+
 def marked_independent_vectors(g: Hypergraph, cap: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """The multiplicity vectors e <= cap with an edge-free support and
     e_v <= 1 off the special set, ordered by support size, then support,
@@ -89,12 +101,7 @@ def marked_independent_vectors(g: Hypergraph, cap: Sequence[int]) -> Iterator[tu
             s = frozenset(supp)
             if any(e <= s for e in edge_sets):
                 continue
-            ranges = [range(1, cap[v - 1] + 1) if v in sp else (1,) for v in supp]
-            for mults in itertools.product(*ranges):
-                e = [0] * g.n
-                for v, mult in zip(supp, mults):
-                    e[v - 1] = mult
-                yield tuple(e)
+            yield from _lift(g.n, supp, sp, cap)
 
 
 def independent_sets(g: Hypergraph) -> list[Edge]:
@@ -200,24 +207,13 @@ def system_series(
             "their variables cannot occur",
             stacklevel=2,
         )
-    sp_set = set(sp)
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for member in a.members:
-        ranges = []
-        ok = True
-        for v in member:
-            top = trunc[v - 1]
-            if top < 1:
-                ok = False
-                break
-            ranges.append(range(1, top + 1) if v in sp_set else range(1, 2))
-        if not ok:
-            continue
-        for mults in itertools.product(*ranges):
-            e = [0] * a.n
-            for v, mult in zip(member, mults):
-                e[v - 1] = mult
-            terms[tuple(e)] = ONE
+    # a member that meets a zero of trunc gives no term
+    terms = {
+        e: ONE
+        for member in a.members
+        if all(trunc[v - 1] for v in member)
+        for e in _lift(a.n, member, sp, trunc)
+    }
     direct = TruncatedSeries._trusted(a.n, trunc, terms)
     # the same series through the minimal-non-member hypergraph, as a gate
     if direct != marked_independence_series(graph, trunc):

@@ -145,7 +145,8 @@ def test_poset_matches_definition_oracle():
     ]
     assert any(len({s.codim for s in arr.subspaces}) == 3 for arr in seeded)
     for arr in fixed + seeded:
-        assert [tuple(el) for el in _poset_data(arr)] == poset_oracle(arr), arrangement_to_json(arr)
+        got = [(el.forms, el.dim, el.mobius) for el in _poset_data(arr)]
+        assert got == poset_oracle(arr), arrangement_to_json(arr)
 
 
 def test_characteristic_polynomials():
@@ -174,6 +175,38 @@ def test_bad_prime_detection():
     with pytest.raises(BadPrimeError):
         count_complement(a, 2)
     assert count_complement(a, 3) == characteristic_polynomial(a).eval(3)
+
+
+def test_prime_keeping_the_poset_is_good():
+    """Rows x1 + p x2 + x3, x1 and x3 are independent over Q and dependent
+    mod p, yet every intersection of the three members keeps its rank, so p
+    is good: the count of points is chi(p) = p^4 - 3p^2 + 2."""
+    for p, want in ((2, 6), (3, 56), (5, 552)):
+        forms = [[[1, 0, 0, 0], [0, 1, 0, 0]], [[0, 0, 1, 0], [0, 0, 0, 1]]]
+        arr = arrangement(4, forms + [[[1, p, 1, 0], [0, 1, 0, 1]]])
+        _assert_good_prime(arr, p)
+        assert count_complement(arr, p) == characteristic_polynomial(arr).eval(p) == want
+        assert naive_complement_count(arr, p) == want
+
+
+def test_certified_primes_count_chi():
+    """Wherever the certificate accepts a small prime, the points of F_p^n
+    off the members number chi(p); it refuses some primes and accepts most."""
+    rng = random.Random(61)
+    accepted = refused = 0
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        arr = random_subspace_arrangement(rng, n, rng.randint(1, 4))
+        chi = characteristic_polynomial(arr)
+        for p in (2, 3, 5):
+            try:
+                _assert_good_prime(arr, p)
+            except BadPrimeError:
+                refused += 1
+                continue
+            accepted += 1
+            assert naive_complement_count(arr, p) == chi.eval(p), (arrangement_to_json(arr), p)
+    assert refused > 0 and accepted > 4 * refused
 
 
 def test_region_counts():
@@ -452,7 +485,7 @@ def test_oracles_keep_their_refusals(monkeypatch):
         count_complement(BOOL2, 4)
     with pytest.raises(ValueError, match="4 is not prime"):
         brute_force_arrangement_count(PLANE, (), (1, 1, 1), 4)
-    with pytest.raises(BadPrimeError, match="prime 2 makes the rows"):
+    with pytest.raises(BadPrimeError, match="prime 2 changes the intersection poset"):
         count_complement(arrangement(2, [[[1, 1]], [[1, -1]]]), 2)
 
 

@@ -167,6 +167,19 @@ def test_partition_blocks_and_duplication():
     assert zero == [((), (1,))]
 
 
+def test_partition_enumerators_refuse_bad_input():
+    """A negative multiplicity is not read as 0, a special vertex must lie in
+    1..n, and a negative cap is refused rather than giving no partition."""
+    with pytest.raises(ValueError, match="multiplicities"):
+        enumerate_partition_tuples((-1, 2), (2,))
+    with pytest.raises(ValueError, match="special vertices"):
+        enumerate_partition_tuples((1, 2), (3,))
+    for k in (3, 0):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            list(partitions_of(k, -2))
+    assert list(partitions_of(3, 0)) == []
+
+
 def test_blow_up_structure():
     g = hypergraph(2, [(1, 2)])
     lam = ((1, 1), (1,))

@@ -150,6 +150,30 @@ def test_arrangement_markchrom_verify_skips_bad_primes(capsys):
     assert run(argv + ["--verify"], capsys) == (0, "q^2 - 2*q + 1\n", "")
 
 
+def test_arrangement_markchrom_verify_certifies_large_clans(capsys):
+    """At m = (3, 2, 2) the finest clan has 41 rows in dimension 7; its
+    primes are certified within the default budget."""
+    arr = '{"n":3,"special":[1,2],"subspaces":[{"forms":[[1,1,-1]]},{"forms":[[1,0,-1],[0,1,0]]}]}'
+    want = "1/24*q^7 - 3/8*q^6 + 43/24*q^5 - 37/8*q^4 + 17/3*q^3 - 5/2*q^2\n"
+    argv = ["arrangement", "markchrom", arr, "--m", "3,2,2", "--verify"]
+    assert run(argv, capsys) == (0, want, "")
+
+
+def test_verify_reports_the_first_mismatch(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "brute_force_count", lambda g, m, q: -1)
+    assert run(["chrom", WORKED, "--m", "2,1,1,2", "--verify"], capsys) == (
+        3,
+        WORKED_PRETTY + "\n",
+        "verification mismatch at q=2: polynomial gives 0, brute force counts -1\n",
+    )
+    monkeypatch.setattr(cli, "brute_force_arrangement_count", lambda arr, sp, m, p: -1)
+    assert run(["arrangement", "markchrom", PLANE, "--m", "1,1,1", "--verify"], capsys) == (
+        3,
+        "q^3 - q^2\n",
+        "verification mismatch at p=5: polynomial gives 100, enumeration counts -1\n",
+    )
+
+
 def test_arrangement_clan(capsys):
     code, out, _ = run(["arrangement", "clan", PLANE, "--m", "1,1,1"], capsys)
     assert code == 0
