@@ -7,6 +7,16 @@ truncation window, produces the odd-edge witness coefficient, and runs
 exhaustive scans over all simple hypergraphs on up to n vertices, streaming
 verdicts to a resumable JSON-lines report.
 
+A scan works on vertex bitmasks.  A labelled edge family is one int, its
+key (``_family_key``), and the enumeration walks keys, testing two edges for
+incomparability on their masks.  For every vertex permutation a bounded
+cache holds the image of each vertex mask, so the orbit of a family is the
+set of its permuted keys, computed once per isomorphism class; the canonical
+form is the least of the orbit's decoded families.  Only a class's first
+member becomes a ``Hypergraph``.  The sign check inverts the independence
+series on the dense window (``series.DenseWindow``) in integers and builds a
+``Fraction`` only for a negative it reports.
+
 A verdict only certifies coefficients inside its truncation window; "nonneg"
 means no negative coefficient was found up to the window, not a proof for the
 full series.  A negative finding, by contrast, is final: it persists under
@@ -18,10 +28,12 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -29,8 +41,8 @@ from . import __version__
 from .budget import charge
 from .chromatic import marked_chromatic_poly
 from .errors import VerificationError, natural, vector
-from .hypergraph import Hypergraph, hypergraph, is_even, marked_independence_series
-from .series import series_inverse
+from .hypergraph import Edge, Hypergraph, hypergraph, is_even, marked_independence_series
+from .series import DenseWindow
 
 # Dedekind numbers: antichain counts over the full power set of [n], an upper
 # bound for the number of simple hypergraphs on [n] (whose edge families are
@@ -44,6 +56,19 @@ class CheckResult(NamedTuple):
     coeff: Optional[Fraction]
 
 
+def _signed_inverse(
+    g: Hypergraph, window: tuple[int, ...]
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(e, [x^e] 1/I(G, -x)) for every exponent e of the window, in lex
+    order.  With no special vertex I(G, x) has constant term 1, so its
+    inverse on the dense window stays in integers; substituting -x
+    multiplies the coefficient at e by (-1)^|e|."""
+    w = DenseWindow(window)
+    inv = w.inverse(w.values(marked_independence_series(g, window)))
+    for e, c in zip(w.exponents(), inv):
+        yield e, -c if sum(e) % 2 else c
+
+
 def inverse_nonneg_check(g: Hypergraph, window: Sequence[int]) -> CheckResult:
     """Scan every coefficient of 1/I(G, -x) up to the window.
 
@@ -55,12 +80,9 @@ def inverse_nonneg_check(g: Hypergraph, window: Sequence[int]) -> CheckResult:
     if g.special:
         raise ValueError("non-negativity check needs a hypergraph with no special vertices")
     window = vector(window, g.n, "window bounds")
-    # with no special vertex this inverts I(G, x); substituting -x
-    # multiplies the coefficient at e by (-1)^|e|
-    inv = series_inverse(marked_independence_series(g, window)).terms
-    for e in sorted(inv):
-        c = -inv[e] if sum(e) % 2 else inv[e]
+    for e, c in _signed_inverse(g, window):
         if c < 0:
+            c = Fraction(c)
             _recheck_negative(g, e, c)
             return CheckResult(False, e, c)
     return CheckResult(True, None, None)
@@ -91,22 +113,84 @@ def odd_edge_witness(g: Hypergraph) -> Optional[tuple[tuple[int, ...], int]]:
     if e is None:
         return None
     r = len(e)
-    h = hypergraph(r, [tuple(range(1, r + 1))])
-    # (2,...,2) has even degree, where 1/I(h, -x) and 1/I(h, x) agree
-    inv = series_inverse(marked_independence_series(h, (2,) * r))
-    value = inv.terms.get((2,) * r, Fraction(0))
+    top = (2,) * r
+    value = dict(_signed_inverse(hypergraph(r, [tuple(range(1, r + 1))]), top))[top]
     expected = 2 + (-2) ** r
     if value != expected:
         raise VerificationError(
             f"witness coefficient for an edge of size {r} is {value} by series "
             f"inversion but {expected} in closed form"
         )
-    return e, int(value)
+    return e, value
 
 
 # ---------------------------------------------------------------------------
-# exhaustive enumeration and scanning
+# labelled families as bitmasks, and their orbits
 # ---------------------------------------------------------------------------
+
+
+def _family_key(edges: Iterable[Sequence[int]]) -> int:
+    """A labelled edge family as one int: bit mask(e) set for each edge e,
+    where mask(e) is the vertex bitmask of e."""
+    return sum(1 << sum(1 << (v - 1) for v in e) for e in edges)
+
+
+# bounded, like the tables below: a scan meets each n once, in order
+@lru_cache(maxsize=2)
+def _vertex_sets(n: int) -> tuple[tuple[int, Edge], ...]:
+    """Every nonempty subset of {1..n} as (mask, sorted tuple), ordered by
+    size then lexicographically, the order of a hypergraph's edges."""
+    return tuple(
+        (sum(1 << (v - 1) for v in e), e)
+        for size in range(1, n + 1)
+        for e in itertools.combinations(range(1, n + 1), size)
+    )
+
+
+def _decode(n: int, key: int) -> tuple[Edge, ...]:
+    """The edge family with the given key, in hypergraph order."""
+    # built from a list: tuple() of a generator shrinks the tuple it filled,
+    # and CPython's free lists then keep up to 2,000 such tuples per size
+    return tuple([e for mask, e in _vertex_sets(n) if key >> mask & 1])
+
+
+@lru_cache(maxsize=2)
+def _mask_images(n: int) -> tuple[tuple[int, ...], ...]:
+    """For each permutation of the n vertices, the image of every vertex
+    mask; charges the n! * 2^n entries to the budget."""
+    charge(math.factorial(n) << n, f"relabeling tables for {n} vertices")
+    return tuple(
+        tuple(sum(1 << perm[v] for v in range(n) if mask >> v & 1) for mask in range(1 << n))
+        for perm in itertools.permutations(range(n))
+    )
+
+
+def _orbit(n: int, key: int) -> set[int]:
+    """The keys of the family with the given key under every vertex
+    permutation."""
+    masks = [mask for mask in range(1, 1 << n) if key >> mask & 1]
+    return {sum([1 << image[mask] for mask in masks]) for image in _mask_images(n)}
+
+
+def _families(n: int) -> Iterator[int]:
+    """The keys of all simple hypergraphs on {1..n}, in the order of
+    ``enumerate_simple_hypergraphs``: a recursion over the candidate edges
+    (size >= 2, in hypergraph order) that leaves each candidate out before
+    taking it in, when it is incomparable with every chosen edge."""
+    masks = [mask for mask, e in _vertex_sets(n) if len(e) >= 2]
+
+    def rec(idx: int, key: int, chosen: list[int]) -> Iterator[int]:
+        if idx == len(masks):
+            yield key
+            return
+        yield from rec(idx + 1, key, chosen)
+        a = masks[idx]
+        if all(a & b not in (a, b) for b in chosen):
+            chosen.append(a)
+            yield from rec(idx + 1, key | 1 << a, chosen)
+            chosen.pop()
+
+    return rec(0, 0, [])
 
 
 def enumerate_simple_hypergraphs(n: int) -> Iterator[Hypergraph]:
@@ -114,51 +198,19 @@ def enumerate_simple_hypergraphs(n: int) -> Iterator[Hypergraph]:
     pairwise incomparable edges of size >= 2, including the edgeless one.
     Deterministic order."""
     n = natural(n, "vertex count")
-    candidates = []
-    for size in range(2, n + 1):
-        candidates.extend(itertools.combinations(range(1, n + 1), size))
-    candidates.sort(key=lambda e: (len(e), e))
-    sets = [frozenset(e) for e in candidates]
-
-    def rec(idx: int, chosen: list[int]) -> Iterator[Hypergraph]:
-        if idx == len(candidates):
-            yield hypergraph(n, [candidates[i] for i in chosen])
-            return
-        yield from rec(idx + 1, chosen)
-        s = sets[idx]
-        if all(not (sets[i] <= s or s <= sets[i]) for i in chosen):
-            chosen.append(idx)
-            yield from rec(idx + 1, chosen)
-            chosen.pop()
-
-    yield from rec(0, [])
-
-
-def _relabelings(g: Hypergraph) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """The edge family of g under every vertex permutation, each sorted by
-    size then lexicographically (with repeats where g has automorphisms)."""
-    for perm in itertools.permutations(range(1, g.n + 1)):
-        yield tuple(
-            sorted(
-                (tuple(sorted(perm[v - 1] for v in e)) for e in g.edges),
-                key=lambda e: (len(e), e),
-            )
-        )
+    for key in _families(n):
+        # decoded edges are distinct sorted tuples in hypergraph order
+        yield Hypergraph(n, _decode(n, key), ())
 
 
 def canonical_form(g: Hypergraph) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Minimal relabeling of the edge family over all vertex permutations.
-    Two hypergraphs on the same number of vertices are isomorphic exactly
-    when their canonical forms coincide."""
+    """Minimal relabeling of the edge family over all vertex permutations,
+    each relabeling sorted by size then lexicographically.  Two hypergraphs
+    on the same number of vertices are isomorphic exactly when their
+    canonical forms coincide."""
     if g.special:
         raise ValueError("canonical form is defined for hypergraphs with no special vertices")
-    return (g.n, min(_relabelings(g)))
-
-
-def _family_key(edges: Iterable[Sequence[int]]) -> int:
-    """A labelled edge family as one int: bit mask(e) set for each edge e,
-    where mask(e) is the vertex bitmask of e."""
-    return sum(1 << sum(1 << (v - 1) for v in e) for e in edges)
+    return (g.n, min(_decode(g.n, key) for key in _orbit(g.n, _family_key(g.edges))))
 
 
 class Verdict(NamedTuple):
@@ -308,25 +360,25 @@ def scan_hypergraphs(
 
     entries: list[tuple[tuple[int, tuple[tuple[int, ...], ...]], bool]] = []
     for n in range(1, n_max + 1):
-        # labelled family -> (canonical form, its key), filled with every
-        # relabeling when a class is first met; each labelled hypergraph is
-        # enumerated once, so its entry is popped when looked up, and a miss
-        # marks the first member of a class
-        classes: dict[int, tuple[tuple[int, tuple[tuple[int, ...], ...]], str]] = {}
-        for g in enumerate_simple_hypergraphs(n):
-            labelled = _family_key(g.edges)
+        # labelled family key -> (canonical form, its report key, evenness),
+        # filled with the class's orbit when its first member is met; each
+        # labelled family is enumerated once, so its entry is popped when
+        # looked up, and a miss marks the first member of a class
+        classes: dict[int, tuple[tuple[int, tuple[tuple[int, ...], ...]], str, bool]] = {}
+        for labelled in _families(n):
             entry = classes.pop(labelled, None)
             first = entry is None
             if first:
+                g = Hypergraph(n, _decode(n, labelled), ())
                 canon = canonical_form(g)
-                entry = (canon, _canon_key(canon))
-                classes.update(dict.fromkeys(map(_family_key, _relabelings(g)), entry))
+                entry = (canon, _canon_key(canon), is_even(g))
+                classes.update(dict.fromkeys(_orbit(n, labelled), entry))
                 del classes[labelled]
-            canon, key = entry
+            canon, key, even = entry
             if resume and key in recorded:
                 report.skipped += 1
             elif first or not dedup:
-                entries.append((canon, is_even(g)))
+                entries.append((canon, even))
 
     items = ((n, edges, m_per_var) for (n, edges), _ in entries)
     procs = min(workers, len(entries), os.cpu_count() or 1)

@@ -15,8 +15,13 @@ from functools import lru_cache
 
 from chromaplex.arrangement import Arrangement, arrangement
 from chromaplex.chromatic import support
-from chromaplex.hypergraph import Hypergraph, hypergraph, marked_independent_vectors
-from chromaplex.series import Q, QPolynomial, TruncatedSeries, series_one
+from chromaplex.hypergraph import (
+    Hypergraph,
+    hypergraph,
+    marked_independence_series,
+    marked_independent_vectors,
+)
+from chromaplex.series import Q, QPolynomial, TruncatedSeries, series_inverse, series_one
 
 
 def chromatic_delcon(n: int, edges) -> QPolynomial:
@@ -101,6 +106,59 @@ def random_hypergraph(rng: random.Random, n: int, max_edges: int) -> Hypergraph:
             if all(not (e <= f or f <= e) for f in chosen):
                 chosen.append(e)
     return hypergraph(n, [tuple(sorted(e)) for e in chosen])
+
+
+def simple_hypergraphs_oracle(n: int):
+    """Oracle for the scan's enumeration: the edge tuples of every simple
+    hypergraph on {1..n}, by recursion over the candidate edges (size >= 2,
+    by size then lexicographically) on frozensets, each candidate left out
+    before it is taken in."""
+    candidates = [
+        e for size in range(2, n + 1) for e in itertools.combinations(range(1, n + 1), size)
+    ]
+    sets = [frozenset(e) for e in candidates]
+
+    def rec(idx: int, chosen: list[int]):
+        if idx == len(candidates):
+            yield tuple(candidates[i] for i in chosen)
+            return
+        yield from rec(idx + 1, chosen)
+        s = sets[idx]
+        if all(not (sets[i] <= s or s <= sets[i]) for i in chosen):
+            chosen.append(idx)
+            yield from rec(idx + 1, chosen)
+            chosen.pop()
+
+    yield from rec(0, [])
+
+
+def relabelings_oracle(g: Hypergraph):
+    """The edge family of g under every vertex permutation, each sorted by
+    size then lexicographically (with repeats where g has automorphisms)."""
+    for perm in itertools.permutations(range(1, g.n + 1)):
+        yield tuple(
+            sorted(
+                (tuple(sorted(perm[v - 1] for v in e)) for e in g.edges),
+                key=lambda e: (len(e), e),
+            )
+        )
+
+
+def canonical_form_oracle(g: Hypergraph) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Oracle for ``scan.canonical_form``: the least relabeling of g."""
+    return (g.n, min(relabelings_oracle(g)))
+
+
+def inverse_nonneg_oracle(g: Hypergraph, window):
+    """Oracle for ``scan.inverse_nonneg_check``: the first negative
+    coefficient of 1/I(G, -x) in lex order, from the sparse terms of
+    ``series_inverse``, as (nonneg, neg_at, coeff)."""
+    inv = series_inverse(marked_independence_series(g, window)).terms
+    for e in sorted(inv):
+        c = -inv[e] if sum(e) % 2 else inv[e]
+        if c < 0:
+            return False, e, c
+    return True, None, None
 
 
 def random_chordal_edges(rng: random.Random, n: int) -> list[tuple[int, int]]:

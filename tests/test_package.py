@@ -116,11 +116,18 @@ def test_modules_import_no_private_sibling_names():
 
 def test_cli_import_loads_no_multiprocessing():
     """Only a scan that starts worker processes needs ``multiprocessing``;
-    every command pays for what ``import chromaplex.cli`` loads."""
+    every command pays for what ``import chromaplex.cli`` loads.  The engine
+    modules, though, must load with it: the benchmark reads them from
+    ``sys.modules`` once it has imported the CLI, so a subcommand that
+    imported its engine lazily would break every benchmark run."""
     src = str(Path(chromaplex.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    probe = "import sys, chromaplex.cli; print('multiprocessing' in sys.modules)"
+    engines = ("scan", "chromatic", "hypergraph", "series", "arrangement")
+    probe = (
+        "import sys, chromaplex.cli; print('multiprocessing' in sys.modules, "
+        f"all('chromaplex.' + name in sys.modules for name in {engines!r}))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
     )
-    assert (out.returncode, out.stdout.strip()) == (0, "False"), out.stderr
+    assert (out.returncode, out.stdout.strip()) == (0, "False True"), out.stderr

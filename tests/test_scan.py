@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import multiprocessing
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,9 @@ from chromaplex.errors import BudgetError, VerificationError
 from chromaplex.hypergraph import hypergraph, marked_independence_series
 import chromaplex.scan as scan_module
 from chromaplex.scan import (
+    _families,
+    _family_key,
+    _orbit,
     _recorded_keys,
     canonical_form,
     enumerate_simple_hypergraphs,
@@ -19,7 +23,14 @@ from chromaplex.scan import (
     report_header,
     verdict_to_json_line,
 )
-from chromaplex.series import QPolynomial, TruncatedSeries, series_inverse
+from chromaplex.series import QPolynomial, series_inverse
+from helpers import (
+    canonical_form_oracle,
+    inverse_nonneg_oracle,
+    random_hypergraph,
+    relabelings_oracle,
+    simple_hypergraphs_oracle,
+)
 
 
 def test_signed_series_single_edge():
@@ -121,9 +132,7 @@ def test_odd_edge_witness():
 
 def test_odd_edge_witness_gate_raises(monkeypatch):
     monkeypatch.setattr(
-        scan_module,
-        "series_inverse",
-        lambda s: TruncatedSeries(s.n, s.trunc, {(2,) * s.n: Fraction(1, 2)}),
+        scan_module, "_signed_inverse", lambda g, window: iter([(window, Fraction(1, 2))])
     )
     with pytest.raises(VerificationError):
         odd_edge_witness(hypergraph(3, [(1, 2, 3)]))
@@ -154,12 +163,22 @@ def test_enumeration_counts():
     assert sum(1 for _ in enumerate_simple_hypergraphs(2)) == 2
     assert sum(1 for _ in enumerate_simple_hypergraphs(3)) == 9
     assert sum(1 for _ in enumerate_simple_hypergraphs(4)) == 114
+    assert sum(1 for _ in enumerate_simple_hypergraphs(5)) == 6894
     for g in enumerate_simple_hypergraphs(3):
         assert g.n == 3
         for e in g.edges:
             assert len(e) >= 2
     with pytest.raises(ValueError):
         list(enumerate_simple_hypergraphs(-1))
+
+
+def test_enumeration_matches_recursive_oracle():
+    """The key walk yields the families of the recursion over frozensets, in
+    its order, each with its own key."""
+    for n in range(6):
+        oracle = list(simple_hypergraphs_oracle(n))
+        assert [g.edges for g in enumerate_simple_hypergraphs(n)] == oracle
+        assert list(_families(n)) == [_family_key(edges) for edges in oracle]
 
 
 def test_enumeration_deterministic():
@@ -182,6 +201,47 @@ def test_canonical_form():
     assert c == (3, ((1, 2), (1, 2, 3)))
     with pytest.raises(ValueError):
         canonical_form(hypergraph(2, [(1, 2)], special=(1,)))
+
+
+def test_canonical_form_matches_oracle():
+    """canonical_form and the orbit against the loop over every relabeling:
+    all labelled simple hypergraphs with n <= 4, seeded samples at n = 5 and
+    6, and families with singletons or nested edges."""
+    rng = random.Random(15)
+    graphs = [g for n in range(1, 5) for g in enumerate_simple_hypergraphs(n)]
+    assert len(graphs) == 126
+    graphs += rng.sample(list(enumerate_simple_hypergraphs(5)), 60)
+    graphs += [random_hypergraph(rng, 6, rng.randint(1, 6)) for _ in range(8)]
+    graphs += [
+        hypergraph(0, []),
+        hypergraph(3, [(2,), (1, 2, 3), (1, 3)]),
+        hypergraph(4, [(1,), (4,), (2, 3), (1, 2, 3, 4)]),
+        hypergraph(5, [(1, 2), (1, 2, 3), (3, 4, 5), (5,)]),
+    ]
+    for g in graphs:
+        assert canonical_form(g) == canonical_form_oracle(g), g
+        assert _orbit(g.n, _family_key(g.edges)) == set(map(_family_key, relabelings_oracle(g)))
+
+
+def test_canonical_form_charges_its_tables(monkeypatch):
+    """The relabeling tables hold n! * 2^n masks, charged before they are built."""
+    monkeypatch.delenv("CHROMAPLEX_BUDGET", raising=False)
+    with pytest.raises(BudgetError, match="relabeling tables for 9 vertices"):
+        canonical_form(hypergraph(9, [(1, 2)]))
+
+
+def test_dense_sign_check_matches_sparse_route():
+    """The dense signed inverse finds the negative that the sparse terms of
+    series_inverse give, at every class with n <= 4, on windows 0 to 3 and
+    on mixed windows with zeros; a reported coefficient is a Fraction."""
+    for v in scan_hypergraphs(4).verdicts:
+        n, edges = v.canon
+        g = hypergraph(n, edges)
+        mixed = [tuple((0, 2, 1, 3)[(i + s) % 4] for i in range(n)) for s in range(4)]
+        for window in [(w,) * n for w in range(4)] + mixed:
+            res = inverse_nonneg_check(g, window)
+            assert tuple(res) == inverse_nonneg_oracle(g, window), (g, window)
+            assert res.coeff is None or type(res.coeff) is Fraction
 
 
 def test_verdict_json_line():
