@@ -8,11 +8,14 @@ codimension >= 1 in R^n, with an optional special vertex set used by the
 marked constructions.
 
 The intersection poset orders all intersections of members by reverse
-inclusion.  Its flats are found by their canonical forms, so a repeated
-intersection is recognized before any membership test.  Each flat then gets
-the bitmask of members containing it; because every flat equals the
-intersection of exactly the members in its mask, mask containment is the
-poset order, which makes the Mobius recursion run on integer bit tests.
+inclusion.  Each flat gets the bitmask of the members containing it; as
+every flat equals the intersection of exactly the members in its mask, mask
+containment is the poset order, and the Mobius recursion runs on bit tests.
+The flats are found by meeting each flat X with the members outside mask(X)
+by two rules, over Q and over F_p alike, with Z = X & H_i the intersection:
+(a) when rank(Z) = rank(X) + 1, every member in mask(Z) is skipped for this
+X: such an H_j contains Z but not X, so X > X & H_j >= Z, and Z covers X;
+(b) a new Z's mask starts at mask(X) | bit i; only other members are tested.
 The same walk over F_p certifies a prime: it is good when the flats mod p
 carry the same masks and ranks.
 """
@@ -139,10 +142,7 @@ class Subspace:
 
     @property
     def support(self) -> tuple[int, ...]:
-        cols = set()
-        for row in self.forms:
-            cols.update(i + 1 for i, v in enumerate(row) if v)
-        return tuple(sorted(cols))
+        return tuple(sorted({i + 1 for row in self.forms for i, v in enumerate(row) if v}))
 
 
 def subspace(forms: Iterable[Sequence[int]], n: int) -> Subspace:
@@ -174,57 +174,52 @@ def arrangement(
 
 
 class PosetElement(NamedTuple):
-    forms: tuple[Row, ...]
     dim: int
     mobius: int
     mask: int  # bit i set when member i contains the flat
 
 
 def _flats(arr: Arrangement, p: int = 0) -> dict[Basis, int]:
-    """The flats of the arrangement over Q (p = 0) or over F_p, found by
-    intersecting each flat with every member outside it: the canonical
-    basis of each flat -> the mask of the members containing it."""
+    """The flats over Q (p = 0) or over F_p: the canonical basis of each flat
+    -> the mask of the members containing it.  By rule (a) a cover Z = X & H_i
+    of X skips mask(Z), as each H_j there meets X in Z; by rule (b) a new Z's
+    mask starts at mask(X) | bit i, and a cover tests only the members after
+    i, since an earlier one containing Z would have met X in Z first."""
     hyps = [s.forms for s in arr.subspaces]
-
-    def mask_of(basis: Basis) -> int:
-        mask = 0
-        for i, h in enumerate(hyps):
-            if not any(any(_reduce(row, basis, p)) for row in h):
-                mask |= 1 << i
-        return mask
-
     masks: dict[Basis, int] = {(): 0}
     frontier: list[Basis] = [()]
     while frontier:
         fresh: list[Basis] = []
         for basis in frontier:
-            mask = masks[basis]
+            mask = skip = masks[basis]
             for i, h in enumerate(hyps):
-                if not (mask >> i) & 1:
-                    inter = basis
-                    for row in h:
-                        inter = _insert(inter, row, p)
-                    if inter not in masks:
-                        masks[inter] = mask_of(inter)
-                        fresh.append(inter)
+                if skip >> i & 1:
+                    continue
+                inter = reduce(lambda b, row: _insert(b, row, p), h, basis)
+                cover = len(inter) == len(basis) + 1
+                if inter not in masks:
+                    found = mask | 1 << i
+                    for j in range(i + 1 if cover else 0, len(hyps)):
+                        if not (found >> j & 1 or any(any(_reduce(r, inter, p)) for r in hyps[j])):
+                            found |= 1 << j
+                    masks[inter] = found
+                    fresh.append(inter)
+                if cover:
+                    skip |= masks[inter]
         frontier = fresh
     return masks
 
 
-# bounded: a round of the ``arrangements`` benchmark workload keeps at most
-# ~150 arrangements alive, and an entry for K7 holds 877 flats
-@lru_cache(maxsize=512)
+# bounded small: after ``characteristic_polynomial``, which keeps its own
+# answers, a poset is read again only by the prime checks that follow it
+@lru_cache(maxsize=8)
 def _poset_data(arr: Arrangement) -> tuple[PosetElement, ...]:
     # in rank order every flat below X comes first; a flat of X's own rank
     # never has a mask inside X's, so the sum may run over all earlier flats
     elements: list[PosetElement] = []
-    below: list[tuple[int, int]] = []
-    flats = {tuple(row for _, row in basis): mask for basis, mask in _flats(arr).items()}
-    for forms in sorted(flats, key=lambda f: (len(f), f)):
-        mask = flats[forms]
-        mu = -sum(v for other, v in below if other & mask == other) if forms else 1
-        below.append((mask, mu))
-        elements.append(PosetElement(forms, arr.n - len(forms), mu, mask))
+    for rank, mask in sorted((len(basis), mask) for basis, mask in _flats(arr).items()):
+        mu = -sum(v for _, v, other in elements if other & mask == other) if rank else 1
+        elements.append(PosetElement(arr.n - rank, mu, mask))
     return tuple(elements)
 
 

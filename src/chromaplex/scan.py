@@ -56,6 +56,12 @@ class CheckResult(NamedTuple):
     coeff: Optional[Fraction]
 
 
+# bounded: a scan checks every class of one n on one window
+@lru_cache(maxsize=4)
+def _dense_window(window: tuple[int, ...]) -> DenseWindow:
+    return DenseWindow(window)
+
+
 def _signed_inverse(
     g: Hypergraph, window: tuple[int, ...]
 ) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -63,8 +69,10 @@ def _signed_inverse(
     order.  With no special vertex I(G, x) has constant term 1, so its
     inverse on the dense window stays in integers; substituting -x
     multiplies the coefficient at e by (-1)^|e|."""
-    w = DenseWindow(window)
-    inv = w.inverse(w.values(marked_independence_series(g, window)))
+    # the series charges the window's size on every call, ahead of the cache
+    series = marked_independence_series(g, window)
+    w = _dense_window(window)
+    inv = w.inverse(w.values(series))
     for e, c in zip(w.exponents(), inv):
         yield e, -c if sum(e) % 2 else c
 

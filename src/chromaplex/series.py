@@ -100,10 +100,6 @@ class TruncatedSeries:
         return self.terms.get(tuple(e), ZERO)
 
 
-def series_one(n: int, trunc: Sequence[int]) -> TruncatedSeries:
-    return TruncatedSeries(n, tuple(trunc), {(0,) * n: ONE})
-
-
 def _check_compatible(a: TruncatedSeries, b: TruncatedSeries) -> None:
     if a.n != b.n or a.trunc != b.trunc:
         raise ValueError(

@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from chromaplex.arrangement import Arrangement, arrangement
+from chromaplex.arrangement import Arrangement, _insert, _reduce, arrangement
 from chromaplex.chromatic import support
 from chromaplex.hypergraph import (
     Hypergraph,
@@ -21,7 +21,7 @@ from chromaplex.hypergraph import (
     marked_independence_series,
     marked_independent_vectors,
 )
-from chromaplex.series import Q, QPolynomial, TruncatedSeries, series_inverse, series_one
+from chromaplex.series import ONE, Q, QPolynomial, TruncatedSeries, series_inverse
 
 
 def chromatic_delcon(n: int, edges) -> QPolynomial:
@@ -86,6 +86,11 @@ def series_mul_sparse(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries
             else:
                 terms.pop(e, None)
     return TruncatedSeries(a.n, a.trunc, terms)
+
+
+def series_one(n: int, trunc) -> TruncatedSeries:
+    """The series 1 on n variables, truncated at trunc."""
+    return TruncatedSeries(n, tuple(trunc), {(0,) * n: ONE})
 
 
 def series_pow_sparse(a: TruncatedSeries, q: int) -> TruncatedSeries:
@@ -213,6 +218,37 @@ def rref_oracle(rows, width: int) -> tuple[tuple[int, ...], ...]:
                 mat[i] = primitive([x * a - y * b for x, y in zip(mat[i], mat[rank])])
         rank += 1
     return tuple(tuple(primitive(mat[i])) for i in range(rank))
+
+
+def flats_oracle(arr: Arrangement, p: int = 0) -> dict:
+    """Oracle for ``arrangement._flats``: each flat is met with every member
+    outside its mask, and each new flat's mask is built by testing every
+    member; the canonical basis of each flat -> its mask."""
+    hyps = [s.forms for s in arr.subspaces]
+
+    def mask_of(basis) -> int:
+        mask = 0
+        for i, h in enumerate(hyps):
+            if not any(any(_reduce(row, basis, p)) for row in h):
+                mask |= 1 << i
+        return mask
+
+    masks: dict = {(): 0}
+    frontier: list = [()]
+    while frontier:
+        fresh = []
+        for basis in frontier:
+            mask = masks[basis]
+            for i, h in enumerate(hyps):
+                if not (mask >> i) & 1:
+                    inter = basis
+                    for row in h:
+                        inter = _insert(inter, row, p)
+                    if inter not in masks:
+                        masks[inter] = mask_of(inter)
+                        fresh.append(inter)
+        frontier = fresh
+    return masks
 
 
 def poset_oracle(arr: Arrangement) -> list[tuple]:

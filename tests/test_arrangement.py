@@ -10,6 +10,7 @@ import chromaplex.arrangement as arrangement_module
 from chromaplex.arrangement import (
     _assert_good_prime,
     _count_colorings,
+    _flats,
     _poset_data,
     arrangement,
     arrangement_from_json,
@@ -37,6 +38,7 @@ from chromaplex.hypergraph import hypergraph
 from chromaplex.series import Q, QPolynomial, shifted_binomial_poly
 
 from helpers import (
+    flats_oracle,
     naive_arrangement_count,
     naive_complement_count,
     poset_oracle,
@@ -125,9 +127,8 @@ def test_intersection_poset_braid_k3():
     assert 0 not in by_dim
 
 
-def test_poset_matches_definition_oracle():
-    """Forms, dims and Mobius values of mixed-codimension arrangements, nested
-    members included, against the subset-closure oracle."""
+def _oracle_arrangements() -> list:
+    """The fixed and seeded arrangements of the poset oracle test."""
     fixed = [
         K3,
         # a line inside a plane, and beside another plane
@@ -144,9 +145,45 @@ def test_poset_matches_definition_oracle():
         random_subspace_arrangement(rng, rng.randint(2, 4), rng.randint(1, 5)) for _ in range(120)
     ]
     assert any(len({s.codim for s in arr.subspaces}) == 3 for arr in seeded)
-    for arr in fixed + seeded:
-        got = [(el.forms, el.dim, el.mobius) for el in _poset_data(arr)]
+    return fixed + seeded
+
+
+def test_poset_matches_definition_oracle():
+    """Forms, dims and Mobius values of mixed-codimension arrangements, nested
+    members included, against the subset-closure oracle.  A poset element
+    carries no forms; they are read from ``_flats`` by the element's mask."""
+    for arr in _oracle_arrangements():
+        forms = {mask: tuple(row for _, row in basis) for basis, mask in _flats(arr).items()}
+        got = [(forms[el.mask], el.dim, el.mobius) for el in _poset_data(arr)]
+        got.sort(key=lambda t: (len(t[0]), t[0]))
         assert got == poset_oracle(arr), arrangement_to_json(arr)
+
+
+def test_flats_match_walk_oracle():
+    """The walk by covers finds the same flats with the same masks as the
+    walk that meets each flat with every member outside it, over Q and
+    mod small primes, good or bad."""
+    rng = random.Random(37)
+    cases = _oracle_arrangements() + [
+        random_hyperplane_arrangement(rng, rng.randint(1, 4)) for _ in range(60)
+    ]
+    cases += [
+        graphical_arrangement(hypergraph(n, list(itertools.combinations(range(1, n + 1), 2))))
+        for n in (5, 6)
+    ]
+    # the member x2 + x3 = x4 = 0 meets each of the planes x1 = x2 = 0 and
+    # x1 + x2 = x3 + x4 = 0 in the origin, two ranks down, and the origin lies
+    # in the other plane: skipping it there, with no rank test, would lose
+    # the line where the two planes meet
+    nested = arrangement(
+        4,
+        [[[1, 1, 0, 0]], [[0, 1, 1, 0], [0, 0, 0, 1]], [[1, 0, 0, 0], [0, 1, 0, 0]],
+         [[1, 1, 0, 0], [0, 0, 1, 1]]],
+    )
+    assert len(_flats(nested)) == 8
+    for arr in cases + [nested]:
+        for p in (0, 2, 3, 5, 7):
+            assert _flats(arr, p) == flats_oracle(arr, p), (arrangement_to_json(arr), p)
 
 
 def test_characteristic_polynomials():

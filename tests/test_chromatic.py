@@ -40,7 +40,6 @@ from chromaplex.series import (
     binomial_poly,
     poly_from_binomial_coordinates,
     series_int_pow,
-    series_one,
     shifted_binomial_poly,
 )
 from helpers import (
@@ -48,6 +47,7 @@ from helpers import (
     count_Pk_ordered_debug,
     downward_closed_families,
     random_hypergraph,
+    series_one,
 )
 
 F = Fraction

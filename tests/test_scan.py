@@ -110,6 +110,20 @@ def test_scan_refuses_non_integer_arguments(tmp_path):
     assert out.read_text().startswith(report_header(2))
 
 
+def test_check_window_refusal_ignores_the_cache(monkeypatch):
+    """Checks share one dense window per truncation, yet each check charges
+    its size: a window that an earlier check built is refused under a
+    smaller budget all the same."""
+    g = hypergraph(3, [(1, 2, 3)])
+    scan_module._dense_window.cache_clear()
+    assert not inverse_nonneg_check(g, (3, 3, 3)).nonneg
+    assert inverse_nonneg_check(hypergraph(3, [(1, 2)]), (3, 3, 3)).nonneg
+    assert scan_module._dense_window.cache_info()[:2] == (1, 1)
+    monkeypatch.setenv("CHROMAPLEX_BUDGET", "5")
+    with pytest.raises(BudgetError, match="estimated enumeration size 64 exceeds"):
+        inverse_nonneg_check(g, (3, 3, 3))
+
+
 def test_check_zero_window_trivially_nonneg():
     res = inverse_nonneg_check(hypergraph(3, [(1, 2, 3)]), (0, 0, 0))
     assert res.nonneg

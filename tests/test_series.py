@@ -8,7 +8,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from helpers import FractionPoly, series_mul_sparse, series_pow_sparse
+from helpers import FractionPoly, series_mul_sparse, series_one, series_pow_sparse
 
 from chromaplex.errors import BudgetError
 from chromaplex.series import (
@@ -25,7 +25,6 @@ from chromaplex.series import (
     series_int_pow,
     series_inverse,
     series_mul,
-    series_one,
     series_to_json,
 )
 
