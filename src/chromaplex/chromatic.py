@@ -44,9 +44,9 @@ from .hypergraph import (
     system_series,
 )
 from .series import (
-    DenseWindow,
     QPolynomial,
     binomial_poly,
+    dense_window,
     poly_from_binomial_coordinates,
     qpoly_const,
     qpoly_interpolate,
@@ -121,7 +121,7 @@ def _block_table(g: Hypergraph, window: Vector) -> Table:
     (possible at special vertices) count correctly.  A block fits when every
     guard bit of the window's packed exponents survives one subtraction.
     """
-    w = DenseWindow(window)
+    w = dense_window(window)
     packs, guards = w.packs, w.guards
     blocks = []
     for b in marked_independent_vectors(g, window):
@@ -162,7 +162,7 @@ def _series_table(a: IndependenceSystem, special: tuple[int, ...], window: Vecto
     walk; ``system_series`` gates the base series over the whole window.
     """
     f = system_series(a, special, window)
-    w = DenseWindow(window)
+    w = dense_window(window)
     base = w.values(f)
     base[0] = 0
     base_terms = w.nonzero(base)

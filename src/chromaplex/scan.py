@@ -14,8 +14,9 @@ cache holds the image of each vertex mask, so the orbit of a family is the
 set of its permuted keys, computed once per isomorphism class; the canonical
 form is the least of the orbit's decoded families.  Only a class's first
 member becomes a ``Hypergraph``.  The sign check inverts the independence
-series on the dense window (``series.DenseWindow``) in integers and builds a
-``Fraction`` only for a negative it reports.
+series on the dense window (``series.dense_window``) in integers, one entry
+at a time in lex order, stops at the first negative and builds a
+``Fraction`` only for it.
 
 A verdict only certifies coefficients inside its truncation window; "nonneg"
 means no negative coefficient was found up to the window, not a proof for the
@@ -42,7 +43,7 @@ from .budget import charge
 from .chromatic import marked_chromatic_poly
 from .errors import VerificationError, natural, vector
 from .hypergraph import Edge, Hypergraph, hypergraph, is_even, marked_independence_series
-from .series import DenseWindow
+from .series import TruncatedSeries, dense_window
 
 # Dedekind numbers: antichain counts over the full power set of [n], an upper
 # bound for the number of simple hypergraphs on [n] (whose edge families are
@@ -56,29 +57,24 @@ class CheckResult(NamedTuple):
     coeff: Optional[Fraction]
 
 
-# bounded: a scan checks every class of one n on one window
-@lru_cache(maxsize=4)
-def _dense_window(window: tuple[int, ...]) -> DenseWindow:
-    return DenseWindow(window)
-
-
 def _signed_inverse(
     g: Hypergraph, window: tuple[int, ...]
 ) -> Iterator[tuple[tuple[int, ...], int]]:
-    """(e, [x^e] 1/I(G, -x)) for every exponent e of the window, in lex
-    order.  With no special vertex I(G, x) has constant term 1, so its
-    inverse on the dense window stays in integers; substituting -x
-    multiplies the coefficient at e by (-1)^|e|."""
-    # the series charges the window's size on every call, ahead of the cache
-    series = marked_independence_series(g, window)
-    w = _dense_window(window)
-    inv = w.inverse(w.values(series))
-    for e, c in zip(w.exponents(), inv):
-        yield e, -c if sum(e) % 2 else c
+    """(e, [x^e] 1/I(G, -x)) for every e of the window, lazily in lex order.
+    Substituting -x multiplies the coefficient of I(G, x) at e by (-1)^|e|;
+    with no special vertex the constant term is 1, so the inverse on the
+    dense window stays in integers."""
+    # the series and the window charge their sizes on every call
+    terms = marked_independence_series(g, window).terms
+    signed = {e: -c if sum(e) % 2 else c for e, c in terms.items()}
+    w = dense_window(window)
+    x = w.values(TruncatedSeries._trusted(g.n, window, signed))
+    return zip(w.exponents(), w.inverse_entries(x))
 
 
 def inverse_nonneg_check(g: Hypergraph, window: Sequence[int]) -> CheckResult:
-    """Scan every coefficient of 1/I(G, -x) up to the window.
+    """Scan the coefficients of 1/I(G, -x) up to the window in lex order,
+    each computed only when reached, and stop at the first negative.
 
     Returns the non-negativity flag together with the lexicographically
     first negative exponent and its coefficient, if one exists.  A found
@@ -165,8 +161,7 @@ def _decode(n: int, key: int) -> tuple[Edge, ...]:
 @lru_cache(maxsize=2)
 def _mask_images(n: int) -> tuple[tuple[int, ...], ...]:
     """For each permutation of the n vertices, the image of every vertex
-    mask; charges the n! * 2^n entries to the budget."""
-    charge(math.factorial(n) << n, f"relabeling tables for {n} vertices")
+    mask: n! * 2^n entries, which ``_orbit`` charges."""
     return tuple(
         tuple(sum(1 << perm[v] for v in range(n) if mask >> v & 1) for mask in range(1 << n))
         for perm in itertools.permutations(range(n))
@@ -175,7 +170,8 @@ def _mask_images(n: int) -> tuple[tuple[int, ...], ...]:
 
 def _orbit(n: int, key: int) -> set[int]:
     """The keys of the family with the given key under every vertex
-    permutation."""
+    permutation; the tables are charged on every call, cached or not."""
+    charge(math.factorial(n) << n, f"relabeling tables for {n} vertices")
     masks = [mask for mask in range(1, 1 << n) if key >> mask & 1]
     return {sum([1 << image[mask] for mask in masks]) for image in _mask_images(n)}
 

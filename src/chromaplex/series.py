@@ -17,8 +17,9 @@ per packed field tests e >= d in one subtraction.  An integral coefficient
 ``Fraction``, so products, powers and the inverse of an integral series with
 constant term +-1, such as every independence series, are computed in
 integers alone.  A power squares on the dense list and becomes a series once,
-at the end.  The window's size is charged to the budget before it is
-allocated.
+at the end.  The inverse is a generator in lex order (``inverse_entries``),
+so a caller that reads a prefix computes no more.  Small windows are cached
+(``dense_window``); each call charges the size before the cache is asked.
 
 Every result holds ``Fraction``s like every series.  The public constructor
 checks its input; series the package builds itself (results of the kernel,
@@ -121,12 +122,10 @@ class DenseWindow:
     one ``int`` with a field per variable whose top bit is a guard, so that
     componentwise comparisons are one subtraction: e >= d exactly when every
     guard survives (e | guards) - d, and then the coefficient at e - d sits
-    at index(e) - index(d).  Building a window charges its size to the budget.
+    at index(e) - index(d).  Windows are shared: see ``dense_window``.
     """
 
     def __init__(self, trunc: tuple[int, ...]) -> None:
-        size = math.prod(t + 1 for t in trunc)
-        charge(size, f"dense series window of {size} coefficients")
         self.trunc = trunc
         self.strides = [math.prod(t + 1 for t in trunc[i + 1 :]) for i in range(len(trunc))]
         width = max(trunc, default=0).bit_length() + 1
@@ -168,8 +167,9 @@ class DenseWindow:
                         out[i + j] += c1 * c2
         return out
 
-    def inverse(self, x: Dense) -> Dense:
-        """1/x: the entry at e is fixed by (x * g)[e] = [e == 0] once every
+    def inverse_entries(self, x: Dense) -> Iterator[int | Fraction]:
+        """The entries of 1/x in lex order, each computed when it is asked
+        for: the entry at e is fixed by (x * g)[e] = [e == 0] once every
         entry before it is known, and the one at e - d sits at
         index(e) - index(d).  An integral 1/x_0 keeps integral inputs in
         ``int``s."""
@@ -178,17 +178,20 @@ class DenseWindow:
         inv0 = _exact(1 / Fraction(x[0]))
         packs, guards = self.packs, self.guards
         nonconst = self.nonzero(x)[1:]
-        g: Dense = [0] * len(x)
-        g[0] = inv0
+        g: Dense = [inv0]
+        yield inv0
         for i in range(1, len(x)):
             pe = packs[i] | guards
             acc = 0
             for pd, off, c in nonconst:
                 if (pe - pd) & guards == guards:
                     acc += c * g[i - off]
-            if acc:
-                g[i] = -acc * inv0
-        return g
+            g.append(-acc * inv0 if acc else 0)
+            yield g[i]
+
+    def inverse(self, x: Dense) -> Dense:
+        """1/x on the whole window."""
+        return list(self.inverse_entries(x))
 
     def series(self, x: Dense) -> TruncatedSeries:
         """The series with coefficients x, its terms as ``Fraction``s."""
@@ -196,16 +199,32 @@ class DenseWindow:
         return TruncatedSeries._trusted(len(self.trunc), self.trunc, terms)
 
 
+def dense_window(trunc: tuple[int, ...]) -> DenseWindow:
+    """The dense window of ``trunc``, shared by every caller.  Its size is
+    charged on every call, before the cache is asked, so a refusal does not
+    depend on the cache.  Windows of over 4,096 entries are not kept: they
+    are cheap to build next to the work done on them, and large."""
+    size = math.prod(t + 1 for t in trunc)
+    charge(size, f"dense series window of {size} coefficients")
+    return _dense_window(trunc) if size <= 4096 else DenseWindow(trunc)
+
+
+# bounded: a scan to n = 5 meets 21 windows, a coeffs round three
+@lru_cache(maxsize=32)
+def _dense_window(trunc: tuple[int, ...]) -> DenseWindow:
+    return DenseWindow(trunc)
+
+
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Product, discarding exponents outside the truncation window."""
     _check_compatible(a, b)
-    w = DenseWindow(a.trunc)
+    w = dense_window(a.trunc)
     return w.series(w.mul(w.values(a), w.nonzero(w.values(b))))
 
 
 def series_inverse(a: TruncatedSeries) -> TruncatedSeries:
     """Multiplicative inverse; requires a nonzero constant term."""
-    w = DenseWindow(a.trunc)
+    w = dense_window(a.trunc)
     return w.series(w.inverse(w.values(a)))
 
 
@@ -213,7 +232,7 @@ def series_int_pow(a: TruncatedSeries, q: int) -> TruncatedSeries:
     """a**q for any integer q (negative powers invert first), by repeated
     squaring on the dense window."""
     (q,) = int_tuple((q,), "exponent")
-    w = DenseWindow(a.trunc)
+    w = dense_window(a.trunc)
     base = w.values(a)
     if q < 0:
         base, q = w.inverse(base), -q

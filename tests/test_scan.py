@@ -10,6 +10,7 @@ import pytest
 from chromaplex.errors import BudgetError, VerificationError
 from chromaplex.hypergraph import hypergraph, marked_independence_series
 import chromaplex.scan as scan_module
+import chromaplex.series as series_module
 from chromaplex.scan import (
     _families,
     _family_key,
@@ -23,7 +24,7 @@ from chromaplex.scan import (
     report_header,
     verdict_to_json_line,
 )
-from chromaplex.series import QPolynomial, series_inverse
+from chromaplex.series import DenseWindow, QPolynomial, series_inverse
 from helpers import (
     canonical_form_oracle,
     inverse_nonneg_oracle,
@@ -115,13 +116,38 @@ def test_check_window_refusal_ignores_the_cache(monkeypatch):
     its size: a window that an earlier check built is refused under a
     smaller budget all the same."""
     g = hypergraph(3, [(1, 2, 3)])
-    scan_module._dense_window.cache_clear()
+    series_module._dense_window.cache_clear()
     assert not inverse_nonneg_check(g, (3, 3, 3)).nonneg
     assert inverse_nonneg_check(hypergraph(3, [(1, 2)]), (3, 3, 3)).nonneg
-    assert scan_module._dense_window.cache_info()[:2] == (1, 1)
+    # the second check finds the window in the cache; the misses depend on
+    # whether the recheck's block table for (1, 1, 2) was cached before
+    assert series_module._dense_window.cache_info().hits == 1
     monkeypatch.setenv("CHROMAPLEX_BUDGET", "5")
     with pytest.raises(BudgetError, match="estimated enumeration size 64 exceeds"):
         inverse_nonneg_check(g, (3, 3, 3))
+
+
+def test_check_stops_at_its_first_negative(monkeypatch):
+    """The check computes the inverse in lex order and reads no further than
+    its first negative: for the single edge {1, 2, 3} at (2, 2, 2) that is
+    (1, 1, 2), the 15th of the window's 27 entries.  An even class reads
+    them all."""
+    reads = []
+    lazy = DenseWindow.inverse_entries
+
+    def counted(self, x):
+        reads.append(0)
+        for c in lazy(self, x):
+            reads[-1] += 1
+            yield c
+
+    monkeypatch.setattr(DenseWindow, "inverse_entries", counted)
+    res = inverse_nonneg_check(hypergraph(3, [(1, 2, 3)]), (2, 2, 2))
+    assert tuple(res) == (False, (1, 1, 2), Fraction(-1))
+    assert reads[0] == 15
+    reads.clear()
+    assert inverse_nonneg_check(hypergraph(3, [(1, 2)]), (2, 2, 2)).nonneg
+    assert reads == [27]
 
 
 def test_check_zero_window_trivially_nonneg():
@@ -244,18 +270,53 @@ def test_canonical_form_charges_its_tables(monkeypatch):
         canonical_form(hypergraph(9, [(1, 2)]))
 
 
+def test_relabeling_tables_are_charged_on_every_call(monkeypatch):
+    """Tables built under one budget are refused under a smaller one: the
+    charge does not depend on what the cache holds."""
+    g = hypergraph(6, [(1, 2), (3, 4, 5)])
+    monkeypatch.setenv("CHROMAPLEX_BUDGET", "16")
+    assert canonical_form(g) == canonical_form_oracle(g)
+    monkeypatch.setenv("CHROMAPLEX_BUDGET", "15")
+    with pytest.raises(
+        BudgetError,
+        match="relabeling tables for 6 vertices: estimated enumeration size 46080 exceeds budget 32768",
+    ):
+        canonical_form(g)
+
+
 def test_dense_sign_check_matches_sparse_route():
     """The dense signed inverse finds the negative that the sparse terms of
     series_inverse give, at every class with n <= 4, on windows 0 to 3 and
-    on mixed windows with zeros; a reported coefficient is a Fraction."""
-    for v in scan_hypergraphs(4).verdicts:
-        n, edges = v.canon
+    on mixed windows with zeros, and at a seeded sample of the n = 5
+    classes on window 2; a reported coefficient is a Fraction."""
+    classes = [v.canon for v in scan_hypergraphs(5).verdicts]
+    five = random.Random(18).sample([c for c in classes if c[0] == 5], 24)
+    for n, edges in [c for c in classes if c[0] <= 4] + five:
         g = hypergraph(n, edges)
         mixed = [tuple((0, 2, 1, 3)[(i + s) % 4] for i in range(n)) for s in range(4)]
-        for window in [(w,) * n for w in range(4)] + mixed:
+        for window in [(2,) * 5] if n == 5 else [(w,) * n for w in range(4)] + mixed:
             res = inverse_nonneg_check(g, window)
             assert tuple(res) == inverse_nonneg_oracle(g, window), (g, window)
             assert res.coeff is None or type(res.coeff) is Fraction
+
+
+def test_scan_calls_the_module_work_once_per_class(monkeypatch):
+    """A scan looks its per-class check up as the module-level ``_work`` and
+    calls it once per class, in verdict order: timing that one call gives
+    a latency sample per class."""
+    calls = []
+    direct = scan_module._work
+
+    def counted(item):
+        calls.append(item)
+        return direct(item)
+
+    monkeypatch.setattr(scan_module, "_work", counted)
+    for n_max, classes in zip(range(1, 5), (1, 3, 8, 28)):
+        calls.clear()
+        rep = scan_hypergraphs(n_max)
+        assert len(calls) == rep.total == classes
+        assert [(n, edges) for n, edges, _ in calls] == [v.canon for v in rep.verdicts]
 
 
 def test_verdict_json_line():

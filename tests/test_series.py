@@ -16,7 +16,9 @@ from chromaplex.series import (
     QPolynomial,
     shifted_binomial_poly,
     TruncatedSeries,
+    _dense_window,
     binomial_poly,
+    dense_window,
     poly_from_binomial_coordinates,
     qpoly_const,
     qpoly_interpolate,
@@ -149,6 +151,29 @@ def test_int_pow_matches_repeated_mul_random():
                 assert series_mul_sparse(power, series_pow_sparse(f, -q)) == one
 
 
+def test_inverse_entries_are_the_inverse_in_lex_order():
+    """The lazy inverse yields 1/x entry by entry in the window's dense
+    order: all of it is ``inverse`` and the sparse oracle's inverse, and a
+    prefix read alone is the same prefix, on integral and non-integral
+    inputs and windows with zero bounds.  series_inverse still refuses a
+    zero constant term at the call."""
+    rng = random.Random(18)
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        trunc = tuple(rng.randint(0, 2) for _ in range(n))
+        constant = rng.choice([F(1), F(-1), F(2), F(1, 2)])
+        f = _random_series(rng, n, trunc, rng.random() < 0.5, constant)
+        w = dense_window(trunc)
+        x = w.values(f)
+        entries = list(w.inverse_entries(x))
+        assert entries == w.inverse(x)
+        assert series_mul_sparse(f, w.series(entries)) == series_one(n, trunc)
+        k = rng.randint(0, len(entries))
+        assert list(itertools.islice(w.inverse_entries(x), k)) == entries[:k]
+    with pytest.raises(ValueError, match="zero constant term"):
+        series_inverse(s(2, (1, 2), {(1, 0): 1, (0, 2): 3}))
+
+
 def test_dense_window_charges_before_allocating(monkeypatch):
     """A sparse series on a huge window is refused before the window is
     allocated (a million coefficients, past a budget of 2**12), and one on a
@@ -167,6 +192,15 @@ def test_dense_window_charges_before_allocating(monkeypatch):
     g = s(2, (63, 63), {(0, 0): 1, (1, 0): 1})
     assert series_inverse(g).terms[(63, 0)] == F(-1)
     assert series_int_pow(g, 2).terms[(2, 0)] == F(1)
+
+
+def test_only_small_dense_windows_are_cached():
+    """A window of up to 4,096 entries is built once and shared; a larger
+    one is built on each call, so the cache holds no large window."""
+    _dense_window.cache_clear()
+    assert dense_window((63, 63)) is dense_window((63, 63))
+    assert dense_window((64, 63)) is not dense_window((64, 63))
+    assert _dense_window.cache_info().currsize == 1
 
 
 def test_public_constructor_checks_its_input():
