@@ -43,14 +43,7 @@ from .hypergraph import (
     system_validate,
 )
 from .scan import inverse_nonneg_check, odd_edge_witness, scan_hypergraphs
-from .series import (
-    Q,
-    QPolynomial,
-    qpoly_pretty,
-    qpoly_to_json,
-    series_int_pow,
-    series_to_json,
-)
+from .series import Q, QPolynomial, qpoly_pretty, qpoly_to_json, series_int_pow, series_to_json
 
 
 def _read_input(arg: str) -> dict:

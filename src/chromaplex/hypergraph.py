@@ -3,7 +3,9 @@
 A hypergraph on vertices 1..n is a family of nonempty edges (vertex sets,
 stored as sorted tuples) together with a set of special vertices.  Special
 vertices are the ones allowed to repeat colors in marked colorings; they play
-no role in plain independence.
+no role in plain independence.  Every walk over independent vectors is one
+enumerator on vertex bitmasks, ``marked_independent_vectors``, whose supports
+come from ``vertex_sets``, the subset table that the scan shares.
 
 An independence system is a downward-closed family of subsets of 1..n
 containing the empty set.  Its members are exactly the independent sets of
@@ -16,6 +18,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Container, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .budget import charge
@@ -87,21 +90,50 @@ def _lift(
         yield tuple(e)
 
 
+def _subsets(n: int) -> Iterator[tuple[int, Edge]]:
+    for size in range(1, n + 1):
+        for e in itertools.combinations(range(1, n + 1), size):
+            yield sum(1 << (v - 1) for v in e), e
+
+
+def vertex_sets(n: int) -> Iterable[tuple[int, Edge]]:
+    """Every nonempty subset of {1..n} as (mask, sorted tuple), ordered by
+    size then lexicographically, the order of a hypergraph's edges.  Up to 12
+    vertices (4,095 subsets) the table is kept; over more, the subsets are
+    generated as they are read."""
+    return _vertex_table(n) if n <= 12 else _subsets(n)
+
+
+# bounded: a scan meets each n once, an enumeration its count of capped vertices
+@lru_cache(maxsize=8)
+def _vertex_table(n: int) -> tuple[tuple[int, Edge], ...]:
+    return tuple(_subsets(n))
+
+
 def marked_independent_vectors(g: Hypergraph, cap: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """The multiplicity vectors e <= cap with an edge-free support and
     e_v <= 1 off the special set, ordered by support size, then support,
     then multiplicities.  With cap <= 1 these are the independent sets.
 
-    Charges no budget: each caller charges its own estimate."""
-    sp = set(g.special)
-    edge_sets = [frozenset(e) for e in g.edges]
+    The supports are bitmasks over the k vertices whose cap is >= 1, from
+    ``vertex_sets(k)``: the walk costs 2^k, not 2^n, and an edge through a
+    vertex of cap 0 is in no support.  Charges no budget: each caller
+    charges its own estimate."""
     allowed = [v for v in range(1, g.n + 1) if cap[v - 1] >= 1]
-    for size in range(len(allowed) + 1):
-        for supp in itertools.combinations(allowed, size):
-            s = frozenset(supp)
-            if any(e <= s for e in edge_sets):
-                continue
-            yield from _lift(g.n, supp, sp, cap)
+    bit = {v: 1 << i for i, v in enumerate(allowed)}
+    where = [bit.get(v, 0) for v in range(1, g.n + 1)]
+    edges = [sum(map(bit.get, e)) for e in g.edges if all(v in bit for v in e)]
+    marked = sum(bit[v] for v in g.special if v in bit)
+    yield (0,) * g.n
+    for mask, supp in vertex_sets(len(allowed)):
+        for f in edges:
+            if f & mask == f:
+                break
+        else:
+            if mask & marked:
+                yield from _lift(g.n, [allowed[i - 1] for i in supp], g.special, cap)
+            else:
+                yield tuple([1 if mask & b else 0 for b in where])
 
 
 def independent_sets(g: Hypergraph) -> list[Edge]:
@@ -150,18 +182,15 @@ def system_validate(a: IndependenceSystem) -> SystemFlags:
 
     Simple means every singleton belongs to the family.
     """
-    members = set(frozenset(m) for m in a.members)
-    if frozenset() not in members:
+    members = set(a.members)
+    if () not in members:
         raise ValueError("independence system must contain the empty set")
     for m in a.members:
         for v in m:
-            below = frozenset(set(m) - {v})
+            below = tuple(u for u in m if u != v)
             if below not in members:
-                raise ValueError(
-                    f"not downward closed: {m} is a member but {tuple(sorted(below))} is not"
-                )
-    simple = all(frozenset((v,)) in members for v in range(1, a.n + 1))
-    return SystemFlags(simple=simple)
+                raise ValueError(f"not downward closed: {m} is a member but {below} is not")
+    return SystemFlags(simple=all((v,) in members for v in range(1, a.n + 1)))
 
 
 def hypergraph_from_system(
@@ -174,15 +203,12 @@ def hypergraph_from_system(
     """
     system_validate(a)
     charge(1 << a.n, f"subset enumeration over {a.n} ground elements")
-    members = set(frozenset(m) for m in a.members)
-    edges = []
-    for size in range(1, a.n + 1):
-        for combo in itertools.combinations(range(1, a.n + 1), size):
-            s = frozenset(combo)
-            if s in members:
-                continue
-            if all(s - {v} in members for v in combo):
-                edges.append(combo)
+    members = {sum(1 << (v - 1) for v in m) for m in a.members}
+    edges = [
+        e
+        for mask, e in vertex_sets(a.n)
+        if mask not in members and all(mask ^ 1 << (v - 1) in members for v in e)
+    ]
     return hypergraph(a.n, edges, special)
 
 

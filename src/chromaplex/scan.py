@@ -9,14 +9,13 @@ verdicts to a resumable JSON-lines report.
 
 A scan works on vertex bitmasks.  A labelled edge family is one int, its
 key (``_family_key``), and the enumeration walks keys, testing two edges for
-incomparability on their masks.  For every vertex permutation a bounded
-cache holds the image of each vertex mask, so the orbit of a family is the
-set of its permuted keys, computed once per isomorphism class; the canonical
-form is the least of the orbit's decoded families.  Only a class's first
-member becomes a ``Hypergraph``.  The sign check inverts the independence
-series on the dense window (``series.dense_window``) in integers, one entry
-at a time in lex order, stops at the first negative and builds a
-``Fraction`` only for it.
+incomparability on their masks.  Per-n tables of permuted vertex masks give
+a family's orbit, its permuted keys, built once per isomorphism class for
+both its canonical form (the least decoded family) and the class table.
+Only a class's first member becomes a ``Hypergraph``.  The sign check writes
+(-1)^|e| at each independent vector e into the dense window and inverts
+there in integers, entry by entry in lex order up to the first negative,
+the one coefficient that becomes a ``Fraction``.
 
 A verdict only certifies coefficients inside its truncation window; "nonneg"
 means no negative coefficient was found up to the window, not a proof for the
@@ -30,6 +29,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import os
 import time
 from dataclasses import dataclass, field
@@ -42,8 +42,8 @@ from . import __version__
 from .budget import charge
 from .chromatic import marked_chromatic_poly
 from .errors import VerificationError, natural, vector
-from .hypergraph import Edge, Hypergraph, hypergraph, is_even, marked_independence_series
-from .series import TruncatedSeries, dense_window
+from .hypergraph import Hypergraph, hypergraph, is_even, marked_independent_vectors, vertex_sets
+from .series import dense_window
 
 # Dedekind numbers: antichain counts over the full power set of [n], an upper
 # bound for the number of simple hypergraphs on [n] (whose edge families are
@@ -61,14 +61,13 @@ def _signed_inverse(
     g: Hypergraph, window: tuple[int, ...]
 ) -> Iterator[tuple[tuple[int, ...], int]]:
     """(e, [x^e] 1/I(G, -x)) for every e of the window, lazily in lex order.
-    Substituting -x multiplies the coefficient of I(G, x) at e by (-1)^|e|;
-    with no special vertex the constant term is 1, so the inverse on the
-    dense window stays in integers."""
-    # the series and the window charge their sizes on every call
-    terms = marked_independence_series(g, window).terms
-    signed = {e: -c if sum(e) % 2 else c for e, c in terms.items()}
-    w = dense_window(window)
-    x = w.values(TruncatedSeries._trusted(g.n, window, signed))
+    I(G, -x) has (-1)^|e| at each independent vector e, written straight
+    into the dense window; with no special vertex its constant term is 1,
+    so the inverse stays in integers."""
+    w = dense_window(window)  # charges the window's size on every call
+    x = [0] * len(w.packs)
+    for e in marked_independent_vectors(g, window):
+        x[sum(map(operator.mul, e, w.strides))] = -1 if sum(e) % 2 else 1
     return zip(w.exponents(), w.inverse_entries(x))
 
 
@@ -139,23 +138,11 @@ def _family_key(edges: Iterable[Sequence[int]]) -> int:
     return sum(1 << sum(1 << (v - 1) for v in e) for e in edges)
 
 
-# bounded, like the tables below: a scan meets each n once, in order
-@lru_cache(maxsize=2)
-def _vertex_sets(n: int) -> tuple[tuple[int, Edge], ...]:
-    """Every nonempty subset of {1..n} as (mask, sorted tuple), ordered by
-    size then lexicographically, the order of a hypergraph's edges."""
-    return tuple(
-        (sum(1 << (v - 1) for v in e), e)
-        for size in range(1, n + 1)
-        for e in itertools.combinations(range(1, n + 1), size)
-    )
-
-
-def _decode(n: int, key: int) -> tuple[Edge, ...]:
+def _decode(n: int, key: int) -> tuple[tuple[int, ...], ...]:
     """The edge family with the given key, in hypergraph order."""
     # built from a list: tuple() of a generator shrinks the tuple it filled,
     # and CPython's free lists then keep up to 2,000 such tuples per size
-    return tuple([e for mask, e in _vertex_sets(n) if key >> mask & 1])
+    return tuple([e for mask, e in vertex_sets(n) if key >> mask & 1])
 
 
 @lru_cache(maxsize=2)
@@ -168,12 +155,18 @@ def _mask_images(n: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _orbit(n: int, key: int) -> set[int]:
+def _orbit(n: int, key: int) -> frozenset[int]:
     """The keys of the family with the given key under every vertex
     permutation; the tables are charged on every call, cached or not."""
     charge(math.factorial(n) << n, f"relabeling tables for {n} vertices")
+    return _orbit_of(n, key)
+
+
+# one entry: a scan reads each class's orbit twice in a row (canonical form, table)
+@lru_cache(maxsize=1)
+def _orbit_of(n: int, key: int) -> frozenset[int]:
     masks = [mask for mask in range(1, 1 << n) if key >> mask & 1]
-    return {sum([1 << image[mask] for mask in masks]) for image in _mask_images(n)}
+    return frozenset([sum([1 << image[mask] for mask in masks]) for image in _mask_images(n)])
 
 
 def _families(n: int) -> Iterator[int]:
@@ -181,7 +174,7 @@ def _families(n: int) -> Iterator[int]:
     ``enumerate_simple_hypergraphs``: a recursion over the candidate edges
     (size >= 2, in hypergraph order) that leaves each candidate out before
     taking it in, when it is incomparable with every chosen edge."""
-    masks = [mask for mask, e in _vertex_sets(n) if len(e) >= 2]
+    masks = [mask for mask, e in vertex_sets(n) if len(e) >= 2]
 
     def rec(idx: int, key: int, chosen: list[int]) -> Iterator[int]:
         if idx == len(masks):

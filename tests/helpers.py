@@ -15,12 +15,7 @@ from functools import lru_cache
 
 from chromaplex.arrangement import Arrangement, _insert, _reduce, arrangement
 from chromaplex.chromatic import support
-from chromaplex.hypergraph import (
-    Hypergraph,
-    hypergraph,
-    marked_independence_series,
-    marked_independent_vectors,
-)
+from chromaplex.hypergraph import Hypergraph, hypergraph
 from chromaplex.series import ONE, Q, QPolynomial, TruncatedSeries, series_inverse
 
 
@@ -51,11 +46,30 @@ def chromatic_delcon(n: int, edges) -> QPolynomial:
     )
 
 
+def marked_independent_vectors_oracle(g: Hypergraph, cap):
+    """Oracle for ``hypergraph.marked_independent_vectors``: each candidate
+    support among the vertices of cap >= 1, by size then lexicographically,
+    tested as a frozenset against frozenset edges, and lifted to every
+    multiplicity vector on it in lex order."""
+    edge_sets = [frozenset(e) for e in g.edges]
+    allowed = [v for v in range(1, g.n + 1) if cap[v - 1] >= 1]
+    for size in range(len(allowed) + 1):
+        for supp in itertools.combinations(allowed, size):
+            if any(e <= frozenset(supp) for e in edge_sets):
+                continue
+            ranges = [range(1, cap[v - 1] + 1) if v in g.special else (1,) for v in supp]
+            for mults in itertools.product(*ranges):
+                e = [0] * g.n
+                for v, mult in zip(supp, mults):
+                    e[v - 1] = mult
+                yield tuple(e)
+
+
 def count_Pk_ordered_debug(g: Hypergraph, m, k: int) -> int:
     """Debug route for count_Pk_mult: direct recursion over ordered k-tuples
     of nonzero marked-independent blocks summing to m."""
     m = tuple(m)
-    blocks = [b for b in marked_independent_vectors(g, m) if any(b)]
+    blocks = [b for b in marked_independent_vectors_oracle(g, m) if any(b)]
 
     @lru_cache(maxsize=None)
     def rec(remaining: tuple, j: int) -> int:
@@ -157,8 +171,11 @@ def canonical_form_oracle(g: Hypergraph) -> tuple[int, tuple[tuple[int, ...], ..
 def inverse_nonneg_oracle(g: Hypergraph, window):
     """Oracle for ``scan.inverse_nonneg_check``: the first negative
     coefficient of 1/I(G, -x) in lex order, from the sparse terms of
-    ``series_inverse``, as (nonneg, neg_at, coeff)."""
-    inv = series_inverse(marked_independence_series(g, window)).terms
+    ``series_inverse`` of the series built from
+    ``marked_independent_vectors_oracle``, as (nonneg, neg_at, coeff)."""
+    window = tuple(window)
+    terms = dict.fromkeys(marked_independent_vectors_oracle(g, window), 1)
+    inv = series_inverse(TruncatedSeries(g.n, window, terms)).terms
     for e in sorted(inv):
         c = -inv[e] if sum(e) % 2 else inv[e]
         if c < 0:

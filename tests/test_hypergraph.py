@@ -1,5 +1,7 @@
 import itertools
 import random
+import signal
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -23,8 +25,9 @@ from chromaplex.hypergraph import (
     validate,
 )
 import chromaplex.hypergraph as hypergraph_module
-from chromaplex.scan import enumerate_simple_hypergraphs
+from chromaplex.scan import enumerate_simple_hypergraphs, scan_hypergraphs
 from chromaplex.series import TruncatedSeries
+from helpers import marked_independent_vectors_oracle
 
 F = Fraction
 
@@ -84,23 +87,81 @@ def test_independent_sets():
     assert (2, 3, 5) in fig1
 
 
+def _window_filter(g, cap):
+    """The marked-independent vectors of g under cap, by a filter of the
+    whole window, sorted by support size, then support, then multiplicities."""
+    want = []
+    for e in itertools.product(*(range(t + 1) for t in cap)):
+        supp = tuple(v for v, mult in enumerate(e, start=1) if mult)
+        plain_ok = all(mult <= 1 or v in g.special for v, mult in enumerate(e, start=1))
+        if plain_ok and not any(set(f) <= set(supp) for f in g.edges):
+            want.append((len(supp), supp, e))
+    return [e for *_, e in sorted(want)]
+
+
 def test_marked_independent_vectors_match_window_filter():
-    """Content and order against a filter of the whole window, with and
-    without special vertices."""
+    """Content and order against a filter of the whole window and against
+    the frozenset oracle: seeded hypergraphs on up to 6 vertices with random
+    special sets and caps of 0 to 3, and every scan class with n <= 5 at
+    caps (1, ..., 1) and (2, ..., 2), plain and with a random special set."""
     rng = random.Random(41)
-    for _ in range(60):
-        n = rng.randint(1, 4)
-        edges = [rng.sample(range(1, n + 1), rng.randint(1, n)) for _ in range(rng.randint(0, 3))]
+    cases = []
+    for _ in range(80):
+        n = rng.randint(1, 6)
+        edges = [rng.sample(range(1, n + 1), rng.randint(1, n)) for _ in range(rng.randint(0, 4))]
         marked = hypergraph(n, edges, [v for v in range(1, n + 1) if rng.random() < 0.5])
         cap = tuple(rng.randint(0, 3) for _ in range(n))
-        for g in (marked, hypergraph(n, edges)):
-            want = []
-            for e in itertools.product(*(range(t + 1) for t in cap)):
-                supp = tuple(v for v, mult in enumerate(e, start=1) if mult)
-                plain_ok = all(mult <= 1 or v in g.special for v, mult in enumerate(e, start=1))
-                if plain_ok and not any(set(f) <= set(supp) for f in g.edges):
-                    want.append((len(supp), supp, e))
-            assert list(marked_independent_vectors(g, cap)) == [e for *_, e in sorted(want)]
+        cases += [(marked, cap), (hypergraph(n, edges), cap)]
+    assert any(0 in cap for _, cap in cases) and any(g.special for g, _ in cases)
+    for v in scan_hypergraphs(5, 0).verdicts:
+        n, edges = v.canon
+        marked = hypergraph(n, edges, [u for u in range(1, n + 1) if rng.random() < 0.5])
+        cases += [(g, (c,) * n) for g in (hypergraph(n, edges), marked) for c in (1, 2)]
+    for g, cap in cases:
+        got = list(marked_independent_vectors(g, cap))
+        assert got == _window_filter(g, cap), (g, cap)
+        assert got == list(marked_independent_vectors_oracle(g, cap)), (g, cap)
+
+
+def _expire(signum, frame):
+    raise TimeoutError("a 2-second bound was exceeded")
+
+
+def test_sparse_caps_walk_only_their_supports(monkeypatch):
+    """On 24 vertices with m nonzero on 3 of them, the enumerator and the
+    marked chromatic polynomial answer at once, from subset tables over at
+    most those 3 vertices: a walk over all 2^24 subsets fails the table
+    check, the memory bound or the time bound."""
+    tables = []
+    direct = hypergraph_module.vertex_sets
+
+    def guarded(k):
+        assert k <= 3, f"subset table over {k} vertices"
+        tables.append(k)
+        return direct(k)
+
+    monkeypatch.setattr(hypergraph_module, "vertex_sets", guarded)
+    g, small = hypergraph(24, [(1, 2), (2, 3)]), hypergraph(3, [(1, 2), (2, 3)])
+    pad = (0,) * 21
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    tracemalloc.start()
+    try:
+        for m in [(1, 1, 1), (2, 1, 2)]:
+            got = list(marked_independent_vectors(g, m + pad))
+            assert got == [e + pad for e in marked_independent_vectors(small, m)]
+            assert marked_chromatic_poly(g, m + pad) == marked_chromatic_poly(small, m)
+        # vertex 2 has cap 0, so neither edge lies in a support
+        got = list(marked_independent_vectors(g, (1, 0, 1) + pad[1:] + (1,)))
+        assert len(got) == 2**3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert peak < 1 << 20
+    # with the empty support, which no table holds, at most 2^3 supports
+    assert tables and all(len(direct(k)) < 2**3 for k in tables)
 
 
 def test_enumerations_charge_their_window(monkeypatch):

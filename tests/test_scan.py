@@ -361,6 +361,17 @@ def test_scan_canonicalizes_each_class_once(monkeypatch):
     assert [v.canon for v in rep.verdicts] == expected
 
 
+def test_scan_builds_each_orbit_once():
+    """The table fill reuses the orbit that ``canonical_form`` has just
+    built for the class: a scan to n = 4 without dedup misses the orbit memo
+    once per class, 28 times, and hits it 28 times, where building the orbit
+    for both would take 56 builds."""
+    scan_module._orbit_of.cache_clear()
+    scan_hypergraphs(4, dedup=False)
+    info = scan_module._orbit_of.cache_info()
+    assert (info.misses, info.hits) == (1 + 2 + 5 + 20, 1 + 2 + 5 + 20)
+
+
 def test_scan_verdict_lines_digest():
     # computed before the per-class canonicalization memo and the dense
     # series inverse, with
