@@ -10,12 +10,15 @@ marked constructions.
 The intersection poset orders all intersections of members by reverse
 inclusion.  Each flat gets the bitmask of the members containing it; as
 every flat equals the intersection of exactly the members in its mask, mask
-containment is the poset order, and the Mobius recursion runs on bit tests.
-The flats are found by meeting each flat X with the members outside mask(X)
-by two rules, over Q and over F_p alike, with Z = X & H_i the intersection:
-(a) when rank(Z) = rank(X) + 1, every member in mask(Z) is skipped for this
-X: such an H_j contains Z but not X, so X > X & H_j >= Z, and Z covers X;
-(b) a new Z's mask starts at mask(X) | bit i; only other members are tested.
+containment is the poset order.  The Mobius recursion runs on bitsets over
+the flats in (rank, mask) order: the flats below X are the earlier ones that
+lack every member X lacks, one AND per such member, and each mu value adds
+its count among them, one popcount per value.  The flats are found by
+meeting each flat X with the members outside mask(X) by two rules, over Q
+and over F_p alike, with Z = X & H_i the intersection: (a) when rank(Z) =
+rank(X) + 1, every member in mask(Z) is skipped for this X: such an H_j
+contains Z but not X, so X > X & H_j >= Z, and Z covers X; (b) a new Z's
+mask starts at mask(X) | bit i; only other members are tested.
 The same walk over F_p certifies a prime: it is good when the flats mod p
 carry the same masks and ranks.
 """
@@ -65,7 +68,7 @@ def _primitive(row: Sequence[int], pivot: int, p: int = 0) -> Row:
         inv = pow(row[pivot], -1, p)
         return tuple(v * inv % p for v in row)
     g = math.gcd(*row) if row[pivot] > 0 else -math.gcd(*row)
-    return tuple(v // g for v in row)
+    return tuple(row) if g == 1 else tuple(v // g for v in row)
 
 
 def _reduce(vec: Sequence[int], basis: Basis, p: int = 0) -> list[int]:
@@ -214,11 +217,22 @@ def _flats(arr: Arrangement, p: int = 0) -> dict[Basis, int]:
 # answers, a poset is read again only by the prime checks that follow it
 @lru_cache(maxsize=8)
 def _poset_data(arr: Arrangement) -> tuple[PosetElement, ...]:
-    # in rank order every flat below X comes first; a flat of X's own rank
-    # never has a mask inside X's, so the sum may run over all earlier flats
+    # Sets of flats are bitsets over their (rank, mask) order.  Y is below X
+    # when Y comes first and lacks each member j that X lacks: outside[j].
+    # An earlier flat of X's rank never passes: a mask inside X's would make
+    # it contain X, and equal rank would make it X.
+    order = sorted((len(basis), mask) for basis, mask in _flats(arr).items())
+    outside = [
+        int("".join("0" if mask >> j & 1 else "1" for _, mask in reversed(order)), 2)
+        for j in range(len(arr.subspaces))
+    ]
+    with_mu: dict[int, int] = {}  # mu value -> the flats with it
     elements: list[PosetElement] = []
-    for rank, mask in sorted((len(basis), mask) for basis, mask in _flats(arr).items()):
-        mu = -sum(v for _, v, other in elements if other & mask == other) if rank else 1
+    for k, (rank, mask) in enumerate(order):
+        missing = (flats for j, flats in enumerate(outside) if not mask >> j & 1)
+        below = reduce(operator.and_, missing, (1 << k) - 1)
+        mu = -sum(v * (below & flats).bit_count() for v, flats in with_mu.items()) if rank else 1
+        with_mu[mu] = with_mu.get(mu, 0) | 1 << k
         elements.append(PosetElement(arr.n - rank, mu, mask))
     return tuple(elements)
 

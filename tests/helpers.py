@@ -13,7 +13,14 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from chromaplex.arrangement import Arrangement, _insert, _reduce, arrangement
+from chromaplex.arrangement import (
+    Arrangement,
+    PosetElement,
+    _flats,
+    _insert,
+    _reduce,
+    arrangement,
+)
 from chromaplex.chromatic import support
 from chromaplex.hypergraph import Hypergraph, hypergraph
 from chromaplex.series import ONE, Q, QPolynomial, TruncatedSeries, series_inverse
@@ -266,6 +273,17 @@ def flats_oracle(arr: Arrangement, p: int = 0) -> dict:
                         fresh.append(inter)
         frontier = fresh
     return masks
+
+
+def mobius_oracle(arr: Arrangement) -> tuple[PosetElement, ...]:
+    """Oracle for ``arrangement._poset_data``: the flats of ``_flats`` in
+    (rank, mask) order, each with mu minus the sum of mu over every earlier
+    flat whose mask lies inside its own, tested pair by pair."""
+    elements: list[PosetElement] = []
+    for rank, mask in sorted((len(basis), mask) for basis, mask in _flats(arr).items()):
+        mu = -sum(v for _, v, other in elements if other & mask == other) if rank else 1
+        elements.append(PosetElement(arr.n - rank, mu, mask))
+    return tuple(elements)
 
 
 def poset_oracle(arr: Arrangement) -> list[tuple]:

@@ -32,6 +32,7 @@ from chromaplex.chromatic import (
     enumerate_partition_tuples,
     marked_chromatic_poly,
     ordinary_chromatic_poly,
+    support,
 )
 from chromaplex.errors import BadPrimeError, BudgetError, VerificationError
 from chromaplex.hypergraph import hypergraph
@@ -39,6 +40,7 @@ from chromaplex.series import Q, QPolynomial, shifted_binomial_poly
 
 from helpers import (
     flats_oracle,
+    mobius_oracle,
     naive_arrangement_count,
     naive_complement_count,
     poset_oracle,
@@ -52,6 +54,20 @@ F = Fraction
 PLANE = arrangement(3, [[[1, 1, -1]]])
 BOOL2 = arrangement(2, [[[1, 0]], [[0, 1]]])
 K3 = graphical_arrangement(hypergraph(3, [(1, 2), (1, 3), (2, 3)]))
+# the member x2 + x3 = x4 = 0 meets each of the planes x1 = x2 = 0 and
+# x1 + x2 = x3 + x4 = 0 in the origin, two ranks down, and the origin lies in
+# the other plane: skipping it there, with no rank test, would lose the line
+# where the two planes meet
+NESTED = arrangement(
+    4,
+    [[[1, 1, 0, 0]], [[0, 1, 1, 0], [0, 0, 0, 1]], [[1, 0, 0, 0], [0, 1, 0, 0]],
+     [[1, 1, 0, 0], [0, 0, 1, 1]]],
+)
+
+
+def braid(n: int):
+    """The braid arrangement K_n: the hyperplanes x_i = x_j for i < j <= n."""
+    return graphical_arrangement(hypergraph(n, list(itertools.combinations(range(1, n + 1), 2))))
 
 
 def test_rref_canonical():
@@ -167,23 +183,39 @@ def test_flats_match_walk_oracle():
     cases = _oracle_arrangements() + [
         random_hyperplane_arrangement(rng, rng.randint(1, 4)) for _ in range(60)
     ]
-    cases += [
-        graphical_arrangement(hypergraph(n, list(itertools.combinations(range(1, n + 1), 2))))
-        for n in (5, 6)
-    ]
-    # the member x2 + x3 = x4 = 0 meets each of the planes x1 = x2 = 0 and
-    # x1 + x2 = x3 + x4 = 0 in the origin, two ranks down, and the origin lies
-    # in the other plane: skipping it there, with no rank test, would lose
-    # the line where the two planes meet
-    nested = arrangement(
-        4,
-        [[[1, 1, 0, 0]], [[0, 1, 1, 0], [0, 0, 0, 1]], [[1, 0, 0, 0], [0, 1, 0, 0]],
-         [[1, 1, 0, 0], [0, 0, 1, 1]]],
-    )
-    assert len(_flats(nested)) == 8
-    for arr in cases + [nested]:
+    cases += [braid(n) for n in (5, 6)]
+    assert len(_flats(NESTED)) == 8
+    for arr in cases + [NESTED]:
         for p in (0, 2, 3, 5, 7):
             assert _flats(arr, p) == flats_oracle(arr, p), (arrangement_to_json(arr), p)
+
+
+def test_mobius_bitsets_match_pairwise_oracle():
+    """The Mobius sum on bitsets gives the poset elements of the pairwise sum,
+    dims, mu values and masks in the same order, on the oracle arrangements,
+    braid K5-K7, the nested case, and the clans of seeded one- and
+    two-member arrangements at every m <= (2, 2, 2): the finest partition
+    tuple with no special vertex, every tuple with all supported vertices
+    special."""
+    rng = random.Random(71)
+    cases = _oracle_arrangements() + [braid(n) for n in (5, 6, 7)] + [NESTED]
+    clans: dict = {}
+    for count in [1] * 4 + [2] * 8:
+        arr = random_subspace_arrangement(rng, 3, count)
+        for m in itertools.product(range(3), repeat=3):
+            for sp in ((), support(m)):
+                for lam in enumerate_partition_tuples(m, sp):
+                    clans[clan_lambda(arr, lam, m)] = None
+    assert len(clans) > 100
+    for arr in cases + list(clans):
+        assert _poset_data(arr) == mobius_oracle(arr), arrangement_to_json(arr)
+
+
+def test_characteristic_polynomial_braid_k8():
+    """The Mobius sum on K8's 4,140 flats: chi is q(q - 1)...(q - 7)."""
+    k8 = braid(8)
+    assert len(_poset_data(k8)) == 4140
+    assert characteristic_polynomial(k8) == math.prod((Q - k for k in range(1, 8)), start=Q)
 
 
 def test_characteristic_polynomials():
