@@ -33,7 +33,7 @@ from functools import lru_cache, reduce
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .budget import charge
-from .chromatic import PartitionTuple, copy_columns, partition_tuple_sum, support
+from .chromatic import copy_columns, copy_count_sum, support
 from .errors import (
     BadPrimeError,
     VerificationError,
@@ -187,11 +187,13 @@ def _flats(arr: Arrangement, p: int = 0) -> dict[Basis, int]:
     -> the mask of the members containing it.  By rule (a) a cover Z = X & H_i
     of X skips mask(Z), as each H_j there meets X in Z; by rule (b) a new Z's
     mask starts at mask(X) | bit i, and a cover tests only the members after
-    i, since an earlier one containing Z would have met X in Z first."""
+    i, since an earlier one containing Z would have met X in Z first.  Each
+    level of the walk is charged the flats found so far times the members."""
     hyps = [s.forms for s in arr.subspaces]
     masks: dict[Basis, int] = {(): 0}
     frontier: list[Basis] = [()]
     while frontier:
+        charge(len(masks) * len(hyps), f"intersection poset walk over {len(hyps)} members")
         fresh: list[Basis] = []
         for basis in frontier:
             mask = skip = masks[basis]
@@ -410,31 +412,25 @@ def clan(arr: Arrangement, special: Iterable[int], m: Sequence[int]) -> Arrangem
     return _clan_core(arr, m, vertex_set(special, arr.n, "special indices"))
 
 
-def clan_lambda(arr: Arrangement, lam: PartitionTuple, m: Sequence[int]) -> Arrangement:
-    """The blow-up clan at a partition tuple: one coordinate per block of
-    lambda_i, distinctness hyperplanes at every supported vertex."""
-    m = vector(m, arr.n, "multiplicities")
-    if len(lam) != arr.n:
-        raise ValueError("partition tuple must have length n")
-    for i, part in enumerate(lam, start=1):
-        if sum(part) != m[i - 1] or any(p < 1 for p in part):
-            raise ValueError(f"lambda_{i}={part} is not a partition of {m[i - 1]}")
-    return _clan_core(arr, [len(part) for part in lam], support(m))
+def clan_lambda(arr: Arrangement, counts: Sequence[int]) -> Arrangement:
+    """The blow-up clan at copy counts: counts[i - 1] coordinates for vertex
+    i, one per block of a partition of m_i into that many parts, and
+    distinctness hyperplanes at every vertex with copies."""
+    counts = vector(counts, arr.n, "copy counts")
+    return _clan_core(arr, counts, support(counts))
 
 
 def marked_chromatic_arrangement(
     arr: Arrangement, special: Iterable[int], m: Sequence[int]
 ) -> QPolynomial:
-    """The marked chromatic polynomial of an arrangement: sum over partition
-    tuples of the blow-up clan's characteristic polynomial, each divided by
-    the duplication factor of its partitions."""
+    """The marked chromatic polynomial of an arrangement: sum over copy
+    counts of the blow-up clan's characteristic polynomial, each weighted as
+    in ``copy_count_sum``."""
     m = vector(m, arr.n, "multiplicities")
     sp = vertex_set(special, arr.n, "special indices")
     if not set(sp) <= set(support(m)):
         raise ValueError(f"special set {sp} must lie inside the support {support(m)} of m")
-    return partition_tuple_sum(
-        m, sp, lambda lam: characteristic_polynomial(clan_lambda(arr, lam, m))
-    )
+    return copy_count_sum(m, sp, lambda k: characteristic_polynomial(clan_lambda(arr, k)))
 
 
 def verification_primes(arr: Arrangement, m: Sequence[int]) -> tuple[int, int]:
@@ -445,12 +441,12 @@ def verification_primes(arr: Arrangement, m: Sequence[int]) -> tuple[int, int]:
     polynomial's value.
 
     Only the clan with one copy per unit of m is certified: the clan at
-    lambda is that finest clan restricted to a flat (the copies in each
-    block of lambda set equal), and its poset is the interval above that
-    flat, over Q and over F_p alike.  A prime that keeps the finest clan's
-    poset therefore keeps every such interval."""
-    m = vector(m, arr.n, "multiplicities")
-    finest = clan_lambda(arr, tuple((1,) * v for v in m), m)
+    copy counts k is that finest clan restricted to a flat (the m_v copies
+    of each vertex v split into k_v blocks, the copies in a block set
+    equal), and its poset is the interval above that flat, over Q and over
+    F_p alike.  A prime that keeps the finest clan's poset therefore keeps
+    every such interval."""
+    finest = clan_lambda(arr, vector(m, arr.n, "multiplicities"))
     primes: list[int] = []
     p = 5
     while len(primes) < 2:

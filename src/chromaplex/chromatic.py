@@ -9,7 +9,7 @@ such colorings is a polynomial in q; this module computes it four ways:
 * ``marked_chromatic_poly``: the block-partition formula, summing
   binomial(q, k) against counts of k-tuples of marked-independent blocks;
 * ``chromatic_via_blowup``: reduction to ordinary chromatic polynomials of
-  blow-up hypergraphs, one per partition tuple;
+  blow-up hypergraphs, one per copy-count vector (``copy_count_sum``);
 * closed forms for special shapes (one full edge, chordal graphs, cycles).
 
 All routes agree exactly; the test suite and the closed forms' built-in
@@ -29,10 +29,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .budget import budget_limit, charge
 from .errors import VerificationError, int_tuple, natural, vector, vertex_set
@@ -54,8 +53,6 @@ from .series import (
 )
 
 Vector = tuple[int, ...]
-Partition = tuple[int, ...]
-PartitionTuple = tuple[Partition, ...]
 
 
 def support(m: Sequence[int]) -> tuple[int, ...]:
@@ -269,56 +266,28 @@ def coefficient_via_binomial(
 
 
 # ---------------------------------------------------------------------------
-# partition tuples and the blow-up reduction
+# copy counts and the blow-up reduction
 # ---------------------------------------------------------------------------
 
 
-def partitions_of(k: int, cap: int | None = None) -> Iterator[Partition]:
-    """Integer partitions of k, parts descending, reverse-lex order."""
-    natural(k, "partition sizes")
-    if cap is not None:
-        natural(cap, "partition sizes")
-    if k == 0:
-        yield ()
-        return
-    top = k if cap is None else min(cap, k)
-    for first in range(top, 0, -1):
-        for rest in partitions_of(k - first, first):
-            yield (first,) + rest
+def copy_count_sum(
+    m: Sequence[int], special: Iterable[int], term: Callable[[Vector], QPolynomial]
+) -> QPolynomial:
+    """The paper's sum over the partition tuples lambda of m of
+    term(lambda) / dup(lambda), lambda_v all ones off the special set, for a
+    term that reads lambda only through its copy counts k_v = len(lambda_v).
 
-
-def duplication_factor(part: Partition) -> int:
-    """prod over part sizes d of (number of parts equal to d) factorial."""
-    return math.prod(math.factorial(c) for c in Counter(part).values())
-
-
-def enumerate_partition_tuples(
-    m: Sequence[int], special: Iterable[int]
-) -> list[PartitionTuple]:
-    """All tuples (lambda_1, ..., lambda_n) with lambda_i a partition of m_i,
-    restricted to the all-ones partition at non-special vertices."""
+    So k_v = m_v off the special set and 1 <= k_v <= m_v on it, and k_v = 0
+    alone where m_v = 0.  The partitions of m_v into k_v parts carry
+    sum 1/dup = C(m_v - 1, k_v - 1)/k_v!: each has k_v!/dup orderings, and
+    those are the C(m_v - 1, k_v - 1) compositions of m_v into k_v parts."""
     m = vector(m, len(m), "multiplicities")
     sp = vertex_set(special, len(m), "special vertices")
-    choices: list[list[Partition]] = []
-    for i, mult in enumerate(m, start=1):
-        if mult == 0:
-            choices.append([()])
-        elif i in sp:
-            choices.append(list(partitions_of(mult)))
-        else:
-            choices.append([(1,) * mult])
-    return [tuple(combo) for combo in itertools.product(*choices)]
-
-
-def partition_tuple_sum(
-    m: Sequence[int], special: Iterable[int], term: Callable[[PartitionTuple], QPolynomial]
-) -> QPolynomial:
-    """The paper's sum over the partition tuples lambda of m (see
-    ``enumerate_partition_tuples``) of term(lambda) / dup(lambda), where
-    dup(lambda) is the product of the duplication factors of its parts."""
+    ranges = [range(min(v, 1) if i in sp else v, v + 1) for i, v in enumerate(m, start=1)]
     total = QPolynomial()
-    for lam in enumerate_partition_tuples(m, special):
-        total = total + term(lam) / math.prod(duplication_factor(part) for part in lam)
+    for k in itertools.product(*ranges):
+        ways = math.prod(math.comb(v - 1, c - 1) for v, c in zip(m, k) if v)
+        total = total + term(k) / Fraction(math.prod(map(math.factorial, k)), ways)
     return total
 
 
@@ -329,41 +298,27 @@ def copy_columns(counts: Sequence[int]) -> list[range]:
     return [range(a, b) for a, b in zip(starts, starts[1:])]
 
 
-def blow_up(g: Hypergraph, lam: PartitionTuple, m: Sequence[int]) -> Hypergraph:
-    """Replace vertex i by a clique of len(lambda_i) plain vertices and lift
+def blow_up(g: Hypergraph, counts: Sequence[int]) -> Hypergraph:
+    """Replace vertex i by a clique of counts[i - 1] plain vertices and lift
     every edge to all one-vertex-per-clique choices.
 
-    Edges touching a vertex with m_i = 0 disappear (no choice exists there).
+    Edges touching a vertex without copies disappear (no choice exists there).
     """
-    m = vector(m, g.n, "multiplicities")
-    if len(lam) != g.n:
-        raise ValueError("partition tuple length must equal vertex count")
-    sp = set(g.special)
-    for i, part in enumerate(lam, start=1):
-        if sum(part) != m[i - 1]:
-            raise ValueError(f"lambda_{i}={part} is not a partition of {m[i - 1]}")
-        if any(p < 1 for p in part) or any(
-            part[j] < part[j + 1] for j in range(len(part) - 1)
-        ):
-            raise ValueError(f"lambda_{i}={part} must have descending positive parts")
-        if i not in sp and part != (1,) * m[i - 1]:
-            raise ValueError(f"vertex {i} is not special; lambda_{i} must be all ones")
-    cols = copy_columns([len(part) for part in lam])
+    counts = vector(counts, g.n, "copy counts")
+    cols = copy_columns(counts)
     edges = [pair for col in cols for pair in itertools.combinations(col, 2)]
     for e in g.edges:
         edges.extend(itertools.product(*(cols[i - 1] for i in e)))
     # copy positions count from 0, vertices from 1
-    return hypergraph(sum(map(len, lam)), [[c + 1 for c in e] for e in edges], ())
+    return hypergraph(sum(counts), [[c + 1 for c in e] for e in edges], ())
 
 
 def chromatic_via_blowup(g: Hypergraph, m: Sequence[int]) -> QPolynomial:
-    """The marked chromatic polynomial as a sum over partition tuples of
-    ordinary chromatic polynomials of blow-ups, each divided by its
-    duplication factor."""
+    """The marked chromatic polynomial as a sum over copy counts of ordinary
+    chromatic polynomials of blow-ups, each weighted as in
+    ``copy_count_sum``."""
     m = vector(m, g.n, "multiplicities")
-    return partition_tuple_sum(
-        m, g.special, lambda lam: ordinary_chromatic_poly(blow_up(g, lam, m))
-    )
+    return copy_count_sum(m, g.special, lambda k: ordinary_chromatic_poly(blow_up(g, k)))
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +397,10 @@ def chordal_multichromatic(g: Hypergraph, m: Sequence[int]) -> QPolynomial:
 
 
 def chordal_marked_chromatic(g: Hypergraph, m: Sequence[int]) -> QPolynomial:
-    """Closed form for chordal graphs with special vertices: sum over
-    partition tuples; vertex j contributes l_j! * binomial(q - b_j, l_j)
-    ordered block choices, b_j counting earlier neighbors' blocks."""
+    """Closed form for chordal graphs with special vertices: sum over copy
+    counts (``copy_count_sum``); vertex j with l_j copies contributes
+    l_j! * binomial(q - b_j, l_j) ordered block choices, b_j counting earlier
+    neighbors' copies."""
     m = vector(m, g.n, "multiplicities")
     order = find_peo(g)
     if order is None:
@@ -453,15 +409,14 @@ def chordal_marked_chromatic(g: Hypergraph, m: Sequence[int]) -> QPolynomial:
     pos = {v: i for i, v in enumerate(order)}
     supp = sorted(support(m), key=lambda v: pos[v])
 
-    def term(lam: PartitionTuple) -> QPolynomial:
+    def term(k: Vector) -> QPolynomial:
         poly = qpoly_const(1)
         for r, v in enumerate(supp):
-            b = sum(len(lam[u - 1]) for u in supp[:r] if u in adj[v])
-            ell = len(lam[v - 1])
-            poly = poly * shifted_binomial_poly(b, ell) * math.factorial(ell)
+            b = sum(k[u - 1] for u in supp[:r] if u in adj[v])
+            poly = poly * shifted_binomial_poly(b, k[v - 1]) * math.factorial(k[v - 1])
         return poly
 
-    return partition_tuple_sum(m, g.special, term)
+    return copy_count_sum(m, g.special, term)
 
 
 def cycle_graph(n: int) -> Hypergraph:

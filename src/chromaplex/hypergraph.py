@@ -40,11 +40,6 @@ class Hypergraph:
     special: tuple[int, ...]
 
 
-class ShapeFlags(NamedTuple):
-    simple: bool
-    even: bool
-
-
 def hypergraph(
     n: int, edges: Iterable[Iterable[int]] = (), special: Iterable[int] = ()
 ) -> Hypergraph:
@@ -60,21 +55,17 @@ def hypergraph(
     return Hypergraph(n, canon, vertex_set(special, n, "special vertices"))
 
 
-def validate(g: Hypergraph) -> ShapeFlags:
-    """Shape flags: simple (edges >= 2 and inclusion-free) and even sizes."""
+def is_simple(g: Hypergraph) -> bool:
+    """Every edge has at least two vertices and lies inside no other edge."""
     sets = [frozenset(e) for e in g.edges]
-    simple = all(len(e) >= 2 for e in sets) and not any(
+    return all(len(e) >= 2 for e in sets) and not any(
         a <= b or b <= a for a, b in itertools.combinations(sets, 2)
     )
-    return ShapeFlags(simple=simple, even=all(len(e) % 2 == 0 for e in sets))
-
-
-def is_simple(g: Hypergraph) -> bool:
-    return validate(g).simple
 
 
 def is_even(g: Hypergraph) -> bool:
-    return validate(g).even
+    """Every edge has an even number of vertices."""
+    return all(len(e) % 2 == 0 for e in g.edges)
 
 
 def _lift(

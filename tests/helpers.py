@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -21,7 +22,7 @@ from chromaplex.arrangement import (
     _reduce,
     arrangement,
 )
-from chromaplex.chromatic import support
+from chromaplex.chromatic import find_peo, support
 from chromaplex.hypergraph import Hypergraph, hypergraph
 from chromaplex.series import ONE, Q, QPolynomial, TruncatedSeries, series_inverse
 
@@ -89,6 +90,65 @@ def count_Pk_ordered_debug(g: Hypergraph, m, k: int) -> int:
         return total
 
     return rec(m, k)
+
+
+def partitions_of(k: int, cap: int | None = None):
+    """Integer partitions of k with parts at most cap, parts descending, in
+    reverse-lex order."""
+    if k == 0:
+        yield ()
+        return
+    top = k if cap is None else min(cap, k)
+    for first in range(top, 0, -1):
+        for rest in partitions_of(k - first, first):
+            yield (first,) + rest
+
+
+def duplication_factor(part) -> int:
+    """prod over part sizes d of (number of parts equal to d) factorial."""
+    return math.prod(math.factorial(c) for c in Counter(part).values())
+
+
+def enumerate_partition_tuples(m, special) -> list:
+    """All tuples (lambda_1, ..., lambda_n) with lambda_i a partition of m_i,
+    restricted to the all-ones partition at non-special vertices."""
+    choices = [
+        list(partitions_of(v)) if i in special else [(1,) * v] for i, v in enumerate(m, start=1)
+    ]
+    return [tuple(combo) for combo in itertools.product(*choices)]
+
+
+def partition_tuple_sum(m, special, term) -> QPolynomial:
+    """Oracle for ``chromatic.copy_count_sum``, the paper's form of the sum:
+    term(lambda) / dup(lambda) over the partition tuples lambda of m, dup
+    the product of the duplication factors of its parts.  A term that reads
+    lambda only through its copy counts gets them as ``map(len, lambda)``."""
+    total = QPolynomial()
+    for lam in enumerate_partition_tuples(m, special):
+        total = total + term(lam) / math.prod(duplication_factor(part) for part in lam)
+    return total
+
+
+def chordal_partition_oracle(g: Hypergraph, m) -> QPolynomial:
+    """Oracle for ``chromatic.chordal_marked_chromatic`` in the paper's form:
+    along a perfect elimination ordering, vertex v with lambda_v of l_v parts
+    contributes l_v! * binomial(q - b_v, l_v) ordered block choices, b_v the
+    parts of its earlier neighbors, summed over partition tuples."""
+    order = find_peo(g)
+    supp = sorted(support(m), key=order.index)
+    earlier = {
+        v: [u for u in supp[:r] if tuple(sorted((u, v))) in g.edges] for r, v in enumerate(supp)
+    }
+
+    def term(lam) -> QPolynomial:
+        poly = QPolynomial((1,))
+        for v in supp:
+            b, ell = sum(len(lam[u - 1]) for u in earlier[v]), len(lam[v - 1])
+            for j in range(ell):
+                poly = poly * (Q - (b + j))
+        return poly
+
+    return partition_tuple_sum(m, g.special, term)
 
 
 def series_mul_sparse(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:

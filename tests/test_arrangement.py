@@ -29,10 +29,8 @@ from chromaplex.arrangement import (
 )
 from chromaplex.chromatic import (
     blow_up,
-    enumerate_partition_tuples,
     marked_chromatic_poly,
     ordinary_chromatic_poly,
-    support,
 )
 from chromaplex.errors import BadPrimeError, BudgetError, VerificationError
 from chromaplex.hypergraph import hypergraph
@@ -43,6 +41,7 @@ from helpers import (
     mobius_oracle,
     naive_arrangement_count,
     naive_complement_count,
+    partition_tuple_sum,
     poset_oracle,
     random_hyperplane_arrangement,
     random_subspace_arrangement,
@@ -194,18 +193,16 @@ def test_mobius_bitsets_match_pairwise_oracle():
     """The Mobius sum on bitsets gives the poset elements of the pairwise sum,
     dims, mu values and masks in the same order, on the oracle arrangements,
     braid K5-K7, the nested case, and the clans of seeded one- and
-    two-member arrangements at every m <= (2, 2, 2): the finest partition
-    tuple with no special vertex, every tuple with all supported vertices
+    two-member arrangements at every copy-count vector <= (2, 2, 2), which
+    are the clans of every m <= (2, 2, 2) with all supported vertices
     special."""
     rng = random.Random(71)
     cases = _oracle_arrangements() + [braid(n) for n in (5, 6, 7)] + [NESTED]
     clans: dict = {}
     for count in [1] * 4 + [2] * 8:
         arr = random_subspace_arrangement(rng, 3, count)
-        for m in itertools.product(range(3), repeat=3):
-            for sp in ((), support(m)):
-                for lam in enumerate_partition_tuples(m, sp):
-                    clans[clan_lambda(arr, lam, m)] = None
+        for counts in itertools.product(range(3), repeat=3):
+            clans[clan_lambda(arr, counts)] = None
     assert len(clans) > 100
     for arr in cases + list(clans):
         assert _poset_data(arr) == mobius_oracle(arr), arrangement_to_json(arr)
@@ -216,6 +213,52 @@ def test_characteristic_polynomial_braid_k8():
     k8 = braid(8)
     assert len(_poset_data(k8)) == 4140
     assert characteristic_polynomial(k8) == math.prod((Q - k for k in range(1, 8)), start=Q)
+
+
+def test_flat_walk_is_charged(monkeypatch):
+    """Each level of the flat walk is charged the flats found so far times
+    the members, over Q and over F_p: K8 (4,140 flats, 28 members) is
+    refused at a budget of 2^16, and K7 (877 flats, 21 members) still fits."""
+    monkeypatch.setenv("CHROMAPLEX_BUDGET", "16")
+    for p in (0, 11):
+        with pytest.raises(BudgetError, match="intersection poset walk over 28 members"):
+            _flats(braid(8), p)
+    # a polynomial computed earlier under a larger budget stays cached
+    characteristic_polynomial.cache_clear()
+    _poset_data.cache_clear()
+    with pytest.raises(BudgetError, match="intersection poset walk"):
+        characteristic_polynomial(braid(8))
+    assert len(_flats(braid(7), 11)) == 877
+    assert characteristic_polynomial(braid(7)) == math.prod((Q - k for k in range(1, 7)), start=Q)
+
+
+def test_marked_arrangement_groups_partition_tuples():
+    """The arrangement route's sum over copy counts equals the paper's sum
+    over partition tuples at a special vertex with m_v = 4 or 5, where two
+    partitions share a copy count: seeded arrangements in R^2 and R^3, the
+    oracle ``partition_tuple_sum`` over the same clans; a few also against
+    the coloring count at both verification primes, and graphical
+    arrangements against the block-partition formula."""
+    rng = random.Random(89)
+    for case in range(8):
+        n = rng.randint(2, 3)
+        arr = random_subspace_arrangement(rng, n, rng.randint(1, 2))
+        sp = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(1, n))))
+        m = [rng.randint(1, 4 - n) if v in sp else rng.randint(0, 1) for v in range(1, n + 1)]
+        m[sp[0] - 1] = 4 + case % 2
+        m = tuple(m)
+        poly = marked_chromatic_arrangement(arr, sp, m)
+        assert poly == partition_tuple_sum(
+            m, sp, lambda lam: characteristic_polynomial(clan_lambda(arr, tuple(map(len, lam))))
+        ), (arrangement_to_json(arr), sp, m)
+        if case < 2:
+            for p in verification_primes(arr, m):
+                assert poly.eval(p) == brute_force_arrangement_count(arr, sp, m, p)
+    path = hypergraph(3, [(1, 2), (2, 3)], special=(1, 2))
+    for m in ((4, 1, 1), (1, 5, 0)):
+        assert marked_chromatic_arrangement(
+            graphical_arrangement(path), (1, 2), m
+        ) == marked_chromatic_poly(path, m)
 
 
 def test_characteristic_polynomials():
@@ -337,12 +380,11 @@ def test_clan_structure():
     c0 = clan(PLANE, (), (2, 0, 1))
     assert c0.n == 3
     assert len(c0.subspaces) == 0
-    lam = ((2,), (1, 1), (1,))
-    cl = clan_lambda(PLANE, lam, (2, 2, 1))
+    cl = clan_lambda(PLANE, (1, 2, 1))
     assert cl.n == 4
     assert len(cl.subspaces) == 1 + 2
-    with pytest.raises(ValueError):
-        clan_lambda(PLANE, ((1,), (1, 1), (1,)), (2, 2, 1))
+    with pytest.raises(ValueError, match="copy counts"):
+        clan_lambda(PLANE, (1, 2))
 
 
 def test_marked_chromatic_arrangement_closed_form():
@@ -397,7 +439,7 @@ def test_brute_force_matches_polynomial_at_primes():
 
 def test_verification_primes_skip_bad_primes():
     """The primes certified for the clan with one copy per unit of m are
-    good for every clan of the partition-tuple sum, and the coloring count
+    good for every clan of the copy-count sum, and the coloring count
     matches the polynomial at them; a bad prime below them can break that."""
     lines = arrangement(2, [[[1, 2]], [[1, -3]]])
     assert verification_primes(lines, (1, 1)) == (7, 11)
@@ -412,14 +454,15 @@ def test_verification_primes_skip_bad_primes():
         arr = random_subspace_arrangement(rng, n, rng.randint(1, 3))
         m = tuple(rng.randint(0, 2) for _ in range(n))
         sp = tuple(v for v in range(1, n + 1) if m[v - 1] and rng.random() < 0.5)
-        finest = clan_lambda(arr, tuple((1,) * v for v in m), m)
+        finest = clan_lambda(arr, m)
+        ranges = [range(min(v, 1) if i in sp else v, v + 1) for i, v in enumerate(m, start=1)]
         for p in (2, 3, 5, 7):
             try:
                 _assert_good_prime(finest, p)
             except BadPrimeError:
                 continue
-            for lam in enumerate_partition_tuples(m, sp):
-                _assert_good_prime(clan_lambda(arr, lam, m), p)
+            for counts in itertools.product(*ranges):
+                _assert_good_prime(clan_lambda(arr, counts), p)
                 checked += 1
         p, r = verification_primes(arr, m)
         poly = marked_chromatic_arrangement(arr, sp, m)
@@ -430,8 +473,8 @@ def test_verification_primes_skip_bad_primes():
 
 def test_blow_up_arrangement_is_the_clan():
     """The graphical arrangement of a blow-up is the clan of the graphical
-    arrangement at the same partition tuple: seeded simple hypergraphs with
-    special vertices, every m <= 2 and every partition tuple of it."""
+    arrangement at the same copy counts: seeded simple hypergraphs with
+    special vertices, every copy-count vector <= 2."""
     rng = random.Random(61)
     cases = 0
     for _ in range(12):
@@ -444,10 +487,9 @@ def test_blow_up_arrangement_is_the_clan():
         sp = tuple(v for v in range(1, n + 1) if rng.random() < 0.5)
         g = hypergraph(n, edges, special=sp)
         arr = graphical_arrangement(g)
-        for m in itertools.product(range(3), repeat=n):
-            for lam in enumerate_partition_tuples(m, sp):
-                assert graphical_arrangement(blow_up(g, lam, m)) == clan_lambda(arr, lam, m)
-                cases += 1
+        for counts in itertools.product(range(3), repeat=n):
+            assert graphical_arrangement(blow_up(g, counts)) == clan_lambda(arr, counts)
+            cases += 1
     assert cases > 500
 
 
@@ -564,7 +606,7 @@ _INTEGER_ENTRY_POINTS = {
     "arrangement_forms": lambda v: arrangement(2, [[[v, 1]]]),
     "arrangement_special": lambda v: arrangement(2, [[[1, 1]]], [v]),
     "clan": lambda v: clan(PLANE, [v], (2, 1, 1)),
-    "clan_lambda": lambda v: clan_lambda(PLANE, ((2,), (1,), (1,)), (2, v, 1)),
+    "clan_lambda": lambda v: clan_lambda(PLANE, (1, v, 1)),
     "marked_chromatic_arrangement": lambda v: marked_chromatic_arrangement(PLANE, [v], (2, 1, 1)),
     "brute_force_arrangement_count": lambda v: brute_force_arrangement_count(
         PLANE, [v], (2, 1, 1), 5

@@ -15,16 +15,14 @@ from chromaplex.chromatic import (
     chordal_multichromatic,
     chromatic_via_blowup,
     coefficient_via_binomial,
+    copy_count_sum,
     count_Pk_mult,
     cycle_graph,
     cycle_multichromatic,
-    duplication_factor,
-    enumerate_partition_tuples,
     find_peo,
     full_edge_closed_form,
     marked_chromatic_poly,
     ordinary_chromatic_poly,
-    partitions_of,
 )
 from chromaplex.errors import BudgetError, VerificationError
 import chromaplex.hypergraph as hypergraph_module
@@ -43,9 +41,15 @@ from chromaplex.series import (
     shifted_binomial_poly,
 )
 from helpers import (
+    chordal_partition_oracle,
     chromatic_delcon,
     count_Pk_ordered_debug,
     downward_closed_families,
+    duplication_factor,
+    enumerate_partition_tuples,
+    partition_tuple_sum,
+    partitions_of,
+    random_chordal_edges,
     random_hypergraph,
     series_one,
 )
@@ -154,6 +158,7 @@ def test_marked_chromatic_validation():
 
 
 def test_partition_blocks_and_duplication():
+    """The partition-tuple enumerators of the oracle ``partition_tuple_sum``."""
     assert list(partitions_of(4))[0] == (4,)
     assert len(list(partitions_of(4))) == 5
     assert list(partitions_of(3, cap=2)) == [(2, 1), (1, 1, 1)]
@@ -167,32 +172,74 @@ def test_partition_blocks_and_duplication():
     assert zero == [((), (1,))]
 
 
-def test_partition_enumerators_refuse_bad_input():
-    """A negative multiplicity is not read as 0, a special vertex must lie in
-    1..n, and a negative cap is refused rather than giving no partition."""
+def test_copy_count_sum_refuses_bad_input():
+    """A negative multiplicity is not read as 0, and a special vertex must
+    lie in 1..n."""
     with pytest.raises(ValueError, match="multiplicities"):
-        enumerate_partition_tuples((-1, 2), (2,))
+        copy_count_sum((-1, 2), (2,), lambda k: Q)
     with pytest.raises(ValueError, match="special vertices"):
-        enumerate_partition_tuples((1, 2), (3,))
-    for k in (3, 0):
-        with pytest.raises(ValueError, match="must be >= 0"):
-            list(partitions_of(k, -2))
-    assert list(partitions_of(3, 0)) == []
+        copy_count_sum((1, 2), (3,), lambda k: Q)
+
+
+# a path whose two ends are special, for multiplicities that are 0 there
+PATH_ENDS = hypergraph(3, [(1, 2), (2, 3)], special=(1, 3))
+
+
+def test_special_vertex_without_multiplicity_takes_no_copies():
+    """A special vertex with m_v = 0 takes k_v = 0 alone, not an empty range
+    of copy counts that would make the whole sum 0: the blow-up, chordal and
+    block-partition polynomials agree, and brute force at q = 2, 3."""
+    seen: list = []
+    copy_count_sum((0, 2, 3), (1, 3), lambda k: seen.append(k) or Q)
+    assert seen == [(0, 2, 1), (0, 2, 2), (0, 2, 3)]
+    for m in ((0, 2, 3), (4, 1, 0), (4, 0, 4)):
+        poly = marked_chromatic_poly(PATH_ENDS, m)
+        assert poly != QPolynomial()
+        assert chromatic_via_blowup(PATH_ENDS, m) == poly
+        assert chordal_marked_chromatic(PATH_ENDS, m) == poly
+        for q in (2, 3):
+            assert poly.eval(q) == brute_force_count(PATH_ENDS, m, q), (m, q)
+
+
+def test_copy_counts_group_partition_tuples():
+    """Both hypergraph routes that sum over copy counts equal the paper's sum
+    over partition tuples, at a special vertex with m_v = 4 or 5, where two
+    partitions share a copy count ((3, 1) and (2, 2) give 2): seeded chordal
+    graphs with special vertices, each route against the oracle
+    ``partition_tuple_sum`` over the same term, and against the
+    block-partition formula; a few also against brute force."""
+    rng = random.Random(97)
+    for case in range(30):
+        n = rng.randint(1, 4)
+        sp = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(1, n))))
+        g = hypergraph(n, random_chordal_edges(rng, n), special=sp)
+        m = [rng.randint(0, 2) for _ in range(n)]
+        m[rng.choice(sp) - 1] = 4 + case % 2
+        m = tuple(m)
+        poly = marked_chromatic_poly(g, m)
+        blowup = chromatic_via_blowup(g, m)
+        assert blowup == poly, (g, m)
+        assert blowup == partition_tuple_sum(
+            m, sp, lambda lam: ordinary_chromatic_poly(blow_up(g, tuple(map(len, lam))))
+        )
+        assert chordal_marked_chromatic(g, m) == chordal_partition_oracle(g, m) == poly
+        if case < 4:
+            for q in (2, 3):
+                assert poly.eval(q) == brute_force_count(g, m, q), (g, m, q)
 
 
 def test_blow_up_structure():
     g = hypergraph(2, [(1, 2)])
-    lam = ((1, 1), (1,))
-    b = blow_up(g, lam, (2, 1))
+    b = blow_up(g, (2, 1))
     assert b.n == 3
     assert b.edges == ((1, 2), (1, 3), (2, 3))
     assert b.special == ()
-    g0 = hypergraph(2, [(1, 2)])
-    b0 = blow_up(g0, ((1,), ()), (1, 0))
+    b0 = blow_up(g, (1, 0))
     assert b0.n == 1
     assert b0.edges == ()
-    with pytest.raises(ValueError):
-        blow_up(g, ((1,), (1,)), (2, 1))
+    for bad in ((2,), (2, -1), (2.0, 1)):
+        with pytest.raises(ValueError, match="copy counts"):
+            blow_up(g, bad)
 
 
 def test_full_edge_closed_form():
@@ -275,8 +322,8 @@ def test_closed_forms_refuse_non_integer_multiplicities():
 
 
 _COUNT_ENTRY_POINTS = {
-    "partitions_of": lambda v: list(partitions_of(v)),
-    "partitions_of_cap": lambda v: list(partitions_of(3, v)),
+    "copy_count_sum": lambda v: copy_count_sum((v, 1), (), lambda k: Q),
+    "copy_count_sum_special": lambda v: copy_count_sum((2, 1), (v,), lambda k: Q),
     "count_Pk_mult": lambda v: count_Pk_mult(hypergraph(2, [(1, 2)]), (1, 1), v),
     "binomial_poly": lambda v: binomial_poly(v),
     "shifted_binomial_poly": lambda v: shifted_binomial_poly(v, 2),
@@ -285,9 +332,9 @@ _COUNT_ENTRY_POINTS = {
 
 @pytest.mark.parametrize("entry", sorted(_COUNT_ENTRY_POINTS))
 def test_counts_must_be_integers(entry):
-    """A part size, a block count k or a binomial index is refused unless it
-    is an int: 1.0 and True are not read as 1, even after the call with 1
-    has filled a cache."""
+    """A multiplicity, a special vertex, a block count k or a binomial index
+    is refused unless it is an int: 1.0 and True are not read as 1, even
+    after the call with 1 has filled a cache."""
     call = _COUNT_ENTRY_POINTS[entry]
     call(1)
     for bad in (1.5, 1.0, True, "1", F(1)):

@@ -22,7 +22,6 @@ from chromaplex.hypergraph import (
     system_from_json,
     system_series,
     system_validate,
-    validate,
 )
 import chromaplex.hypergraph as hypergraph_module
 from chromaplex.scan import enumerate_simple_hypergraphs, scan_hypergraphs
@@ -64,7 +63,6 @@ def test_constructor_refuses_non_integer_vertices():
 
 
 def test_shape_flags():
-    assert validate(FIG1) == (True, False)
     assert is_simple(FIG1) and not is_even(FIG1)
     assert is_even(hypergraph(4, [(1, 2), (3, 4)]))
     assert is_even(hypergraph(3, []))
