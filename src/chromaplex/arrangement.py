@@ -10,17 +10,20 @@ marked constructions.
 The intersection poset orders all intersections of members by reverse
 inclusion.  Each flat gets the bitmask of the members containing it; as
 every flat equals the intersection of exactly the members in its mask, mask
-containment is the poset order.  The Mobius recursion runs on bitsets over
-the flats in (rank, mask) order: the flats below X are the earlier ones that
-lack every member X lacks, one AND per such member, and each mu value adds
-its count among them, one popcount per value.  The flats are found by
-meeting each flat X with the members outside mask(X) by two rules, over Q
-and over F_p alike, with Z = X & H_i the intersection: (a) when rank(Z) =
-rank(X) + 1, every member in mask(Z) is skipped for this X: such an H_j
-contains Z but not X, so X > X & H_j >= Z, and Z covers X; (b) a new Z's
-mask starts at mask(X) | bit i; only other members are tested.
-The same walk over F_p certifies a prime: it is good when the flats mod p
-carry the same masks and ranks.
+containment is the poset order.  The walk finds the flats rank by rank,
+numbered as found, with bitsets over them: per member the flats inside it,
+per rank the flats of that rank.  It meets each flat X with the members
+outside mask(X), over Q and over F_p alike, with Z = X & H_i: (a) when
+rank(Z) = rank(X) + 1, every member in mask(Z) is skipped for this X: such
+an H_j contains Z but not X, so X > X & H_j >= Z, and Z covers X; (b) a new
+Z's mask starts at mask(X) | bit i; only other members are tested; (c) one
+AND of bitsets finds the known flats of rank(X) + 1 inside X and H_i, and a
+hit is Z: (a) applies with no meet (a hit of higher rank would prove
+nothing).  The Mobius recursion reads the same bitsets in (rank, mask)
+order: the flats below X lie in no member X lacks, and each mu value adds
+its count among them, one popcount per value.  The same walk over F_p
+certifies a prime: it is good when the flats mod p carry the same masks and
+ranks.
 """
 
 from __future__ import annotations
@@ -29,10 +32,10 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from functools import lru_cache, partial, reduce, wraps
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .budget import charge
+from .budget import budget_limit, charge
 from .chromatic import copy_columns, copy_count_sum, support
 from .errors import (
     BadPrimeError,
@@ -182,70 +185,100 @@ class PosetElement(NamedTuple):
     mask: int  # bit i set when member i contains the flat
 
 
-def _flats(arr: Arrangement, p: int = 0) -> dict[Basis, int]:
-    """The flats over Q (p = 0) or over F_p: the canonical basis of each flat
-    -> the mask of the members containing it.  By rule (a) a cover Z = X & H_i
-    of X skips mask(Z), as each H_j there meets X in Z; by rule (b) a new Z's
-    mask starts at mask(X) | bit i, and a cover tests only the members after
-    i, since an earlier one containing Z would have met X in Z first.  Each
-    level of the walk is charged the flats found so far times the members."""
+def _charge_walk(arr: Arrangement, flats: int) -> None:
+    charge(flats * len(arr.subspaces), f"intersection poset walk over {len(arr.subspaces)} members")
+
+
+def _walk(arr: Arrangement, p: int = 0) -> tuple[dict[Basis, int], list[int]]:
+    """The flats over Q (p = 0) or over F_p by rules (a)-(c), numbered as
+    found, rank by rank: the canonical basis of each flat -> the mask of the
+    members containing it, and per member the bitset of the flats inside
+    it.  A new cover Z = X & H_i tests only the members after i: an earlier
+    one containing Z would have met X in Z first, or hit Z by rule (c).
+    Each rank is charged the flats found so far times the members."""
     hyps = [s.forms for s in arr.subspaces]
     masks: dict[Basis, int] = {(): 0}
-    frontier: list[Basis] = [()]
-    while frontier:
-        charge(len(masks) * len(hyps), f"intersection poset walk over {len(hyps)} members")
-        fresh: list[Basis] = []
-        for basis in frontier:
+    inside = [0] * len(hyps)  # per member, the flats inside it
+    levels: list[list[Basis]] = [[()]] + [[] for _ in range(arr.n)]
+    ranked = [1] + [0] * (arr.n + 1)  # per rank, its flats
+    limit = budget_limit()  # read once: the walk is one call
+    for rank, level in enumerate(levels):
+        if level and len(masks) * len(hyps) > limit:
+            _charge_walk(arr, len(masks))
+        for basis in level:
             mask = skip = masks[basis]
+            covers = ranked[rank + 1]  # the known flats of the next rank, then those in X
+            if covers:
+                mine = (f for j, f in enumerate(inside) if mask >> j & 1)
+                covers = reduce(operator.and_, mine, covers)
             for i, h in enumerate(hyps):
-                if skip >> i & 1:
+                if skip >> i & 1 or covers & inside[i]:  # (a), or (c): a hit is X & H_i
                     continue
                 inter = reduce(lambda b, row: _insert(b, row, p), h, basis)
-                cover = len(inter) == len(basis) + 1
+                cover = len(inter) == rank + 1
                 if inter not in masks:
-                    found = mask | 1 << i
+                    new = mask | 1 << i
                     for j in range(i + 1 if cover else 0, len(hyps)):
-                        if not (found >> j & 1 or any(any(_reduce(r, inter, p)) for r in hyps[j])):
-                            found |= 1 << j
-                    masks[inter] = found
-                    fresh.append(inter)
+                        if not (new >> j & 1 or any(any(_reduce(r, inter, p)) for r in hyps[j])):
+                            new |= 1 << j
+                    for j in range(len(hyps)):
+                        if new >> j & 1:
+                            inside[j] |= 1 << len(masks)
+                    ranked[len(inter)] |= 1 << len(masks)
+                    masks[inter] = new
+                    levels[len(inter)].append(inter)
                 if cover:
                     skip |= masks[inter]
-        frontier = fresh
-    return masks
+    return masks, inside
+
+
+def _flats(arr: Arrangement, p: int = 0) -> dict[Basis, int]:
+    """The flats of ``_walk`` (rules (a)-(c), numbered as found, rank by rank)."""
+    return _walk(arr, p)[0]
+
+
+def _walk_cache(maxsize: int, fn: Callable[[Arrangement], tuple[int, object]]):
+    """``lru_cache`` of fn, which returns (flats, value); a call returns the
+    value and is charged flats times members, as the walk's last rank was:
+    inside fn when fn runs (by the walk, or a cached poset), else here."""
+    cached = lru_cache(maxsize=maxsize)(lambda arr: (*fn(arr), [arr]))
+    @wraps(fn)
+    def call(arr: Arrangement):
+        flats, value, computing = cached(arr)  # computing: [arr] until read once
+        if not computing and flats * len(arr.subspaces) > budget_limit():
+            _charge_walk(arr, flats)
+        computing.clear()
+        return value
+    call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
+    return call
 
 
 # bounded small: after ``characteristic_polynomial``, which keeps its own
 # answers, a poset is read again only by the prime checks that follow it
-@lru_cache(maxsize=8)
-def _poset_data(arr: Arrangement) -> tuple[PosetElement, ...]:
-    # Sets of flats are bitsets over their (rank, mask) order.  Y is below X
-    # when Y comes first and lacks each member j that X lacks: outside[j].
-    # An earlier flat of X's rank never passes: a mask inside X's would make
-    # it contain X, and equal rank would make it X.
-    order = sorted((len(basis), mask) for basis, mask in _flats(arr).items())
-    outside = [
-        int("".join("0" if mask >> j & 1 else "1" for _, mask in reversed(order)), 2)
-        for j in range(len(arr.subspaces))
-    ]
+@partial(_walk_cache, 8)
+def _poset_data(arr: Arrangement) -> tuple[int, tuple[PosetElement, ...]]:
+    # Y is below X when it lies in no member X lies outside.  mu is summed in
+    # (rank, mask) order; a summed flat of X's rank never passes: it would be X.
+    masks, inside = _walk(arr)
     with_mu: dict[int, int] = {}  # mu value -> the flats with it
     elements: list[PosetElement] = []
-    for k, (rank, mask) in enumerate(order):
-        missing = (flats for j, flats in enumerate(outside) if not mask >> j & 1)
-        below = reduce(operator.and_, missing, (1 << k) - 1)
+    for rank, mask, k in sorted((len(b), mask, k) for k, (b, mask) in enumerate(masks.items())):
+        below = ~reduce(operator.or_, (f for j, f in enumerate(inside) if not mask >> j & 1), 0)
         mu = -sum(v * (below & flats).bit_count() for v, flats in with_mu.items()) if rank else 1
         with_mu[mu] = with_mu.get(mu, 0) | 1 << k
         elements.append(PosetElement(arr.n - rank, mu, mask))
-    return tuple(elements)
+    return len(elements), tuple(elements)
 
 
-@lru_cache(maxsize=512)
-def characteristic_polynomial(arr: Arrangement) -> QPolynomial:
-    """chi(q) = sum over flats X of mobius(X) q^dim(X)."""
+@partial(_walk_cache, 512)
+def characteristic_polynomial(arr: Arrangement) -> tuple[int, QPolynomial]:
+    """chi(q) = sum over flats X of mobius(X) q^dim(X).  The body returns
+    (flats, chi) to ``_walk_cache``; a call returns chi."""
     coeffs = [0] * (arr.n + 1)
-    for el in _poset_data(arr):
+    poset = _poset_data(arr)
+    for el in poset:
         coeffs[el.dim] += el.mobius
-    return QPolynomial(tuple(coeffs))
+    return len(poset), QPolynomial(tuple(coeffs))
 
 
 def _assert_good_prime(arr: Arrangement, p: int) -> None:
@@ -448,16 +481,14 @@ def verification_primes(arr: Arrangement, m: Sequence[int]) -> tuple[int, int]:
     every such interval."""
     finest = clan_lambda(arr, vector(m, arr.n, "multiplicities"))
     primes: list[int] = []
-    p = 5
-    while len(primes) < 2:
-        if _is_prime(p):
-            try:
-                _assert_good_prime(finest, p)
-                primes.append(p)
-            except BadPrimeError:
-                pass
-        p += 1
-    return primes[0], primes[1]
+    for p in filter(_is_prime, itertools.count(5)):
+        try:
+            _assert_good_prime(finest, p)
+        except BadPrimeError:
+            continue
+        primes.append(p)
+        if len(primes) == 2:
+            return primes[0], primes[1]
 
 
 def brute_force_arrangement_count(

@@ -373,13 +373,10 @@ def find_peo(g: Hypergraph) -> tuple[int, ...] | None:
         for u in adj[v]:
             if u in remaining:
                 weight[u] += 1
-    placed: set[int] = set()
-    for v in order:
-        earlier = [u for u in adj[v] if u in placed]
-        for a, b in itertools.combinations(earlier, 2):
-            if b not in adj[a]:
-                return None
-        placed.add(v)
+    for i, v in enumerate(order):
+        earlier = adj[v].intersection(order[:i])
+        if any(b not in adj[a] for a, b in itertools.combinations(earlier, 2)):
+            return None
     return tuple(order)
 
 

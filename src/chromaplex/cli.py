@@ -169,11 +169,7 @@ def _cmd_system(args: argparse.Namespace) -> int:
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     report = scan_hypergraphs(
-        args.max_n,
-        m_per_var=args.trunc,
-        dedup=args.dedup,
-        out=args.out,
-        resume=args.resume,
+        args.max_n, m_per_var=args.trunc, dedup=args.dedup, out=args.out, resume=args.resume,
         workers=args.workers,
     )
     _emit(report.summary())
@@ -209,9 +205,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 
     check("triangle regions", region_count(graphical_arrangement(k3)) == 6)
 
-    arr = arrangement_from_json(
-        {"n": 3, "special": [], "subspaces": [{"forms": [[1, 1, -1]]}]}
-    )
+    arr = arrangement_from_json({"n": 3, "special": [], "subspaces": [{"forms": [[1, 1, -1]]}]})
     check(
         "plane marked chromatic at 7",
         marked_chromatic_arrangement(arr, (), (2, 2, 1)).eval(7) == Fraction(1470),
@@ -245,11 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chrom", help="marked chromatic polynomial of a hypergraph")
     p.add_argument("input", help="hypergraph JSON (path, inline, or -)")
     p.add_argument("--m", required=True, help="multiplicities, comma-separated")
-    p.add_argument(
-        "--method",
-        choices=("partition", "blowup", "chordal"),
-        default="partition",
-    )
+    p.add_argument("--method", choices=("partition", "blowup", "chordal"), default="partition")
     p.add_argument("--at", type=int, default=None, help="also evaluate at this q")
     p.add_argument("--format", choices=("pretty", "json"), default="pretty")
     p.add_argument(
@@ -266,9 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_series)
 
     p = sub.add_parser("arrangement", help="subspace arrangement invariants")
-    p.add_argument(
-        "action", choices=("charpoly", "markchrom", "regions", "countfp", "clan")
-    )
+    p.add_argument("action", choices=("charpoly", "markchrom", "regions", "countfp", "clan"))
     p.add_argument("input", help="arrangement JSON (path, inline, or -)")
     p.add_argument("--m", help="multiplicities for markchrom/clan")
     p.add_argument("--p", type=int, help="prime for countfp")
@@ -294,9 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dedup", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--out", default=None, help="JSON-lines report path (appended)")
     p.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip canonical forms already recorded in --out",
+        "--resume", action="store_true", help="skip canonical forms already recorded in --out"
     )
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_scan)

@@ -220,8 +220,7 @@ def system_series(
     missing = sorted(set(range(1, a.n + 1)) - covered)
     if missing:
         warnings.warn(
-            f"ground elements {missing} appear in no member; "
-            "their variables cannot occur",
+            f"ground elements {missing} appear in no member; their variables cannot occur",
             stacklevel=2,
         )
     # a member that meets a zero of trunc gives no term
@@ -244,11 +243,7 @@ def system_series(
 
 
 def hypergraph_to_json(g: Hypergraph) -> dict:
-    return {
-        "n": g.n,
-        "edges": [list(e) for e in g.edges],
-        "special": list(g.special),
-    }
+    return {"n": g.n, "edges": [list(e) for e in g.edges], "special": list(g.special)}
 
 
 def hypergraph_from_json(obj: Mapping) -> Hypergraph:

@@ -174,19 +174,52 @@ def test_poset_matches_definition_oracle():
         assert got == poset_oracle(arr), arrangement_to_json(arr)
 
 
+def _codim2_clans() -> list:
+    """The clans of x1 + x2 + x3 = 0 with x1 = x2 = x3, and of seeded
+    two-member arrangements in R^3, at every copy-count vector <= (2, 2, 2):
+    each lifted member of codimension 2 meets some flat X in a flat of rank
+    rank(X) + 2."""
+    rng = random.Random(43)
+    bases = [arrangement(3, [[[1, 1, 1]], [[1, -1, 0], [0, 1, -1]]])]
+    while len(bases) < 5:
+        arr = random_subspace_arrangement(rng, 3, 2)
+        if any(s.codim == 2 for s in arr.subspaces):
+            bases.append(arr)
+    clans = {clan_lambda(arr, k): None for arr in bases for k in itertools.product(range(3), repeat=3)}
+    assert sum(any(s.codim == 2 for s in arr.subspaces) for arr in clans) >= 30
+    return list(clans)
+
+
 def test_flats_match_walk_oracle():
-    """The walk by covers finds the same flats with the same masks as the
-    walk that meets each flat with every member outside it, over Q and
-    mod small primes, good or bad."""
+    """The walk by covers and by known covers finds the same flats with the
+    same masks as the walk that meets each flat with every member outside
+    it, over Q and mod small primes, good or bad.  The clans with members of
+    codimension 2 check that a known flat of rank rank(X) + 2 inside X and
+    H_i is never taken for X & H_i."""
     rng = random.Random(37)
     cases = _oracle_arrangements() + [
         random_hyperplane_arrangement(rng, rng.randint(1, 4)) for _ in range(60)
     ]
-    cases += [braid(n) for n in (5, 6)]
+    cases += [braid(n) for n in (5, 6)] + _codim2_clans()
     assert len(_flats(NESTED)) == 8
     for arr in cases + [NESTED]:
         for p in (0, 2, 3, 5, 7):
             assert _flats(arr, p) == flats_oracle(arr, p), (arrangement_to_json(arr), p)
+
+
+def test_known_covers_need_no_meet(monkeypatch):
+    """On K8 every meet finds a new flat: a meet that would land on a known
+    cover is answered by the bitsets, so ``_flats`` makes one ``_insert``
+    call per flat but the whole space, 4,139, over Q and at p = 11 (the
+    walk by covers alone made 28,337)."""
+    k8 = braid(8)
+    calls = []
+    real = arrangement_module._insert
+    monkeypatch.setattr(arrangement_module, "_insert", lambda *a: calls.append(1) or real(*a))
+    for p in (0, 11):
+        calls.clear()
+        assert len(_flats(k8, p)) == 4140
+        assert len(calls) == 4139, p
 
 
 def test_mobius_bitsets_match_pairwise_oracle():
@@ -195,9 +228,9 @@ def test_mobius_bitsets_match_pairwise_oracle():
     braid K5-K7, the nested case, and the clans of seeded one- and
     two-member arrangements at every copy-count vector <= (2, 2, 2), which
     are the clans of every m <= (2, 2, 2) with all supported vertices
-    special."""
+    special, and the codimension-2 clans of the walk oracle test."""
     rng = random.Random(71)
-    cases = _oracle_arrangements() + [braid(n) for n in (5, 6, 7)] + [NESTED]
+    cases = _oracle_arrangements() + [braid(n) for n in (5, 6, 7)] + [NESTED] + _codim2_clans()
     clans: dict = {}
     for count in [1] * 4 + [2] * 8:
         arr = random_subspace_arrangement(rng, 3, count)
@@ -223,13 +256,34 @@ def test_flat_walk_is_charged(monkeypatch):
     for p in (0, 11):
         with pytest.raises(BudgetError, match="intersection poset walk over 28 members"):
             _flats(braid(8), p)
-    # a polynomial computed earlier under a larger budget stays cached
+    # with the caches cleared, the walk itself refuses K8 (a cached K8 is
+    # refused too: test_cached_poset_is_charged)
     characteristic_polynomial.cache_clear()
     _poset_data.cache_clear()
     with pytest.raises(BudgetError, match="intersection poset walk"):
         characteristic_polynomial(braid(8))
     assert len(_flats(braid(7), 11)) == 877
     assert characteristic_polynomial(braid(7)) == math.prod((Q - k for k in range(1, 7)), start=Q)
+
+
+def test_cached_poset_is_charged(monkeypatch):
+    """A poset or polynomial in its cache is charged again on every call, as
+    the walk's last rank was (flats times members): K8, computed under the
+    default budget, is refused from the cache at 2^16 with the walk's
+    message, and K7 still fits."""
+    k7, k8 = braid(7), braid(8)
+    chi7, chi8 = characteristic_polynomial(k7), characteristic_polynomial(k8)
+    monkeypatch.setenv("CHROMAPLEX_BUDGET", "16")
+    hits = characteristic_polynomial.cache_info().hits
+    for fn in (characteristic_polynomial, _poset_data):
+        with pytest.raises(BudgetError, match="intersection poset walk over 28 members"):
+            fn(k8)
+    # the cache answered, and the charge refused its answer
+    assert characteristic_polynomial.cache_info().hits == hits + 1
+    assert characteristic_polynomial(k7) == chi7
+    assert len(_poset_data(k7)) == 877
+    monkeypatch.delenv("CHROMAPLEX_BUDGET")
+    assert characteristic_polynomial(k8) == chi8
 
 
 def test_marked_arrangement_groups_partition_tuples():

@@ -3,7 +3,6 @@ only the standard library, and no check in them is an ``assert`` (which
 ``python -O`` strips)."""
 
 import ast
-import functools
 import importlib
 import os
 import subprocess
@@ -85,8 +84,10 @@ def test_caches_are_bounded():
 def test_bench_names_resolve(monkeypatch):
     """The names the benchmark reads exist: every traced (module, function)
     in ``bench/spans.py`` and every cache in ``bench/run.py`` whose hit ratio
-    it reports, as an ``lru_cache`` under its own name.  ``run.py`` also
-    counts flats through ``arrangement._poset_data``."""
+    it reports, as a cache that ``run.find_caches`` finds, under its own name
+    (the two arrangement caches charge each call, so they wrap an
+    ``lru_cache``).  ``run.py`` also counts flats through
+    ``arrangement._poset_data``."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     import run
     import spans
@@ -97,7 +98,7 @@ def test_bench_names_resolve(monkeypatch):
     for cache in caches:
         mod, fn = cache.split(".")
         value = getattr(importlib.import_module(f"chromaplex.{mod}"), fn)
-        assert isinstance(value, functools._lru_cache_wrapper), cache
+        assert run.find_caches().get(cache) is value, cache
         assert value.__name__ == fn, cache
 
 
