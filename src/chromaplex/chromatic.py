@@ -162,10 +162,9 @@ def _series_table(a: IndependenceSystem, special: tuple[int, ...], window: Vecto
     w = dense_window(window)
     base = w.values(f)
     base[0] = 0
-    base_terms = w.nonzero(base)
     powers = [[1] + [0] * (len(base) - 1), base]
     for _ in range(2, sum(window) + 1):
-        powers.append(w.mul(powers[-1], base_terms))
+        powers.append(w.mul(powers[-1], base))
     return {e: tuple(p[i] for p in powers[: sum(e) + 1]) for i, e in enumerate(w.exponents())}
 
 
@@ -192,7 +191,9 @@ def _coordinates(table: Table, m: Vector, build: Callable[[Vector], Table], limi
 def _charge_window(m: Vector) -> int:
     """Charge m's own window before any cache is asked, and return the budget
     the call's tables grow under: a call reads the budget once."""
-    limit, cells = budget_limit(), math.prod(v + 1 for v in m)
+    limit, cells = budget_limit(), 1
+    for v in m:
+        cells *= v + 1
     if cells > limit:
         charge(cells, f"coefficient table at m={m}")
     return limit

@@ -45,9 +45,10 @@ def int_tuple(values: Iterable[object], what: str) -> tuple[int, ...]:
     """values as a tuple, refused unless every entry is an ``int`` (a
     ``bool`` is not one): a float or a string is not silently truncated."""
     values = tuple(values)
-    # by type, since a bool is an instance of int
-    if not set(map(type, values)) <= {int}:
-        raise ValueError(f"{what} must be integers, got {values}")
+    for v in values:
+        # by type, since a bool is an instance of int
+        if type(v) is not int:
+            raise ValueError(f"{what} must be integers, got {values}")
     return values
 
 
@@ -62,8 +63,13 @@ def natural(value: object, what: str) -> int:
 def vector(values: Iterable[object], n: int, what: str) -> tuple[int, ...]:
     """values as a tuple, refused unless n ``int``s >= 0: a multiplicity
     vector, a truncation window or an exponent on n variables."""
-    values = int_tuple(values, what)
-    if len(values) != n or min(values, default=0) < 0:
+    values = tuple(values)
+    bad = len(values) != n
+    for v in values:  # one pass, but every type before the length and signs
+        if type(v) is not int:
+            raise ValueError(f"{what} must be integers, got {values}")
+        bad = bad or v < 0
+    if bad:
         raise ValueError(f"bad {what} {values}: need {n} entries, each >= 0")
     return values
 

@@ -136,6 +136,9 @@ class DenseWindow:
             packs = [p + (v << s) for p in packs for v in range(t + 1)]
         self.packs = packs
         self.top = packs[-1]
+        # the number of pairs (e1, e2) with e1 + e2 in the window
+        self.pairs = math.prod((t + 1) * (t + 2) // 2 for t in trunc)
+        self.fits: list[list[int]] | None = None
 
     def exponents(self) -> Iterator[Exponent]:
         """Every exponent of the window, in its dense order."""
@@ -152,13 +155,25 @@ class DenseWindow:
         """(packed exponent, index, coefficient) for every nonzero entry."""
         return [(self.packs[j], j, c) for j, c in enumerate(x) if c]
 
-    def mul(self, x: Dense, y_terms: DenseTerms) -> Dense:
-        """x * y truncated to the window, y given by ``nonzero``: the product
-        of the entries at e1 and e2 lands at index(e1) + index(e2) when
-        e2 <= trunc - e1, that is when every guard survives
+    def mul(self, x: Dense, y: Dense) -> Dense:
+        """x * y truncated to the window: the entries at e1 and e2 meet at
+        index(e1) + index(e2) when e2 <= trunc - e1.  Each e1 reads its e2 from
+        ``fits``, built once, if the window's pairs are at most nnz(x) * nnz(y)
+        and 2^16 (a window of at most 1,024 entries, so a cached one); else
+        each nonzero pair is tested: e2 fits when every guard survives
         ((top - packed(e1)) | guards) - packed(e2)."""
-        packs, top, guards = self.packs, self.top, self.guards
         out: Dense = [0] * len(x)
+        if self.pairs <= min((len(x) - x.count(0)) * (len(y) - y.count(0)), 1 << 16):
+            if self.fits is None:
+                self.fits = [self._fit(e) for e in self.exponents()]
+            for i, c1, fit in zip(range(len(x)), x, self.fits):
+                if c1:
+                    for j in fit:
+                        if c2 := y[j]:
+                            out[i + j] += c1 * c2
+            return out
+        packs, top, guards = self.packs, self.top, self.guards
+        y_terms = self.nonzero(y)
         for i, c1 in enumerate(x):
             if c1:
                 room = (top - packs[i]) | guards
@@ -166,6 +181,11 @@ class DenseWindow:
                     if (room - pj) & guards == guards:
                         out[i + j] += c1 * c2
         return out
+
+    def _fit(self, e: Exponent) -> list[int]:
+        """The indices of the exponents <= trunc - e."""
+        room = itertools.product(*(range(t - v + 1) for t, v in zip(self.trunc, e)))
+        return [sum(map(operator.mul, d, self.strides)) for d in room]
 
     def inverse_entries(self, x: Dense) -> Iterator[int | Fraction]:
         """The entries of 1/x in lex order, each computed when it is asked
@@ -219,7 +239,7 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Product, discarding exponents outside the truncation window."""
     _check_compatible(a, b)
     w = dense_window(a.trunc)
-    return w.series(w.mul(w.values(a), w.nonzero(w.values(b))))
+    return w.series(w.mul(w.values(a), w.values(b)))
 
 
 def series_inverse(a: TruncatedSeries) -> TruncatedSeries:
@@ -230,7 +250,9 @@ def series_inverse(a: TruncatedSeries) -> TruncatedSeries:
 
 def series_int_pow(a: TruncatedSeries, q: int) -> TruncatedSeries:
     """a**q for any integer q (negative powers invert first), by repeated
-    squaring on the dense window."""
+    squaring on the dense window.  Each product takes one of
+    ``DenseWindow.mul``'s two loops by its operands' sizes: a sparse base
+    tests its nonzero pairs, a dense one visits the fit lists."""
     (q,) = int_tuple((q,), "exponent")
     w = dense_window(a.trunc)
     base = w.values(a)
@@ -240,10 +262,10 @@ def series_int_pow(a: TruncatedSeries, q: int) -> TruncatedSeries:
     result[0] = 1
     while q:
         if q & 1:
-            result = w.mul(result, w.nonzero(base))
+            result = w.mul(result, base)
         q >>= 1
         if q:
-            base = w.mul(base, w.nonzero(base))
+            base = w.mul(base, base)
     return w.series(result)
 
 

@@ -44,6 +44,18 @@ def test_vertex_set():
         vertex_set((1,), 0, "special vertices")
 
 
+def test_types_are_checked_before_length_and_signs():
+    """One pass checks every entry, but a wrong type is reported before a
+    wrong length, a negative entry or an entry out of range, wherever in the
+    tuple it sits."""
+    for bad, n in (((1, 1.5), 3), ((-1, True), 2), ((1.5, -1), 1)):
+        with pytest.raises(ValueError, match="multiplicities must be integers"):
+            vector(bad, n, "multiplicities")
+    for bad in ((5, 1.5), ("1", 0), (-1, True)):
+        with pytest.raises(ValueError, match="special vertices must be integers"):
+            vertex_set(bad, 2, "special vertices")
+
+
 def test_malformed_reports_every_input_error():
     for exc in (KeyError("n"), TypeError("not iterable"), ValueError("outside")):
         with pytest.raises(ValueError, match="malformed hypergraph object"):

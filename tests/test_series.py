@@ -12,6 +12,7 @@ from helpers import FractionPoly, series_mul_sparse, series_one, series_pow_spar
 
 from chromaplex.errors import BudgetError
 from chromaplex.series import (
+    DenseWindow,
     Q,
     QPolynomial,
     shifted_binomial_poly,
@@ -192,6 +193,79 @@ def test_dense_window_charges_before_allocating(monkeypatch):
     g = s(2, (63, 63), {(0, 0): 1, (1, 0): 1})
     assert series_inverse(g).terms[(63, 0)] == F(-1)
     assert series_int_pow(g, 2).terms[(2, 0)] == F(1)
+
+
+def _random_dense(rng, trunc, density, integral):
+    """A series with each coefficient nonzero with the given probability."""
+    terms = {}
+    for e in itertools.product(*(range(t + 1) for t in trunc)):
+        if rng.random() < density:
+            k = rng.choice([-3, -2, -1, 1, 2, 3])
+            terms[e] = F(k) if integral else F(k, 3)
+    return TruncatedSeries(len(trunc), trunc, terms)
+
+
+def test_both_product_loops_match_the_sparse_oracle():
+    """A product visits the fit lists when the window's pairs are at most
+    nnz(x) * nnz(y), as for dense operands, and tests nonzero pairs by their
+    guards otherwise; both loops give the sparse oracle's product, on
+    integral and non-integral coefficients, windows with zero bounds and
+    n = 0.  series_int_pow matches the oracle at q = -3..4 on both."""
+    rng = random.Random(24)
+    windows = [(2, 2, 2, 2), (2, 2, 2), (2, 0, 1), (0, 0), ()]
+    for trunc, density, dense in itertools.product(windows, (1.0, 0.1), (True, False)):
+        for integral in (True, False):
+            f = _random_dense(rng, trunc, density, integral)
+            g = _random_dense(rng, trunc, density if dense else 0.05, integral)
+            w = DenseWindow(trunc)
+            x, y = w.values(f), w.values(g)
+            assert w.fits is None
+            prod = w.series(w.mul(x, y))
+            assert prod == series_mul_sparse(f, g)
+            assert _all_fractions(prod)
+            pairs = len(f.terms) * len(g.terms)
+            assert (w.fits is not None) == (w.pairs <= pairs)
+            if len(trunc) >= 3:
+                # dense operands take the lists, sparse ones the guard loop
+                assert (w.fits is not None) == (density == 1.0 and dense)
+    _dense_window.cache_clear()
+    for trunc, density in itertools.product(windows[1:], (1.0, 0.2)):
+        f = _random_dense(rng, trunc, density, rng.random() < 0.5)
+        f.terms[(0,) * len(trunc)] = rng.choice([F(1), F(-1), F(2)])
+        for q in range(-3, 5):
+            power = series_int_pow(f, q)
+            if q >= 0:
+                assert power == series_pow_sparse(f, q)
+            else:
+                assert series_mul_sparse(power, series_pow_sparse(f, -q)) == series_one(
+                    len(trunc), trunc
+                )
+    assert dense_window((2, 2, 2)).fits is not None
+
+
+def test_sparse_power_on_the_largest_cached_window_tests_pairs():
+    """On (63, 63), 4,096 entries and 2,080^2 pairs, the square of a
+    two-term series tests its few nonzero pairs by their guards: the window
+    builds no fit lists, and the call stays small."""
+    _dense_window.cache_clear()
+    g = s(2, (63, 63), {(0, 0): 1, (1, 0): 1})
+    tracemalloc.start()
+    try:
+        square = series_int_pow(g, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert square == series_pow_sparse(g, 2)
+    assert dense_window((63, 63)).fits is None
+    assert peak < 1_000_000
+    # past 2^16 pairs no window keeps lists, however dense its operands:
+    # (25, 25) has 676 entries and 351^2 = 123,201 pairs
+    rng = random.Random(25)
+    f, h = (_random_dense(rng, (25, 25), density, True) for density in (1.0, 0.3))
+    assert len(f.terms) * len(h.terms) > 351**2
+    w = DenseWindow((25, 25))
+    assert w.series(w.mul(w.values(f), w.values(h))) == series_mul_sparse(f, h)
+    assert w.fits is None
 
 
 def test_only_small_dense_windows_are_cached():
