@@ -18,10 +18,11 @@ gates enforce that.
 The block-partition formula and ``coefficient_via_binomial`` (the
 coefficient of x^m in the q-th power of an independence-system series) both
 give the integer coordinates c_k of the polynomial sum_k c_k * binomial(q, k).
-Each route computes them for every m in a window at once, by one walk over
-block multisets or by one pass of series powers, and keeps that table per
-input in a small bounded cache.  A call at an m outside the window rebuilds
-the table at a cube (M, ..., M) where the budget allows (see ``_coordinates``).
+Each route computes them for every m in a window at once, by one pass per
+block over the window's cells or by one pass of series powers, and keeps
+that table per input in a small bounded cache.  A call at an m outside the
+window rebuilds the table at a cube (M, ..., M) where the budget allows (see
+``_coordinates``).
 """
 
 from __future__ import annotations
@@ -111,42 +112,38 @@ def _block_table(g: Hypergraph, window: Vector) -> Table:
     """|P_k(m)| for every m <= window and every k: the number of ordered
     k-tuples of nonempty marked-independent blocks whose sum is m.
 
-    One walk over the multisets of blocks whose sum fits the window, each
-    block taken with a repeat count j, in a fixed block order.  Every node
-    adds k!/prod(j!) at its own sum; that multinomial is the number of
-    distinct orderings, which is what makes repeated identical blocks
-    (possible at special vertices) count correctly.  A block fits when every
-    guard bit of the window's packed exponents survives one subtraction.
+    One pass per block b over the cells T[m] in decreasing dense index adds
+    T[m][k] * C(k + j, j) to T[m + j*b][k + j] for each j >= 1 with m + j*b
+    in the window (a guard test on the packed exponents).  The factors
+    C(k + j, j) of a multiset's passes multiply to k!/prod(j!), its number
+    of orderings: the exponential formula, prod over b of exp(y * x^b).  In
+    that order a cell is read before any cell below it writes to it, so it
+    holds only multisets without b.  A cell keeps only its nonzero k, and
+    the largest supports pass first, while most cells are still empty.
     """
     w = dense_window(window)
-    packs, guards = w.packs, w.guards
-    blocks = []
-    for b in marked_independent_vectors(g, window):
-        if any(b):
-            i = sum(map(operator.mul, b, w.strides))
-            blocks.append((packs[i], i))
-    keys = list(w.exponents())
-    cells = [[0] * (sum(e) + 1) for e in keys]
+    packs, guards, top = w.packs, w.guards, w.top
+    # choose[j][k] = C(k + j, j); a block repeats at most max(window) times
+    ks = range(sum(window) + 1)
+    choose = [[math.comb(k + j, j) for k in ks] for j in range(max(window, default=0) + 1)]
+    cells: list[dict[int, int]] = [{} for _ in packs]
     cells[0][0] = 1
-    factorial = [math.factorial(k) for k in range(sum(window) + 1)]
-
-    def walk(fits: list[tuple[int, int]], pos: int, room: int, k: int, denom: int) -> None:
-        # fits: the blocks later in the order that fit room, the packed
-        # window minus the packed sum at pos with every guard set; room only
-        # shrinks as j grows, so each repeat filters the previous ``later``
-        for bi, (pb, ib) in enumerate(fits):
-            p, r, j, d = pos, room, 0, denom
-            later = fits[bi + 1 :]
-            while (r - pb) & guards == guards:
-                p, r, j = p + ib, r - pb, j + 1
-                d *= j
-                cells[p][k + j] += factorial[k + j] // d
-                later = [b for b in later if (r - b[0]) & guards == guards]
-                if later:
-                    walk(later, p, r, k + j, d)
-
-    walk(blocks, 0, w.top | guards, 0, 1)
-    return {e: tuple(c) for e, c in zip(keys, cells)}
+    for b in reversed(list(marked_independent_vectors(g, window))):
+        if any(b):
+            ib = sum(map(operator.mul, b, w.strides))
+            pb = packs[ib]
+            for i in range(len(cells) - 1 - ib, -1, -1):
+                if src := cells[i]:
+                    room = ((top - packs[i]) | guards) - pb
+                    t, j = i + ib, 1
+                    while room & guards == guards:
+                        cell, factor = cells[t], choose[j]
+                        for k, c in src.items():
+                            cell[k + j] = cell.get(k + j, 0) + c * factor[k]
+                        room, t, j = room - pb, t + ib, j + 1
+    return {
+        e: tuple([c.get(k, 0) for k in range(sum(e) + 1)]) for e, c in zip(w.exponents(), cells)
+    }
 
 
 def _series_table(a: IndependenceSystem, special: tuple[int, ...], window: Vector) -> Table:
@@ -156,7 +153,7 @@ def _series_table(a: IndependenceSystem, special: tuple[int, ...], window: Vecto
     so [x^m] of a power is the same in the window m as in any window above
     it.  The base series has one unit term per marked-independent multiset,
     so its powers keep plain integer coefficients.  Independent of the block
-    walk; ``system_series`` gates the base series over the whole window.
+    table; ``system_series`` gates the base series over the whole window.
     """
     f = system_series(a, special, window)
     w = dense_window(window)

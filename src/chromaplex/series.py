@@ -250,23 +250,23 @@ def series_inverse(a: TruncatedSeries) -> TruncatedSeries:
 
 def series_int_pow(a: TruncatedSeries, q: int) -> TruncatedSeries:
     """a**q for any integer q (negative powers invert first), by repeated
-    squaring on the dense window.  Each product takes one of
-    ``DenseWindow.mul``'s two loops by its operands' sizes: a sparse base
-    tests its nonzero pairs, a dense one visits the fit lists."""
+    squaring on the dense window from the first factor needed: q = 1 takes
+    no product.  Each product takes one of ``DenseWindow.mul``'s two loops
+    by its operands' sizes: a sparse base tests its nonzero pairs, a dense
+    one visits the fit lists."""
     (q,) = int_tuple((q,), "exponent")
     w = dense_window(a.trunc)
     base = w.values(a)
     if q < 0:
         base, q = w.inverse(base), -q
-    result: Dense = [0] * len(base)
-    result[0] = 1
+    result: Dense | None = None
     while q:
         if q & 1:
-            result = w.mul(result, base)
+            result = base if result is None else w.mul(result, base)
         q >>= 1
         if q:
             base = w.mul(base, base)
-    return w.series(result)
+    return w.series([1] + [0] * (len(base) - 1) if result is None else result)
 
 
 # ---------------------------------------------------------------------------

@@ -75,21 +75,25 @@ def marked_independent_vectors_oracle(g: Hypergraph, cap):
 
 def count_Pk_ordered_debug(g: Hypergraph, m, k: int) -> int:
     """Debug route for count_Pk_mult: direct recursion over ordered k-tuples
-    of nonzero marked-independent blocks summing to m."""
-    m = tuple(m)
-    blocks = [b for b in marked_independent_vectors_oracle(g, m) if any(b)]
+    of nonzero marked-independent blocks summing to m, shared across the m
+    of one hypergraph: the blocks that fit the remainder are the nonzero
+    marked-independent vectors below it."""
+    return _ordered_tuples(g, tuple(m), k)
 
-    @lru_cache(maxsize=None)
-    def rec(remaining: tuple, j: int) -> int:
-        if j == 0:
-            return 0 if any(remaining) else 1
-        total = 0
-        for b in blocks:
-            if all(bv <= rv for bv, rv in zip(b, remaining)):
-                total += rec(tuple(rv - bv for rv, bv in zip(remaining, b)), j - 1)
-        return total
 
-    return rec(m, k)
+@lru_cache(maxsize=1 << 18)
+def _ordered_tuples(g: Hypergraph, remaining: tuple, j: int) -> int:
+    if j == 0:
+        return 0 if any(remaining) else 1
+    return sum(
+        _ordered_tuples(g, tuple(rv - bv for rv, bv in zip(remaining, b)), j - 1)
+        for b in _blocks_below(g, remaining)
+    )
+
+
+@lru_cache(maxsize=1 << 14)
+def _blocks_below(g: Hypergraph, cap: tuple) -> list:
+    return [b for b in marked_independent_vectors_oracle(g, cap) if any(b)]
 
 
 def partitions_of(k: int, cap: int | None = None):

@@ -2,6 +2,7 @@ import itertools
 import math
 import operator
 import random
+import time
 import warnings
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from chromaplex.chromatic import (
 )
 from chromaplex.errors import BudgetError, VerificationError
 import chromaplex.hypergraph as hypergraph_module
+import chromaplex.series as series_module
 from chromaplex.hypergraph import (
     hypergraph,
     hypergraph_from_system,
@@ -425,19 +427,66 @@ def clear_tables():
         cache.cache_clear()
 
 
+def assert_block_table_matches_oracle(g, window):
+    table = chromatic_module._block_table(g, window)
+    assert list(table) == list(itertools.product(*(range(t + 1) for t in window)))
+    for m, cell in table.items():
+        assert cell == tuple(count_Pk_ordered_debug(g, m, k) for k in range(sum(m) + 1)), m
+
+
 def test_block_table_matches_ordered_oracle():
-    """Every cell of a block table at window (2,...,2), with and without
-    special vertices, against the direct recursion over ordered tuples."""
+    """Every cell of a block table against the direct recursion over ordered
+    tuples: at window (2,...,2) for n <= 5, with and without special
+    vertices; at uneven windows with zero bounds; at n = 0; and with special
+    vertices at caps 3 and 4, where one block repeats up to four times."""
     rng = random.Random(2024)
-    for trial in range(24):
-        n = rng.randint(1, 4)
+    for trial in range(30):
+        n = rng.randint(1, 4) if trial < 24 else 5
         g = random_hypergraph(rng, n, rng.randint(0, 3))
         sp = tuple(v for v in range(1, n + 1) if rng.random() < 0.5) if trial % 2 else ()
-        g = hypergraph(n, g.edges, special=sp)
-        table = chromatic_module._block_table(g, (2,) * n)
-        assert list(table) == list(itertools.product(range(3), repeat=n))
-        for m, cell in table.items():
-            assert cell == tuple(count_Pk_ordered_debug(g, m, k) for k in range(sum(m) + 1))
+        assert_block_table_matches_oracle(hypergraph(n, g.edges, special=sp), (2,) * n)
+    for window in ((3, 0, 2), (0, 0), (0, 2, 0, 1), (4, 1, 3)):
+        for _ in range(3):
+            n = len(window)
+            g = random_hypergraph(rng, n, rng.randint(0, 3))
+            sp = tuple(v for v in range(1, n + 1) if rng.random() < 0.5)
+            assert_block_table_matches_oracle(hypergraph(n, g.edges, special=sp), window)
+    assert_block_table_matches_oracle(hypergraph(0), ())
+    for edges, sp, window in (
+        ([], (1, 2), (4, 4)),
+        ([(1, 2)], (1, 2), (4, 3)),
+        ([(1, 3)], (1,), (4, 2, 1)),
+        ([(1, 2, 3)], (1, 2, 3), (3, 3, 3)),
+        ([(2, 3)], (1, 3), (3, 3, 3)),
+    ):
+        assert_block_table_matches_oracle(hypergraph(len(window), edges, special=sp), window)
+
+
+def test_block_table_stays_off_the_series_route(monkeypatch):
+    """The block table multiplies no series, so the two coefficient routes
+    stay two computations."""
+
+    def refuse(*args):
+        raise AssertionError("the block table multiplied series")
+
+    monkeypatch.setattr(series_module.DenseWindow, "mul", refuse)
+    monkeypatch.setattr(chromatic_module, "_series_table", refuse)
+    g = hypergraph(3, [(1, 2)], special=(1, 3))
+    assert_block_table_matches_oracle(g, (2, 2, 2))
+
+
+def test_edgeless_closed_forms_at_large_windows():
+    """An edgeless hypergraph counts each vertex alone: C(q + m_v - 1, m_v)
+    multisets at a special vertex, C(q, m_v) sets at a plain one.  At
+    (6,6,6) the block table holds 342 blocks over 343 cells."""
+    clear_tables()
+    t0 = time.monotonic()
+    multisets = shifted_binomial_poly(-5, 6)  # C(q + 5, 6)
+    want = multisets * multisets * multisets
+    assert marked_chromatic_poly(hypergraph(3, [], (1, 2, 3)), (6, 6, 6)) == want
+    sets = binomial_poly(3)
+    assert marked_chromatic_poly(hypergraph(4), (3, 3, 3, 3)) == sets * sets * sets * sets
+    assert time.monotonic() - t0 < 1.0
 
 
 def record_builds(monkeypatch) -> list[tuple[str, tuple]]:

@@ -101,6 +101,30 @@ def test_int_pow():
     assert series_mul(series_int_pow(f, -3), cube) == series_one(2, (2, 2))
 
 
+def test_int_pow_takes_only_the_products_it_needs(monkeypatch):
+    """|q| takes bit_length(|q|) - 1 squarings and popcount(|q|) - 1 other
+    products, so q = 0, 1 and -1 take none, and every q in -3..4 still
+    matches the sparse oracle."""
+    calls = []
+    mul = DenseWindow.mul
+
+    def counting(self, x, y):
+        calls.append(1)
+        return mul(self, x, y)
+
+    monkeypatch.setattr(DenseWindow, "mul", counting)
+    f = s(2, (2, 2), {(0, 0): 1, (1, 0): 1, (0, 1): 2, (1, 1): -1})
+    one = series_one(2, (2, 2))
+    for q in range(-3, 5):
+        calls.clear()
+        power = series_int_pow(f, q)
+        assert len(calls) == max(abs(q).bit_length() + bin(q).count("1") - 2, 0), q
+        if q >= 0:
+            assert power == series_pow_sparse(f, q)
+        else:
+            assert series_mul_sparse(power, series_pow_sparse(f, -q)) == one
+
+
 def _random_series(rng, n, trunc, integral, constant):
     terms = {}
     for e in itertools.product(*(range(t + 1) for t in trunc)):
