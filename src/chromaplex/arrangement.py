@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial, reduce, wraps
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .budget import budget_limit, charge
+from .budget import charge
 from .chromatic import copy_columns, copy_count_sum, support
 from .errors import (
     BadPrimeError,
@@ -201,9 +201,8 @@ def _walk(arr: Arrangement, p: int = 0) -> tuple[dict[Basis, int], list[int]]:
     inside = [0] * len(hyps)  # per member, the flats inside it
     levels: list[list[Basis]] = [[()]] + [[] for _ in range(arr.n)]
     ranked = [1] + [0] * (arr.n + 1)  # per rank, its flats
-    limit = budget_limit()  # read once: the walk is one call
     for rank, level in enumerate(levels):
-        if level and len(masks) * len(hyps) > limit:
+        if level:
             _charge_walk(arr, len(masks))
         for basis in level:
             mask = skip = masks[basis]
@@ -239,15 +238,14 @@ def _flats(arr: Arrangement, p: int = 0) -> dict[Basis, int]:
 
 def _walk_cache(maxsize: int, fn: Callable[[Arrangement], tuple[int, object]]):
     """``lru_cache`` of fn, which returns (flats, value); a call returns the
-    value and is charged flats times members, as the walk's last rank was:
-    inside fn when fn runs (by the walk, or a cached poset), else here."""
-    cached = lru_cache(maxsize=maxsize)(lambda arr: (*fn(arr), [arr]))
+    value and is charged flats times members on every call, cached or not.
+    When fn runs, that is the charge the walk's last rank already passed:
+    every flat is found before that rank starts."""
+    cached = lru_cache(maxsize=maxsize)(fn)
     @wraps(fn)
     def call(arr: Arrangement):
-        flats, value, computing = cached(arr)  # computing: [arr] until read once
-        if not computing and flats * len(arr.subspaces) > budget_limit():
-            _charge_walk(arr, flats)
-        computing.clear()
+        flats, value = cached(arr)
+        _charge_walk(arr, flats)
         return value
     call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
     return call

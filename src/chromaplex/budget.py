@@ -3,8 +3,8 @@
 Exhaustive enumerations (independent sets, truncation windows, hypergraph
 scans) refuse to start when their estimated size exceeds 2**budget, where the
 budget exponent is read from the ``CHROMAPLEX_BUDGET`` environment variable
-(default 24).  The refusal carries the estimate so the caller can decide
-whether to raise the budget.
+(default 24) once per process, at the first charge.  The refusal carries the
+estimate so the caller can decide whether to raise the budget.
 """
 
 from __future__ import annotations
@@ -16,19 +16,22 @@ from .errors import BudgetError
 ENV_VAR = "CHROMAPLEX_BUDGET"
 DEFAULT_EXPONENT = 24
 
+_limit: int | None = None  # the cap, once read
+
 
 def budget_limit() -> int:
-    """Current enumeration cap, as a plain count."""
-    raw = os.environ.get(ENV_VAR)
-    if raw is None:
-        return 1 << DEFAULT_EXPONENT
-    try:
-        exponent = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{ENV_VAR} must be an integer, got {raw!r}") from exc
-    if exponent < 0 or exponent > 62:
-        raise ValueError(f"{ENV_VAR} must be between 0 and 62, got {exponent}")
-    return 1 << exponent
+    """The enumeration cap, as a plain count; read on the first call."""
+    global _limit
+    if _limit is None:
+        raw = os.environ.get(ENV_VAR, str(DEFAULT_EXPONENT))
+        try:
+            exponent = int(raw)
+        except ValueError as exc:
+            raise ValueError(f"{ENV_VAR} must be an integer, got {raw!r}") from exc
+        if exponent < 0 or exponent > 62:
+            raise ValueError(f"{ENV_VAR} must be between 0 and 62, got {exponent}")
+        _limit = 1 << exponent
+    return _limit
 
 
 def charge(estimate: int, what: str) -> None:

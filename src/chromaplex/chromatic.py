@@ -70,14 +70,16 @@ def brute_force_count(g: Hypergraph, m: Sequence[int], q: int) -> int:
     m = vector(m, g.n, "multiplicities")
     q = natural(q, "q")
     sp = set(g.special)
-    per_vertex: list[list[frozenset[int]]] = []
-    total = 1
-    for v in range(1, g.n + 1):
-        pick = itertools.combinations_with_replacement if v in sp else itertools.combinations
-        choices = [frozenset(c) for c in pick(range(q), m[v - 1])]
-        per_vertex.append(choices)
-        total *= len(choices)
+    # C(q, m_v) color sets at a plain vertex, C(q + m_v - 1, m_v) multisets at
+    # a special one (the max keeps the one empty multiset at q = m_v = 0)
+    total = math.prod(
+        math.comb(max(q + k - 1, 0), k) if v in sp else math.comb(q, k) for v, k in enumerate(m, 1)
+    )
     charge(total, f"brute-force coloring enumeration of size {total}")
+    per_vertex = []
+    for v, k in enumerate(m, 1):
+        pick = itertools.combinations_with_replacement if v in sp else itertools.combinations
+        per_vertex.append([frozenset(c) for c in pick(range(q), k)])
     edge_ix = [tuple(v - 1 for v in e) for e in g.edges]
     count = 0
     for assignment in itertools.product(*per_vertex):
@@ -165,10 +167,10 @@ def _series_table(a: IndependenceSystem, special: tuple[int, ...], window: Vecto
     return {e: tuple(p[i] for p in powers[: sum(e) + 1]) for i, e in enumerate(w.exponents())}
 
 
-def _coordinates(table: Table, m: Vector, build: Callable[[Vector], Table], limit: int) -> Cell:
+def _coordinates(table: Table, m: Vector, build: Callable[[Vector], Table]) -> Cell:
     """The coordinates at m from ``table``.  A table that does not cover m is
     rebuilt in place by ``build`` at the cube (M, ..., M), M the largest
-    exponent of its window and m, if that fits ``limit`` and has at most 2^n
+    exponent of its window and m, if that fits the budget and has at most 2^n
     times the cells of the join (the componentwise max of the two); else at
     the join if that fits; else, and on an empty table, at m alone."""
     if m not in table:
@@ -176,24 +178,22 @@ def _coordinates(table: Table, m: Vector, build: Callable[[Vector], Table], limi
         if table:
             join = tuple(map(max, next(reversed(table)), m))
             cells = math.prod(t + 1 for t in join)
-            if (max(join) + 1) ** len(m) <= min(limit, cells << len(m)):
+            if (max(join) + 1) ** len(m) <= min(budget_limit(), cells << len(m)):
                 window = (max(join),) * len(m)
-            elif cells <= limit:
+            elif cells <= budget_limit():
                 window = join
         table.clear()
         table.update(build(window))
     return table[m]
 
 
-def _charge_window(m: Vector) -> int:
-    """Charge m's own window before any cache is asked, and return the budget
-    the call's tables grow under: a call reads the budget once."""
-    limit, cells = budget_limit(), 1
+def _charge_window(m: Vector) -> None:
+    """Charge m's own window before any cache is asked."""
+    cells = 1
     for v in m:
         cells *= v + 1
-    if cells > limit:
+    if cells > budget_limit():
         charge(cells, f"coefficient table at m={m}")
-    return limit
 
 
 # one table per input, grown in place as calls ask for more of it, in caches
@@ -209,8 +209,8 @@ def _series_tables(a: IndependenceSystem, special: tuple[int, ...]) -> Table:
     return {}
 
 
-def _block_cell(g: Hypergraph, m: Vector, limit: int) -> Cell:
-    return _coordinates(_block_tables(g), m, lambda window: _block_table(g, window), limit)
+def _block_cell(g: Hypergraph, m: Vector) -> Cell:
+    return _coordinates(_block_tables(g), m, lambda window: _block_table(g, window))
 
 
 def count_Pk_mult(g: Hypergraph, m: Sequence[int], k: int) -> int:
@@ -218,15 +218,16 @@ def count_Pk_mult(g: Hypergraph, m: Sequence[int], k: int) -> int:
     summing to m, read from the block table of g."""
     m = vector(m, g.n, "multiplicities")
     k = natural(k, "k")
-    cell = _block_cell(g, m, _charge_window(m))
+    _charge_window(m)
+    cell = _block_cell(g, m)
     return cell[k] if k < len(cell) else 0
 
 
 # bounded: a round of the ``coeffs`` benchmark workload keeps ~2,430
 # (hypergraph, m) pairs alive
 @lru_cache(maxsize=4096)
-def _partition_formula(g: Hypergraph, m: Vector, limit: int) -> QPolynomial:
-    return poly_from_binomial_coordinates(_block_cell(g, m, limit))
+def _partition_formula(g: Hypergraph, m: Vector) -> QPolynomial:
+    return poly_from_binomial_coordinates(_block_cell(g, m))
 
 
 def marked_chromatic_poly(g: Hypergraph, m: Sequence[int]) -> QPolynomial:
@@ -237,7 +238,8 @@ def marked_chromatic_poly(g: Hypergraph, m: Sequence[int]) -> QPolynomial:
     count, since no block <= m reaches them; the table of g serves every m.
     """
     m = vector(m, g.n, "multiplicities")
-    return _partition_formula(g, m, _charge_window(m))
+    _charge_window(m)
+    return _partition_formula(g, m)
 
 
 def ordinary_chromatic_poly(g: Hypergraph) -> QPolynomial:
@@ -256,10 +258,8 @@ def coefficient_via_binomial(
     """
     m = vector(m, a.n, "multiplicities")
     sp = vertex_set(special, a.n, "special elements")
-    limit = _charge_window(m)
-    cell = _coordinates(
-        _series_tables(a, sp), m, lambda window: _series_table(a, sp, window), limit
-    )
+    _charge_window(m)
+    cell = _coordinates(_series_tables(a, sp), m, lambda window: _series_table(a, sp, window))
     return poly_from_binomial_coordinates(cell)
 
 

@@ -338,12 +338,9 @@ def scan_hypergraphs(
         raise ValueError("need workers >= 1")
     if resume and out is None:
         raise ValueError("resume needs an output file")
-    if n_max >= len(_ANTICHAIN_BOUNDS):
-        charge(1 << 62, f"hypergraph scan up to n={n_max}")
-    charge(
-        sum(_ANTICHAIN_BOUNDS[n] for n in range(1, n_max + 1)),
-        f"hypergraph scan up to n={n_max}",
-    )
+    # past the table the estimate is 2^63, above any budget
+    bounds = _ANTICHAIN_BOUNDS[1 : n_max + 1] if n_max < len(_ANTICHAIN_BOUNDS) else [1 << 63]
+    charge(sum(bounds), f"hypergraph scan up to n={n_max}")
 
     start = time.monotonic()
     report = ScanReport(n_max=n_max, m_per_var=m_per_var, dedup=dedup)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import chromaplex.arrangement as arrangement_module
+from chromaplex import budget
 from chromaplex.arrangement import (
     _assert_good_prime,
     _count_colorings,
@@ -252,7 +253,7 @@ def test_flat_walk_is_charged(monkeypatch):
     """Each level of the flat walk is charged the flats found so far times
     the members, over Q and over F_p: K8 (4,140 flats, 28 members) is
     refused at a budget of 2^16, and K7 (877 flats, 21 members) still fits."""
-    monkeypatch.setenv("CHROMAPLEX_BUDGET", "16")
+    monkeypatch.setattr(budget, "_limit", 1 << 16)
     for p in (0, 11):
         with pytest.raises(BudgetError, match="intersection poset walk over 28 members"):
             _flats(braid(8), p)
@@ -273,7 +274,7 @@ def test_cached_poset_is_charged(monkeypatch):
     message, and K7 still fits."""
     k7, k8 = braid(7), braid(8)
     chi7, chi8 = characteristic_polynomial(k7), characteristic_polynomial(k8)
-    monkeypatch.setenv("CHROMAPLEX_BUDGET", "16")
+    monkeypatch.setattr(budget, "_limit", 1 << 16)
     hits = characteristic_polynomial.cache_info().hits
     for fn in (characteristic_polynomial, _poset_data):
         with pytest.raises(BudgetError, match="intersection poset walk over 28 members"):
@@ -282,8 +283,36 @@ def test_cached_poset_is_charged(monkeypatch):
     assert characteristic_polynomial.cache_info().hits == hits + 1
     assert characteristic_polynomial(k7) == chi7
     assert len(_poset_data(k7)) == 877
-    monkeypatch.delenv("CHROMAPLEX_BUDGET")
+    monkeypatch.setattr(budget, "_limit", 1 << budget.DEFAULT_EXPONENT)
     assert characteristic_polynomial(k8) == chi8
+
+
+def test_walk_charge_at_its_exact_boundary(monkeypatch):
+    """K7 is charged its 877 flats times its 21 members, 18,417, computed or
+    cached: at a budget of exactly that, the polynomial and the poset are
+    computed with cold caches and then answered from them; at one less, both
+    are refused, cold and cached."""
+    k7 = braid(7)
+    chi7 = math.prod((Q - k for k in range(1, 7)), start=Q)
+    refused = "intersection poset walk over 21 members: estimated enumeration size 18417 "
+    checks = (
+        (characteristic_polynomial, lambda chi: chi == chi7),
+        (_poset_data, lambda poset: len(poset) == 877),
+    )
+    for fn, check in checks:
+        characteristic_polynomial.cache_clear()
+        _poset_data.cache_clear()
+        monkeypatch.setattr(budget, "_limit", 18_416)
+        with pytest.raises(BudgetError, match=refused):
+            fn(k7)
+        monkeypatch.setattr(budget, "_limit", 18_417)
+        computed = fn(k7)  # the refused call counted a miss too
+        assert fn.cache_info().misses == 2 and fn.cache_info().hits == 0 and check(computed)
+        assert fn(k7) == computed and fn.cache_info().hits == 1
+        monkeypatch.setattr(budget, "_limit", 18_416)
+        with pytest.raises(BudgetError, match=refused):
+            fn(k7)
+        assert fn.cache_info().hits == 2
 
 
 def test_marked_arrangement_groups_partition_tuples():
@@ -636,7 +665,7 @@ def test_counter_drops_closed_members():
 def test_oracles_keep_their_refusals(monkeypatch):
     """The budget estimates and messages, the prime check and the bad-prime
     refusal are those of the enumerations the counter replaced."""
-    monkeypatch.setenv("CHROMAPLEX_BUDGET", "9")
+    monkeypatch.setattr(budget, "_limit", 1 << 9)
     assert count_complement(K3, 7) == 7 * 6 * 5  # 343 points
     with pytest.raises(BudgetError, match=r"point enumeration over F_11\^3"):
         count_complement(K3, 11)  # 1331 points
@@ -645,7 +674,7 @@ def test_oracles_keep_their_refusals(monkeypatch):
     assert brute_force_arrangement_count(PLANE, (), (2, 2, 0), 7) == 441
     with pytest.raises(BudgetError, match="arrangement coloring enumeration"):
         brute_force_arrangement_count(PLANE, (1,), (2, 2, 0), 7)
-    monkeypatch.delenv("CHROMAPLEX_BUDGET")
+    monkeypatch.setattr(budget, "_limit", 1 << budget.DEFAULT_EXPONENT)
     with pytest.raises(ValueError, match="4 is not prime"):
         count_complement(BOOL2, 4)
     with pytest.raises(ValueError, match="4 is not prime"):

@@ -3,11 +3,13 @@ import math
 import operator
 import random
 import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 
 import pytest
 
+from chromaplex import budget
 import chromaplex.chromatic as chromatic_module
 from chromaplex.chromatic import (
     blow_up,
@@ -101,6 +103,32 @@ def test_brute_force_refuses_non_integer_q():
         with pytest.raises(ValueError, match="must be integers"):
             brute_force_count(e, (1, 1), bad)
     assert brute_force_count(e, (1, 1), 2) == 2
+
+
+def test_brute_force_charges_before_building(monkeypatch):
+    """The estimate is the product of C(q, m_v) color sets at plain vertices
+    and C(q + m_v - 1, m_v) multisets at special ones, charged before any
+    set is built: 125,970 sets of 8 of 20 colors are refused in under 1 MB,
+    and a budget of exactly the product computes."""
+    monkeypatch.setattr(budget, "_limit", 1 << 10)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="brute-force coloring enumeration of size 125970"):
+            brute_force_count(hypergraph(1), (8,), 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # C(4, 2) = 6 sets at vertex 1 and C(5, 2) = 10 multisets at vertex 2
+    g = hypergraph(2, [(1, 2)], special=(2,))
+    monkeypatch.setattr(budget, "_limit", 60)
+    assert brute_force_count(g, (2, 2), 4) == marked_chromatic_poly(g, (2, 2)).eval(4)
+    monkeypatch.setattr(budget, "_limit", 59)
+    with pytest.raises(BudgetError, match="brute-force coloring enumeration of size 60"):
+        brute_force_count(g, (2, 2), 4)
+    # no colors: one empty multiset at m_v = 0, none above it
+    assert brute_force_count(hypergraph(2, [], special=(1, 2)), (0, 0), 0) == 1
+    assert brute_force_count(hypergraph(2, [], special=(1, 2)), (0, 1), 0) == 0
 
 
 def test_count_Pk_examples():
@@ -578,7 +606,7 @@ def test_refusal_ignores_cache_state(monkeypatch):
         marked_chromatic_poly(g, m)
         coefficient_via_binomial(a, (1, 2), m)
         count_Pk_mult(g, m, 1)
-    monkeypatch.setenv("CHROMAPLEX_BUDGET", "4")
+    monkeypatch.setattr(budget, "_limit", 1 << 4)
     for call in (
         lambda: marked_chromatic_poly(g, (4, 4)),
         lambda: coefficient_via_binomial(a, (1, 2), (4, 4)),
@@ -606,7 +634,7 @@ def test_series_table_gates_every_build(monkeypatch):
 def test_table_growth_stays_within_budget(monkeypatch):
     """When the grown window is over budget the table is rebuilt at m alone,
     so a call is refused only when m's own window is over budget."""
-    monkeypatch.setenv("CHROMAPLEX_BUDGET", "4")
+    monkeypatch.setattr(budget, "_limit", 1 << 4)
     clear_tables()
     g = hypergraph(2, [(1, 2)], special=(1, 2))
     a = independence_system(2, [(), (1,), (2,)])

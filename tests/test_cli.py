@@ -1,5 +1,6 @@
 import importlib
 import io
+import itertools
 import json
 import os
 import shutil
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import chromaplex
+from chromaplex import budget
 import chromaplex.cli as cli
 from chromaplex.cli import build_parser, main
 
@@ -248,7 +250,7 @@ def test_scan_truncation_failure_exit(capsys):
 
 
 def test_scan_budget_refusal(capsys, monkeypatch):
-    monkeypatch.delenv("CHROMAPLEX_BUDGET", raising=False)
+    monkeypatch.setattr(budget, "_limit", 1 << budget.DEFAULT_EXPONENT)
     code, out, err = run(["scan", "--max-n", "7"], capsys)
     assert code == 4
     assert err.startswith("budget:")
@@ -332,14 +334,46 @@ def test_parser_help_lists_commands():
         assert name in text
 
 
-def run_process(command):
+def run_process(command, extra_env=None):
     """Run ``command`` as a child process that imports the ``chromaplex``
-    package under test (first on ``PYTHONPATH``), not whatever is installed."""
+    package under test (first on ``PYTHONPATH``), not whatever is installed,
+    with ``extra_env`` added to this process's environment."""
     package_root = str(Path(chromaplex.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": pythonpath}
+    env = {**os.environ, **(extra_env or {}), "PYTHONPATH": pythonpath}
     return subprocess.run(command, capture_output=True, text=True, env=env, timeout=120)
 
+
+def test_budget_is_read_from_the_environment():
+    """The environment variable is the one setting a user has: K8's poset
+    walk (4,140 flats times 28 members) is refused at 2^16 with exit 4, the
+    scan past the antichain bounds at 2^62, and a malformed value exits 2."""
+    pairs = itertools.combinations(range(8), 2)
+    forms = [[int(k == i) - int(k == j) for k in range(8)] for i, j in pairs]
+    k8 = json.dumps({"n": 8, "special": [], "subspaces": [{"forms": [f]} for f in forms]})
+    cases = [
+        ("16", ["arrangement", "charpoly", k8], 4, "budget: refusing intersection poset walk"),
+        ("62", ["scan", "--max-n", "8"], 4, "budget: refusing hypergraph scan up to n=8"),
+        ("abc", ["chrom", WORKED, "--m", "2,1,1,2"], 2,
+         "error: CHROMAPLEX_BUDGET must be an integer, got 'abc'\n"),
+        ("63", ["chrom", WORKED, "--m", "2,1,1,2"], 2,
+         "error: CHROMAPLEX_BUDGET must be between 0 and 62, got 63\n"),
+    ]
+    for value, argv, code, err in cases:
+        proc = run_process([sys.executable, "-m", "chromaplex", *argv], {budget.ENV_VAR: value})
+        assert (proc.returncode, proc.stdout) == (code, ""), (value, argv)
+        assert proc.stderr.startswith(err), (value, argv, proc.stderr)
+
+
+def test_budget_is_read_once(monkeypatch):
+    """The first read of the budget is kept for the rest of the process."""
+    monkeypatch.setattr(budget, "_limit", None)
+    monkeypatch.delenv("CHROMAPLEX_BUDGET", raising=False)
+    assert budget.budget_limit() == 1 << 24
+    monkeypatch.setenv("CHROMAPLEX_BUDGET", "4")
+    assert budget.budget_limit() == 1 << 24
+    monkeypatch.setattr(budget, "_limit", None)
+    assert budget.budget_limit() == 1 << 4
 
 def test_console_script_entry_point():
     # ``python -m chromaplex`` runs what the installed console script runs:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from chromaplex import budget
 from chromaplex.chromatic import coefficient_via_binomial, count_Pk_mult, marked_chromatic_poly
 from chromaplex.errors import BudgetError, VerificationError
 from chromaplex.hypergraph import (
@@ -165,7 +166,7 @@ def test_sparse_caps_walk_only_their_supports(monkeypatch):
 def test_enumerations_charge_their_window(monkeypatch):
     """With the budget at 2**4 each caller of the enumerator accepts a window
     of 16 and refuses one of 17 or more."""
-    monkeypatch.setenv("CHROMAPLEX_BUDGET", "4")
+    monkeypatch.setattr(budget, "_limit", 1 << 4)
     independent_sets(hypergraph(4))
     with pytest.raises(BudgetError):
         independent_sets(hypergraph(5))

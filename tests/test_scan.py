@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from chromaplex import budget
 from chromaplex.errors import BudgetError, VerificationError
 from chromaplex.hypergraph import hypergraph, marked_independence_series
 import chromaplex.scan as scan_module
@@ -122,7 +123,7 @@ def test_check_window_refusal_ignores_the_cache(monkeypatch):
     # the second check finds the window in the cache; the misses depend on
     # whether the recheck's block table for (1, 1, 2) was cached before
     assert series_module._dense_window.cache_info().hits == 1
-    monkeypatch.setenv("CHROMAPLEX_BUDGET", "5")
+    monkeypatch.setattr(budget, "_limit", 1 << 5)
     with pytest.raises(BudgetError, match="estimated enumeration size 64 exceeds"):
         inverse_nonneg_check(g, (3, 3, 3))
 
@@ -265,7 +266,7 @@ def test_canonical_form_matches_oracle():
 
 def test_canonical_form_charges_its_tables(monkeypatch):
     """The relabeling tables hold n! * 2^n masks, charged before they are built."""
-    monkeypatch.delenv("CHROMAPLEX_BUDGET", raising=False)
+    monkeypatch.setattr(budget, "_limit", 1 << budget.DEFAULT_EXPONENT)
     with pytest.raises(BudgetError, match="relabeling tables for 9 vertices"):
         canonical_form(hypergraph(9, [(1, 2)]))
 
@@ -274,9 +275,9 @@ def test_relabeling_tables_are_charged_on_every_call(monkeypatch):
     """Tables built under one budget are refused under a smaller one: the
     charge does not depend on what the cache holds."""
     g = hypergraph(6, [(1, 2), (3, 4, 5)])
-    monkeypatch.setenv("CHROMAPLEX_BUDGET", "16")
+    monkeypatch.setattr(budget, "_limit", 1 << 16)
     assert canonical_form(g) == canonical_form_oracle(g)
-    monkeypatch.setenv("CHROMAPLEX_BUDGET", "15")
+    monkeypatch.setattr(budget, "_limit", 1 << 15)
     with pytest.raises(
         BudgetError,
         match="relabeling tables for 6 vertices: estimated enumeration size 46080 exceeds budget 32768",
@@ -522,11 +523,19 @@ def test_scan_validation():
 
 
 def test_scan_budget_refusal(monkeypatch):
-    monkeypatch.delenv("CHROMAPLEX_BUDGET", raising=False)
+    monkeypatch.setattr(budget, "_limit", 1 << budget.DEFAULT_EXPONENT)
     with pytest.raises(BudgetError):
         scan_hypergraphs(7)
     with pytest.raises(BudgetError):
         scan_hypergraphs(9)
-    monkeypatch.setenv("CHROMAPLEX_BUDGET", "4")
+    monkeypatch.setattr(budget, "_limit", 1 << 4)
     with pytest.raises(BudgetError):
         scan_hypergraphs(3)
+
+
+def test_scan_past_the_bounds_is_refused_at_any_budget(monkeypatch):
+    """Past the table of antichain bounds (n >= 8) the estimate is 2^63,
+    above the largest budget, 2^62."""
+    monkeypatch.setattr(budget, "_limit", 1 << 62)
+    with pytest.raises(BudgetError, match="n=8: estimated enumeration size 9223372036854775808 "):
+        scan_hypergraphs(8)

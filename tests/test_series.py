@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from helpers import FractionPoly, series_mul_sparse, series_one, series_pow_sparse
 
+from chromaplex import budget
 from chromaplex.errors import BudgetError
 from chromaplex.series import (
     DenseWindow,
@@ -203,7 +204,7 @@ def test_dense_window_charges_before_allocating(monkeypatch):
     """A sparse series on a huge window is refused before the window is
     allocated (a million coefficients, past a budget of 2**12), and one on a
     window of exactly the budget is computed."""
-    monkeypatch.setenv("CHROMAPLEX_BUDGET", "12")
+    monkeypatch.setattr(budget, "_limit", 1 << 12)
     f = s(2, (999, 999), {(0, 0): 1, (1, 0): 1})
     for op in (lambda: series_mul(f, f), lambda: series_inverse(f), lambda: series_int_pow(f, 2)):
         tracemalloc.start()
