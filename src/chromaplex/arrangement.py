@@ -32,8 +32,8 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache, partial, reduce, wraps
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from functools import lru_cache, reduce
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .budget import charge
 from .chromatic import copy_columns, copy_count_sum, support
@@ -41,6 +41,7 @@ from .errors import (
     BadPrimeError,
     VerificationError,
     int_tuple,
+    json_array,
     malformed,
     natural,
     vector,
@@ -185,10 +186,6 @@ class PosetElement(NamedTuple):
     mask: int  # bit i set when member i contains the flat
 
 
-def _charge_walk(arr: Arrangement, flats: int) -> None:
-    charge(flats * len(arr.subspaces), f"intersection poset walk over {len(arr.subspaces)} members")
-
-
 def _walk(arr: Arrangement, p: int = 0) -> tuple[dict[Basis, int], list[int]]:
     """The flats over Q (p = 0) or over F_p by rules (a)-(c), numbered as
     found, rank by rank: the canonical basis of each flat -> the mask of the
@@ -203,7 +200,7 @@ def _walk(arr: Arrangement, p: int = 0) -> tuple[dict[Basis, int], list[int]]:
     ranked = [1] + [0] * (arr.n + 1)  # per rank, its flats
     for rank, level in enumerate(levels):
         if level:
-            _charge_walk(arr, len(masks))
+            charge(len(masks) * len(hyps), f"intersection poset walk over {len(hyps)} members")
         for basis in level:
             mask = skip = masks[basis]
             covers = ranked[rank + 1]  # the known flats of the next rank, then those in X
@@ -236,25 +233,10 @@ def _flats(arr: Arrangement, p: int = 0) -> dict[Basis, int]:
     return _walk(arr, p)[0]
 
 
-def _walk_cache(maxsize: int, fn: Callable[[Arrangement], tuple[int, object]]):
-    """``lru_cache`` of fn, which returns (flats, value); a call returns the
-    value and is charged flats times members on every call, cached or not.
-    When fn runs, that is the charge the walk's last rank already passed:
-    every flat is found before that rank starts."""
-    cached = lru_cache(maxsize=maxsize)(fn)
-    @wraps(fn)
-    def call(arr: Arrangement):
-        flats, value = cached(arr)
-        _charge_walk(arr, flats)
-        return value
-    call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
-    return call
-
-
 # bounded small: after ``characteristic_polynomial``, which keeps its own
 # answers, a poset is read again only by the prime checks that follow it
-@partial(_walk_cache, 8)
-def _poset_data(arr: Arrangement) -> tuple[int, tuple[PosetElement, ...]]:
+@lru_cache(maxsize=8)
+def _poset_data(arr: Arrangement) -> tuple[PosetElement, ...]:
     # Y is below X when it lies in no member X lies outside.  mu is summed in
     # (rank, mask) order; a summed flat of X's rank never passes: it would be X.
     masks, inside = _walk(arr)
@@ -265,18 +247,16 @@ def _poset_data(arr: Arrangement) -> tuple[int, tuple[PosetElement, ...]]:
         mu = -sum(v * (below & flats).bit_count() for v, flats in with_mu.items()) if rank else 1
         with_mu[mu] = with_mu.get(mu, 0) | 1 << k
         elements.append(PosetElement(arr.n - rank, mu, mask))
-    return len(elements), tuple(elements)
+    return tuple(elements)
 
 
-@partial(_walk_cache, 512)
-def characteristic_polynomial(arr: Arrangement) -> tuple[int, QPolynomial]:
-    """chi(q) = sum over flats X of mobius(X) q^dim(X).  The body returns
-    (flats, chi) to ``_walk_cache``; a call returns chi."""
+@lru_cache(maxsize=512)
+def characteristic_polynomial(arr: Arrangement) -> QPolynomial:
+    """chi(q) = sum over flats X of mobius(X) q^dim(X)."""
     coeffs = [0] * (arr.n + 1)
-    poset = _poset_data(arr)
-    for el in poset:
+    for el in _poset_data(arr):
         coeffs[el.dim] += el.mobius
-    return len(poset), QPolynomial(tuple(coeffs))
+    return QPolynomial(tuple(coeffs))
 
 
 def _assert_good_prime(arr: Arrangement, p: int) -> None:
@@ -411,15 +391,16 @@ def graphical_arrangement(g: Hypergraph) -> Arrangement:
     return arrangement(g.n, members, g.special)
 
 
-def _clan_core(arr: Arrangement, counts: Sequence[int], distinct_at: Iterable[int]) -> Arrangement:
-    """Shared clan construction: counts[i - 1] coordinates for vertex i,
-    pairwise-distinctness hyperplanes at the requested vertices, and every
-    member lifted through all one-copy-per-vertex substitutions (none when
-    its support meets a vertex without copies)."""
-    cols = copy_columns(counts)
-    width = sum(counts)
+def clan(arr: Arrangement, special: Iterable[int], m: Sequence[int]) -> Arrangement:
+    """The marked clan: m_i coordinate copies per vertex i, pairwise
+    distinctness hyperplanes among the copies of each special vertex, and
+    every member lifted through all one-copy-per-vertex substitutions (none
+    when its support meets a vertex without copies)."""
+    m = vector(m, arr.n, "multiplicities")
+    cols = copy_columns(m)
+    width = sum(m)
     members: list[list[list[int]]] = []
-    for i in distinct_at:
+    for i in vertex_set(special, arr.n, "special indices"):
         for r, s in itertools.combinations(cols[i - 1], 2):
             row = [0] * width
             row[r], row[s] = 1, -1
@@ -436,19 +417,12 @@ def _clan_core(arr: Arrangement, counts: Sequence[int], distinct_at: Iterable[in
     return arrangement(width, members)
 
 
-def clan(arr: Arrangement, special: Iterable[int], m: Sequence[int]) -> Arrangement:
-    """The marked clan: m_i coordinate copies per vertex in supp(m),
-    distinctness hyperplanes only at special vertices."""
-    m = vector(m, arr.n, "multiplicities")
-    return _clan_core(arr, m, vertex_set(special, arr.n, "special indices"))
-
-
 def clan_lambda(arr: Arrangement, counts: Sequence[int]) -> Arrangement:
     """The blow-up clan at copy counts: counts[i - 1] coordinates for vertex
     i, one per block of a partition of m_i into that many parts, and
     distinctness hyperplanes at every vertex with copies."""
     counts = vector(counts, arr.n, "copy counts")
-    return _clan_core(arr, counts, support(counts))
+    return clan(arr, support(counts), counts)
 
 
 def marked_chromatic_arrangement(
@@ -525,5 +499,6 @@ def arrangement_to_json(arr: Arrangement) -> dict:
 
 def arrangement_from_json(obj: Mapping) -> Arrangement:
     with malformed("arrangement"):
-        members = [item["forms"] for item in obj["subspaces"]]
-        return arrangement(obj["n"], members, obj.get("special", []))
+        subspaces = json_array(obj["subspaces"], "subspaces")
+        members = [json_array(s["forms"], "forms", 2) for s in subspaces]
+        return arrangement(obj["n"], members, json_array(obj.get("special", []), "special"))

@@ -188,7 +188,8 @@ def _coordinates(table: Table, m: Vector, build: Callable[[Vector], Table]) -> C
 
 
 def _charge_window(m: Vector) -> None:
-    """Charge m's own window before any cache is asked."""
+    """Refuse m's own window, naming m, before any work: a series table
+    lifts the members in ``system_series`` before it charges its window."""
     cells = 1
     for v in m:
         cells *= v + 1

@@ -41,6 +41,14 @@ def malformed(what: str) -> Iterator[None]:
         raise ValueError(f"malformed {what} object: {exc}") from exc
 
 
+def json_array(value: object, what: str, depth: int = 1) -> list:
+    """value, refused unless a JSON array, of arrays down to the given depth:
+    a string or an object is not read as one."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what}: {value!r} is not a JSON array")
+    return [json_array(v, what, depth - 1) for v in value] if depth > 1 else value
+
+
 def int_tuple(values: Iterable[object], what: str) -> tuple[int, ...]:
     """values as a tuple, refused unless every entry is an ``int`` (a
     ``bool`` is not one): a float or a string is not silently truncated."""

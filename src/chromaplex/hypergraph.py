@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Container, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .budget import charge
-from .errors import VerificationError, malformed, natural, vector, vertex_set
+from .errors import VerificationError, json_array, malformed, natural, vector, vertex_set
 from .series import ONE, TruncatedSeries
 
 Edge = tuple[int, ...]
@@ -248,9 +248,10 @@ def hypergraph_to_json(g: Hypergraph) -> dict:
 
 def hypergraph_from_json(obj: Mapping) -> Hypergraph:
     with malformed("hypergraph"):
-        return hypergraph(obj["n"], obj["edges"], obj.get("special", []))
+        edges = json_array(obj["edges"], "edges", 2)
+        return hypergraph(obj["n"], edges, json_array(obj.get("special", []), "special"))
 
 
 def system_from_json(obj: Mapping) -> IndependenceSystem:
     with malformed("independence-system"):
-        return independence_system(obj["n"], obj["members"])
+        return independence_system(obj["n"], json_array(obj["members"], "members", 2))

@@ -221,9 +221,8 @@ class DenseWindow:
 
 def dense_window(trunc: tuple[int, ...]) -> DenseWindow:
     """The dense window of ``trunc``, shared by every caller.  Its size is
-    charged on every call, before the cache is asked, so a refusal does not
-    depend on the cache.  Windows of over 4,096 entries are not kept: they
-    are cheap to build next to the work done on them, and large."""
+    charged first: windows of over 4,096 entries, large and cheap to build
+    next to the work done on them, are built on every call and not kept."""
     size = math.prod(t + 1 for t in trunc)
     charge(size, f"dense series window of {size} coefficients")
     return _dense_window(trunc) if size <= 4096 else DenseWindow(trunc)

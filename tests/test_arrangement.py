@@ -257,8 +257,7 @@ def test_flat_walk_is_charged(monkeypatch):
     for p in (0, 11):
         with pytest.raises(BudgetError, match="intersection poset walk over 28 members"):
             _flats(braid(8), p)
-    # with the caches cleared, the walk itself refuses K8 (a cached K8 is
-    # refused too: test_cached_poset_is_charged)
+    # with the caches cleared, the walk itself refuses K8
     characteristic_polynomial.cache_clear()
     _poset_data.cache_clear()
     with pytest.raises(BudgetError, match="intersection poset walk"):
@@ -267,31 +266,36 @@ def test_flat_walk_is_charged(monkeypatch):
     assert characteristic_polynomial(braid(7)) == math.prod((Q - k for k in range(1, 7)), start=Q)
 
 
-def test_cached_poset_is_charged(monkeypatch):
-    """A poset or polynomial in its cache is charged again on every call, as
-    the walk's last rank was (flats times members): K8, computed under the
-    default budget, is refused from the cache at 2^16 with the walk's
-    message, and K7 still fits."""
+def test_cached_poset_is_answered_uncharged(monkeypatch):
+    """A poset or polynomial in its cache was computed under the budget,
+    which is fixed per process, and is returned with no charge: K8,
+    computed at the default budget, is answered from the caches with no
+    call to ``charge``.  With the caches cleared, K8 is refused at 2^16 with
+    the walk's message, and K7 still fits."""
     k7, k8 = braid(7), braid(8)
     chi7, chi8 = characteristic_polynomial(k7), characteristic_polynomial(k8)
-    monkeypatch.setattr(budget, "_limit", 1 << 16)
+    poset8 = _poset_data(k8)
+    charges = []
+    monkeypatch.setattr(arrangement_module, "charge", lambda *args: charges.append(args))
     hits = characteristic_polynomial.cache_info().hits
+    assert characteristic_polynomial(k8) == chi8 and _poset_data(k8) == poset8
+    assert characteristic_polynomial.cache_info().hits == hits + 1 and charges == []
+    monkeypatch.undo()
+    characteristic_polynomial.cache_clear()
+    _poset_data.cache_clear()
+    monkeypatch.setattr(budget, "_limit", 1 << 16)
     for fn in (characteristic_polynomial, _poset_data):
         with pytest.raises(BudgetError, match="intersection poset walk over 28 members"):
             fn(k8)
-    # the cache answered, and the charge refused its answer
-    assert characteristic_polynomial.cache_info().hits == hits + 1
     assert characteristic_polynomial(k7) == chi7
     assert len(_poset_data(k7)) == 877
-    monkeypatch.setattr(budget, "_limit", 1 << budget.DEFAULT_EXPONENT)
-    assert characteristic_polynomial(k8) == chi8
 
 
 def test_walk_charge_at_its_exact_boundary(monkeypatch):
-    """K7 is charged its 877 flats times its 21 members, 18,417, computed or
-    cached: at a budget of exactly that, the polynomial and the poset are
+    """K7 is charged its 877 flats times its 21 members, 18,417, when it is
+    computed: at a budget of exactly that, the polynomial and the poset are
     computed with cold caches and then answered from them; at one less, both
-    are refused, cold and cached."""
+    are refused whenever the caches are cold."""
     k7 = braid(7)
     chi7 = math.prod((Q - k for k in range(1, 7)), start=Q)
     refused = "intersection poset walk over 21 members: estimated enumeration size 18417 "
@@ -309,10 +313,11 @@ def test_walk_charge_at_its_exact_boundary(monkeypatch):
         computed = fn(k7)  # the refused call counted a miss too
         assert fn.cache_info().misses == 2 and fn.cache_info().hits == 0 and check(computed)
         assert fn(k7) == computed and fn.cache_info().hits == 1
+        characteristic_polynomial.cache_clear()
+        _poset_data.cache_clear()
         monkeypatch.setattr(budget, "_limit", 18_416)
         with pytest.raises(BudgetError, match=refused):
             fn(k7)
-        assert fn.cache_info().hits == 2
 
 
 def test_marked_arrangement_groups_partition_tuples():

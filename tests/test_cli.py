@@ -305,6 +305,28 @@ def test_malformed_json_objects_exit_2(capsys):
         assert err.startswith("error: malformed "), err
 
 
+def test_json_arrays_are_not_read_from_strings_or_objects(capsys):
+    """A string or an object where a JSON array belongs is refused, not
+    iterated as an empty or one-member array, at every level."""
+    cases = [
+        (["chrom", '{"n":2,"edges":{},"special":""}', "--m", "1,1"], "hypergraph", "edges: {}"),
+        (["chrom", '{"n":2,"edges":[],"special":""}', "--m", "1,1"], "hypergraph", "special: ''"),
+        (["arrangement", "charpoly", '{"n":2,"special":{},"subspaces":{}}'], "arrangement",
+         "subspaces: {}"),
+        (["arrangement", "charpoly", '{"n":2,"subspaces":""}'], "arrangement", "subspaces: ''"),
+        (["arrangement", "charpoly", '{"n":2,"subspaces":[{"forms":["ab"]}]}'], "arrangement",
+         "forms: 'ab'"),
+        (["arrangement", "charpoly", '{"n":2,"special":"","subspaces":[]}'], "arrangement",
+         "special: ''"),
+        (["system", "validate", '{"n":2,"members":[[],"",{}]}'], "independence-system",
+         "members: ''"),
+    ]
+    for argv, kind, what in cases:
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: malformed {kind} object: {what} is not a JSON array\n", err
+
+
 def test_internal_type_error_is_not_input_error(capsys, monkeypatch):
     def broken(g, m):
         raise TypeError("internal fault")

@@ -84,10 +84,8 @@ def test_caches_are_bounded():
 def test_bench_names_resolve(monkeypatch):
     """The names the benchmark reads exist: every traced (module, function)
     in ``bench/spans.py`` and every cache in ``bench/run.py`` whose hit ratio
-    it reports, as a cache that ``run.find_caches`` finds, under its own name
-    (the two arrangement caches charge each call, so they wrap an
-    ``lru_cache``).  ``run.py`` also counts flats through
-    ``arrangement._poset_data``."""
+    it reports, as a cache that ``run.find_caches`` finds, under its own
+    name.  ``run.py`` also counts flats through ``arrangement._poset_data``."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     import run
     import spans

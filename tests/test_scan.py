@@ -271,18 +271,37 @@ def test_canonical_form_charges_its_tables(monkeypatch):
         canonical_form(hypergraph(9, [(1, 2)]))
 
 
-def test_relabeling_tables_are_charged_on_every_call(monkeypatch):
-    """Tables built under one budget are refused under a smaller one: the
-    charge does not depend on what the cache holds."""
+def test_relabeling_tables_are_charged_before_they_are_built(monkeypatch):
+    """The 6-vertex tables fit a budget of 2^16 and are refused at 2^15,
+    with cold caches, before any table is built."""
     g = hypergraph(6, [(1, 2), (3, 4, 5)])
     monkeypatch.setattr(budget, "_limit", 1 << 16)
     assert canonical_form(g) == canonical_form_oracle(g)
+    scan_module._orbit.cache_clear()
+    scan_module._mask_images.cache_clear()
     monkeypatch.setattr(budget, "_limit", 1 << 15)
     with pytest.raises(
         BudgetError,
         match="relabeling tables for 6 vertices: estimated enumeration size 46080 exceeds budget 32768",
     ):
         canonical_form(g)
+    assert scan_module._mask_images.cache_info().currsize == 0
+
+
+def test_cached_orbit_is_answered_uncharged(monkeypatch):
+    """A cached orbit was computed under the budget, fixed per process, and
+    is returned with no charge: ``canonical_form`` then ``_orbit`` on the
+    same class charge the relabeling tables once, and both answers agree
+    with the oracles."""
+    charges = []
+    real = scan_module.charge
+    monkeypatch.setattr(scan_module, "charge", lambda *args: charges.append(args) or real(*args))
+    for g in (hypergraph(4, [(1, 2), (2, 3, 4)]), hypergraph(5, [(1, 2, 3), (3, 4), (4, 5)])):
+        _orbit.cache_clear()
+        charges.clear()
+        assert canonical_form(g) == canonical_form_oracle(g)
+        assert _orbit(g.n, _family_key(g.edges)) == set(map(_family_key, relabelings_oracle(g)))
+        assert charges == [(math.factorial(g.n) << g.n, f"relabeling tables for {g.n} vertices")]
 
 
 def test_dense_sign_check_matches_sparse_route():
@@ -367,9 +386,9 @@ def test_scan_builds_each_orbit_once():
     built for the class: a scan to n = 4 without dedup misses the orbit memo
     once per class, 28 times, and hits it 28 times, where building the orbit
     for both would take 56 builds."""
-    scan_module._orbit_of.cache_clear()
+    scan_module._orbit.cache_clear()
     scan_hypergraphs(4, dedup=False)
-    info = scan_module._orbit_of.cache_info()
+    info = scan_module._orbit.cache_info()
     assert (info.misses, info.hits) == (1 + 2 + 5 + 20, 1 + 2 + 5 + 20)
 
 
