@@ -477,7 +477,7 @@ def brute_force_arrangement_count(
     sp = vertex_set(special, arr.n, "special indices")
     supp = support(m)
     if not set(sp) <= set(supp):
-        raise ValueError(f"special set {sp} must lie inside supp(m)={supp}")
+        raise ValueError(f"special set {sp} must lie inside the support {supp} of m")
     lows = {v: 1 if v in sp else m[v - 1] for v in supp}
     sets = (sum(math.comb(p, k) for k in range(lows[v], m[v - 1] + 1)) for v in supp)
     charge(math.prod(max(c, 1) for c in sets), "arrangement coloring enumeration")

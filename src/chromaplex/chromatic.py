@@ -49,7 +49,6 @@ from .series import (
     dense_window,
     poly_from_binomial_coordinates,
     qpoly_const,
-    qpoly_interpolate,
     shifted_binomial_poly,
 )
 
@@ -168,12 +167,15 @@ def _series_table(a: IndependenceSystem, special: tuple[int, ...], window: Vecto
 
 
 def _coordinates(table: Table, m: Vector, build: Callable[[Vector], Table]) -> Cell:
-    """The coordinates at m from ``table``.  A table that does not cover m is
-    rebuilt in place by ``build`` at the cube (M, ..., M), M the largest
-    exponent of its window and m, if that fits the budget and has at most 2^n
-    times the cells of the join (the componentwise max of the two); else at
-    the join if that fits; else, and on an empty table, at m alone."""
+    """The coordinates at m from ``table``; a cell already there is returned
+    uncharged, as the budget is fixed per process.  Else m's own cells are
+    charged, naming m, before any work (``system_series`` lifts members
+    before its own charge), and ``build`` refills the table at the cube
+    (M, ..., M), M the largest exponent of its window and m, if that fits the
+    budget and has at most 2^n times the cells of the join (the componentwise
+    max of the two); else at the join if that fits; else, as when empty, at m."""
     if m not in table:
+        charge(math.prod(v + 1 for v in m), f"coefficient table at m={m}")
         window = m
         if table:
             join = tuple(map(max, next(reversed(table)), m))
@@ -185,16 +187,6 @@ def _coordinates(table: Table, m: Vector, build: Callable[[Vector], Table]) -> C
         table.clear()
         table.update(build(window))
     return table[m]
-
-
-def _charge_window(m: Vector) -> None:
-    """Refuse m's own window, naming m, before any work: a series table
-    lifts the members in ``system_series`` before it charges its window."""
-    cells = 1
-    for v in m:
-        cells *= v + 1
-    if cells > budget_limit():
-        charge(cells, f"coefficient table at m={m}")
 
 
 # one table per input, grown in place as calls ask for more of it, in caches
@@ -219,7 +211,6 @@ def count_Pk_mult(g: Hypergraph, m: Sequence[int], k: int) -> int:
     summing to m, read from the block table of g."""
     m = vector(m, g.n, "multiplicities")
     k = natural(k, "k")
-    _charge_window(m)
     cell = _block_cell(g, m)
     return cell[k] if k < len(cell) else 0
 
@@ -239,7 +230,6 @@ def marked_chromatic_poly(g: Hypergraph, m: Sequence[int]) -> QPolynomial:
     count, since no block <= m reaches them; the table of g serves every m.
     """
     m = vector(m, g.n, "multiplicities")
-    _charge_window(m)
     return _partition_formula(g, m)
 
 
@@ -259,7 +249,6 @@ def coefficient_via_binomial(
     """
     m = vector(m, a.n, "multiplicities")
     sp = vertex_set(special, a.n, "special elements")
-    _charge_window(m)
     cell = _coordinates(_series_tables(a, sp), m, lambda window: _series_table(a, sp, window))
     return poly_from_binomial_coordinates(cell)
 
@@ -426,17 +415,13 @@ def cycle_multichromatic(m: Sequence[int]) -> QPolynomial:
     """Closed form for the multichromatic polynomial of the cycle C_n,
     n = len(m) >= 3, all multiplicities >= 1 and no special vertices:
 
-        (1 / prod_i m_i!) * prod_r (q)_(m_r + m_{r+1}) *
-            sum_k (-1)^(k n) (C(q,k) - C(q,k-1)) prod_i (m_i)_k / (q)_(m_i+k)
+        sum over k = 0..min(m) of (-1)^(k n) (C(q,k) - C(q,k-1))
+            * prod_r C(q - m_r - k, m_(r+1) - k)
 
-    with (a)_j the falling factorial, indices cyclic.  This is the spectral
-    decomposition of the disjointness transfer operator on color sets: the
-    k-th summand collects the eigenspace of dimension C(q,k) - C(q,k-1), and
-    regrouping the factor for the edge (r, r+1) against vertex r's
-    denominator leaves m_{r+1}! * C(q-k-m_r, m_{r+1}-k) per step, whence the
-    leading division.  Only k <= min(m) contribute, since (m_i)_k vanishes
-    beyond.  Evaluated exactly at |m|+1 integer points large enough that no
-    denominator vanishes, then interpolated.
+    with indices cyclic and C(q,-1) = 0.  This is the spectral decomposition
+    of the disjointness transfer operator on color sets: the k-th summand
+    collects the eigenspace of dimension C(q,k) - C(q,k-1), and each step
+    around the cycle, from vertex r to r+1, contributes one binomial.
 
     The result is gated against the block-partition formula, and a mismatch
     raises VerificationError.
@@ -447,23 +432,12 @@ def cycle_multichromatic(m: Sequence[int]) -> QPolynomial:
         raise ValueError("a cycle needs at least 3 vertices")
     if any(v < 1 for v in m):
         raise ValueError("cycle closed form needs all multiplicities >= 1")
-    degree = sum(m)
-    scale = math.prod(math.factorial(v) for v in m)
-    q0 = max(m) + min(m) + 1
-    points: list[tuple[int, Fraction]] = []
-    for q in range(q0, q0 + degree + 1):
-        outer = 1
+    candidate = QPolynomial()
+    for k in range(min(m) + 1):
+        term = binomial_poly(k) - binomial_poly(k - 1) if k else binomial_poly(0)
         for r in range(n):
-            outer *= math.perm(q, m[r] + m[(r + 1) % n])
-        acc = Fraction(0)
-        for k in range(min(m) + 1):
-            vk = math.comb(q, k) - (math.comb(q, k - 1) if k >= 1 else 0)
-            prod = Fraction(1)
-            for mi in m:
-                prod *= Fraction(math.perm(mi, k), math.perm(q, mi + k))
-            acc += (-1) ** (k * n) * vk * prod
-        points.append((q, Fraction(outer) * acc / scale))
-    candidate = qpoly_interpolate(points)
+            term = term * shifted_binomial_poly(m[r] + k, m[(r + 1) % n] - k)
+        candidate = candidate + term * (-1) ** (k * n)
     if candidate != marked_chromatic_poly(cycle_graph(n), m):
         raise VerificationError(f"cycle closed form disagrees with the partition formula at m={m}")
     return candidate

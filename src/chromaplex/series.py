@@ -98,7 +98,15 @@ class TruncatedSeries:
         return self
 
     def coeff(self, e: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(e), ZERO)
+        """The coefficient at exponent e, refused outside the window, where
+        the truncated series does not determine it."""
+        e = tuple(e)
+        if (c := self.terms.get(e)) is not None:
+            return c
+        e = vector(e, self.n, "exponents")
+        if any(map(operator.gt, e, self.trunc)):
+            raise ValueError(f"exponent {e} lies outside the truncation window {self.trunc}")
+        return ZERO
 
 
 def _check_compatible(a: TruncatedSeries, b: TruncatedSeries) -> None:

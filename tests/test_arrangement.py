@@ -491,6 +491,16 @@ def test_marked_chromatic_arrangement_validation():
         marked_chromatic_arrangement(PLANE, (3,), (2, 2, 0))
 
 
+def test_special_set_outside_support_is_refused_alike():
+    """The polynomial and its F_p oracle refuse a special vertex outside
+    supp(m) in the same words."""
+    want = r"special set \(3,\) must lie inside the support \(1, 2\) of m"
+    with pytest.raises(ValueError, match=want):
+        marked_chromatic_arrangement(PLANE, (3,), (2, 2, 0))
+    with pytest.raises(ValueError, match=want):
+        brute_force_arrangement_count(PLANE, (3,), (2, 2, 0), 5)
+
+
 def test_marked_arrangement_matches_hypergraph_route():
     cases = [
         (hypergraph(3, [(1, 2), (2, 3)]), (), (1, 1, 1)),

@@ -385,8 +385,17 @@ def test_cycle_formula():
     # min(m) > n: spectral terms beyond k = n contribute
     for m in [(4, 4, 4), (5, 4, 4), (5, 5, 5, 5)]:
         assert cycle_multichromatic(m) == marked_chromatic_poly(cycle_graph(len(m)), m)
-    with pytest.raises(ValueError):
+    # every m in {1,2,3}^n with |m| <= 11, for n = 3..5
+    for n in (3, 4, 5):
+        for m in itertools.product((1, 2, 3), repeat=n):
+            if sum(m) <= 11:
+                assert cycle_multichromatic(m) == marked_chromatic_poly(cycle_graph(n), m), m
+    with pytest.raises(ValueError, match="at least 3 vertices"):
         cycle_multichromatic((1, 1))
+    with pytest.raises(ValueError, match="at least 3 vertices"):
+        cycle_graph(2)
+    with pytest.raises(ValueError, match="all multiplicities >= 1"):
+        cycle_multichromatic((0, 1, 1))
 
 
 def test_cycle_gate_raises(monkeypatch):
@@ -596,24 +605,38 @@ def test_table_growth_skips_a_far_larger_cube(monkeypatch):
         assert windows == [(10, 0, 0, 0, 0, 0), (10, 1, 0, 0, 0, 0)], windows
 
 
-def test_refusal_ignores_cache_state(monkeypatch):
-    """A call whose own window is over budget is refused even when an
-    earlier call under a larger budget left its answer in every cache."""
+def test_cached_cells_are_answered_uncharged(monkeypatch):
+    """A cell already computed is returned with no charge, since the budget
+    is fixed per process; a call that needs a new table is charged m's own
+    cells, naming m, before any work."""
     clear_tables()
     g = hypergraph(2, [(1, 2)], special=(1, 2))
     a = independence_system(2, [(), (1,), (2,)])
+    calls = (
+        lambda: marked_chromatic_poly(g, (4, 4)),
+        lambda: coefficient_via_binomial(a, (1, 2), (4, 4)),
+        lambda: count_Pk_mult(g, (4, 4), 1),
+    )
     for m in itertools.product(range(5), repeat=2):
         marked_chromatic_poly(g, m)
         coefficient_via_binomial(a, (1, 2), m)
         count_Pk_mult(g, m, 1)
+    warm = [call() for call in calls]
+    charges = []
+
+    def recording(estimate, what):
+        charges.append((estimate, what))
+        budget.charge(estimate, what)
+
+    monkeypatch.setattr(chromatic_module, "charge", recording)
     monkeypatch.setattr(budget, "_limit", 1 << 4)
-    for call in (
-        lambda: marked_chromatic_poly(g, (4, 4)),
-        lambda: coefficient_via_binomial(a, (1, 2), (4, 4)),
-        lambda: count_Pk_mult(g, (4, 4), 1),
-    ):
-        with pytest.raises(BudgetError):
+    assert [call() for call in calls] == warm
+    assert charges == []
+    clear_tables()
+    for call in calls:
+        with pytest.raises(BudgetError, match=r"m=\(4, 4\): estimated enumeration size 25 "):
             call()
+    assert charges == [(25, "coefficient table at m=(4, 4)")] * 3
     assert marked_chromatic_poly(g, (3, 3)) == coefficient_via_binomial(a, (1, 2), (3, 3))
 
 

@@ -14,6 +14,7 @@ import chromaplex
 from chromaplex import budget
 import chromaplex.cli as cli
 from chromaplex.cli import build_parser, main
+from chromaplex.errors import VerificationError
 
 WORKED = '{"n":4,"edges":[[1,2,3],[3,4]],"special":[1]}'
 WORKED_PRETTY = "1/4*q^6 - 1/2*q^5 - 3/4*q^4 + 2*q^3 - q^2"
@@ -176,6 +177,18 @@ def test_verify_reports_the_first_mismatch(capsys, monkeypatch):
     )
 
 
+def test_verification_error_exits_3(capsys, monkeypatch):
+    def disagreeing(g, m):
+        raise VerificationError("two routes disagree")
+
+    monkeypatch.setattr(cli, "marked_chromatic_poly", disagreeing)
+    assert run(["chrom", WORKED, "--m", "2,1,1,2"], capsys) == (
+        3,
+        "",
+        "verification: two routes disagree\n",
+    )
+
+
 def test_arrangement_clan(capsys):
     code, out, _ = run(["arrangement", "clan", PLANE, "--m", "1,1,1"], capsys)
     assert code == 0
@@ -281,6 +294,15 @@ def test_input_errors_exit_2(capsys, tmp_path):
     assert code == 2
     code, _, err = run(["series", WORKED, "--q", "1", "--trunc", "1,1"], capsys)
     assert code == 2
+
+
+def test_stdin_must_hold_a_json_object(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("[1, 2]"))
+    assert run(["chrom", "-", "--m", "1,1"], capsys) == (
+        2,
+        "",
+        "error: input must be a JSON object\n",
+    )
 
 
 def test_malformed_json_objects_exit_2(capsys):

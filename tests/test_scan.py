@@ -452,6 +452,13 @@ def test_scan_resume_rejects_corrupt_report(tmp_path):
         scan_hypergraphs(2, out=out, resume=True)
 
 
+def test_recorded_keys_skip_blank_lines(tmp_path):
+    out = tmp_path / "scan.jsonl"
+    verdict = '{"canon":[2,[]],"even":true,"nonneg":true,"neg_at":null,"coeff":null}'
+    out.write_text(report_header(2) + "\n\n" + verdict + "\n  \n")
+    assert _recorded_keys(out, report_header(2)) == {"[2,[]]"}
+
+
 def test_scan_resume_refuses_another_window(tmp_path):
     out = tmp_path / "scan.jsonl"
     scan_hypergraphs(3, m_per_var=0, out=out)

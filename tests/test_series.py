@@ -66,6 +66,25 @@ def test_mul_truncates_to_window():
     assert series_mul(series_mul(a, a), a) == s(1, (2,), {})
 
 
+def test_mul_refuses_different_windows():
+    a = s(1, (2,), {(1,): 1})
+    want = r"incompatible series: n/trunc \(1, \(2,\)\) vs \(1, \(3,\)\)"
+    with pytest.raises(ValueError, match=want):
+        series_mul(a, s(1, (3,), {(1,): 1}))
+
+
+def test_coeff_is_refused_where_the_series_does_not_determine_it():
+    a = TruncatedSeries(1, (2,), {(1,): 3})
+    assert a.coeff((1,)) == F(3)
+    assert a.coeff([2]) == 0
+    with pytest.raises(ValueError, match=r"bad exponents \(1, 2\): need 1 entries"):
+        a.coeff((1, 2))
+    with pytest.raises(ValueError, match=r"bad exponents \(-1,\): need 1 entries"):
+        a.coeff((-1,))
+    with pytest.raises(ValueError, match=r"exponent \(5,\) lies outside the truncation window"):
+        a.coeff((5,))
+
+
 def test_inverse_geometric():
     a = s(1, (5,), {(0,): 1, (1,): -1})
     inv = series_inverse(a)
@@ -350,6 +369,11 @@ def test_qpolynomial_arithmetic():
     assert (p * 0).degree == -1
     assert (Q * 2 / 2) == Q
     assert QPolynomial((F(1), F(0))).coeffs == (F(1),)
+
+
+def test_qpolynomial_refuses_division_by_zero():
+    with pytest.raises(ZeroDivisionError, match="division of polynomial by zero"):
+        Q / 0
 
 
 def test_binomial_and_falling():
