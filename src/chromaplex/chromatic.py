@@ -19,10 +19,10 @@ The block-partition formula and ``coefficient_via_binomial`` (the
 coefficient of x^m in the q-th power of an independence-system series) both
 give the integer coordinates c_k of the polynomial sum_k c_k * binomial(q, k).
 Each route computes them for every m in a window at once, by one pass per
-block over the window's cells or by one pass of series powers, and keeps
-that table per input in a small bounded cache.  A call at an m outside the
-window rebuilds the table at a cube (M, ..., M) where the budget allows (see
-``_coordinates``).
+block over the window's cells or by one pass of series powers.  One store for
+both routes, a small bounded cache, keeps each route's table per input.  A
+call at an m outside the window rebuilds the table at a cube (M, ..., M)
+where the budget allows (see ``_coordinates``).
 """
 
 from __future__ import annotations
@@ -166,14 +166,24 @@ def _series_table(a: IndependenceSystem, special: tuple[int, ...], window: Vecto
     return {e: tuple(p[i] for p in powers[: sum(e) + 1]) for i, e in enumerate(w.exponents())}
 
 
-def _coordinates(table: Table, m: Vector, build: Callable[[Vector], Table]) -> Cell:
-    """The coordinates at m from ``table``; a cell already there is returned
+# one table per build function and input, grown in place as calls ask for more;
+# every caller in the package, its tests and its benchmark asks for all the m
+# of one input in a row, so a few tables suffice
+@lru_cache(maxsize=16)
+def _tables(build: Callable[..., Table], *inputs: object) -> Table:
+    return {}
+
+
+def _coordinates(build: Callable[..., Table], m: Vector, *inputs: object) -> Cell:
+    """The coordinates at m from the table of ``build`` and its inputs in
+    ``_tables``, one store for both routes.  A cell already there is returned
     uncharged, as the budget is fixed per process.  Else m's own cells are
-    charged, naming m, before any work (``system_series`` lifts members
-    before its own charge), and ``build`` refills the table at the cube
-    (M, ..., M), M the largest exponent of its window and m, if that fits the
-    budget and has at most 2^n times the cells of the join (the componentwise
-    max of the two); else at the join if that fits; else, as when empty, at m."""
+    charged, naming m, before any work (``system_series`` lifts members before
+    its own charge), and ``build(*inputs, window)`` refills the table at the
+    cube (M, ..., M), M the largest exponent of its window and m, if that fits
+    the budget and has at most 2^n times the cells of the join (the
+    componentwise max of the two); else at the join if that fits; else at m."""
+    table = _tables(build, *inputs)
     if m not in table:
         charge(math.prod(v + 1 for v in m), f"coefficient table at m={m}")
         window = m
@@ -185,25 +195,8 @@ def _coordinates(table: Table, m: Vector, build: Callable[[Vector], Table]) -> C
             elif cells <= budget_limit():
                 window = join
         table.clear()
-        table.update(build(window))
+        table.update(build(*inputs, window))
     return table[m]
-
-
-# one table per input, grown in place as calls ask for more of it, in caches
-# that a caller can clear; every caller in the package, its tests and its
-# benchmark asks for all the m of one input in a row, so a few tables suffice
-@lru_cache(maxsize=8)
-def _block_tables(g: Hypergraph) -> Table:
-    return {}
-
-
-@lru_cache(maxsize=8)
-def _series_tables(a: IndependenceSystem, special: tuple[int, ...]) -> Table:
-    return {}
-
-
-def _block_cell(g: Hypergraph, m: Vector) -> Cell:
-    return _coordinates(_block_tables(g), m, lambda window: _block_table(g, window))
 
 
 def count_Pk_mult(g: Hypergraph, m: Sequence[int], k: int) -> int:
@@ -211,7 +204,7 @@ def count_Pk_mult(g: Hypergraph, m: Sequence[int], k: int) -> int:
     summing to m, read from the block table of g."""
     m = vector(m, g.n, "multiplicities")
     k = natural(k, "k")
-    cell = _block_cell(g, m)
+    cell = _coordinates(_block_table, m, g)
     return cell[k] if k < len(cell) else 0
 
 
@@ -219,7 +212,7 @@ def count_Pk_mult(g: Hypergraph, m: Sequence[int], k: int) -> int:
 # (hypergraph, m) pairs alive
 @lru_cache(maxsize=4096)
 def _partition_formula(g: Hypergraph, m: Vector) -> QPolynomial:
-    return poly_from_binomial_coordinates(_block_cell(g, m))
+    return poly_from_binomial_coordinates(_coordinates(_block_table, m, g))
 
 
 def marked_chromatic_poly(g: Hypergraph, m: Sequence[int]) -> QPolynomial:
@@ -249,8 +242,7 @@ def coefficient_via_binomial(
     """
     m = vector(m, a.n, "multiplicities")
     sp = vertex_set(special, a.n, "special elements")
-    cell = _coordinates(_series_tables(a, sp), m, lambda window: _series_table(a, sp, window))
-    return poly_from_binomial_coordinates(cell)
+    return poly_from_binomial_coordinates(_coordinates(_series_table, m, a, sp))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from .arrangement import (
     characteristic_polynomial,
     clan,
     count_complement,
+    graphical_arrangement,
     marked_chromatic_arrangement,
     region_count,
     verification_primes,
@@ -201,8 +202,6 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     )
 
     k3 = hypergraph(3, [(1, 2), (1, 3), (2, 3)])
-    from .arrangement import graphical_arrangement
-
     check("triangle regions", region_count(graphical_arrangement(k3)) == 6)
 
     arr = arrangement_from_json({"n": 3, "special": [], "subspaces": [{"forms": [[1, 1, -1]]}]})

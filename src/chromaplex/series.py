@@ -101,19 +101,13 @@ class TruncatedSeries:
         """The coefficient at exponent e, refused outside the window, where
         the truncated series does not determine it."""
         e = tuple(e)
-        if (c := self.terms.get(e)) is not None:
+        # by type, so that (1.0,) and (True,), equal and hashed like (1,), are refused
+        if (c := self.terms.get(e)) is not None and operator.countOf(map(type, e), int) == len(e):
             return c
         e = vector(e, self.n, "exponents")
         if any(map(operator.gt, e, self.trunc)):
             raise ValueError(f"exponent {e} lies outside the truncation window {self.trunc}")
         return ZERO
-
-
-def _check_compatible(a: TruncatedSeries, b: TruncatedSeries) -> None:
-    if a.n != b.n or a.trunc != b.trunc:
-        raise ValueError(
-            f"incompatible series: n/trunc ({a.n}, {a.trunc}) vs ({b.n}, {b.trunc})"
-        )
 
 
 def _exact(c: Fraction) -> int | Fraction:
@@ -217,10 +211,6 @@ class DenseWindow:
             g.append(-acc * inv0 if acc else 0)
             yield g[i]
 
-    def inverse(self, x: Dense) -> Dense:
-        """1/x on the whole window."""
-        return list(self.inverse_entries(x))
-
     def series(self, x: Dense) -> TruncatedSeries:
         """The series with coefficients x, its terms as ``Fraction``s."""
         terms = {e: Fraction(c) for e, c in zip(self.exponents(), x) if c}
@@ -244,7 +234,8 @@ def _dense_window(trunc: tuple[int, ...]) -> DenseWindow:
 
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Product, discarding exponents outside the truncation window."""
-    _check_compatible(a, b)
+    if a.n != b.n or a.trunc != b.trunc:
+        raise ValueError(f"incompatible series: n/trunc ({a.n}, {a.trunc}) vs ({b.n}, {b.trunc})")
     w = dense_window(a.trunc)
     return w.series(w.mul(w.values(a), w.values(b)))
 
@@ -252,7 +243,7 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 def series_inverse(a: TruncatedSeries) -> TruncatedSeries:
     """Multiplicative inverse; requires a nonzero constant term."""
     w = dense_window(a.trunc)
-    return w.series(w.inverse(w.values(a)))
+    return w.series(list(w.inverse_entries(w.values(a))))
 
 
 def series_int_pow(a: TruncatedSeries, q: int) -> TruncatedSeries:
@@ -265,7 +256,7 @@ def series_int_pow(a: TruncatedSeries, q: int) -> TruncatedSeries:
     w = dense_window(a.trunc)
     base = w.values(a)
     if q < 0:
-        base, q = w.inverse(base), -q
+        base, q = list(w.inverse_entries(base)), -q
     result: Dense | None = None
     while q:
         if q & 1:

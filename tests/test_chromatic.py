@@ -456,11 +456,7 @@ def test_series_identity_small():
 
 
 def clear_tables():
-    for cache in (
-        chromatic_module._block_tables,
-        chromatic_module._series_tables,
-        chromatic_module._partition_formula,
-    ):
+    for cache in (chromatic_module._tables, chromatic_module._partition_formula):
         cache.cache_clear()
 
 

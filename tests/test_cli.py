@@ -13,6 +13,7 @@ import pytest
 import chromaplex
 from chromaplex import budget
 import chromaplex.cli as cli
+import chromaplex.scan as scan_module
 from chromaplex.cli import build_parser, main
 from chromaplex.errors import VerificationError
 
@@ -262,6 +263,22 @@ def test_scan_truncation_failure_exit(capsys):
     assert "odd-edged hypergraph with no negative found" in err
 
 
+def test_scan_even_negative_exit(capsys, monkeypatch):
+    """A verdict that contradicts parity exits 3: here every check is made to
+    report a negative, so each of the 7 even classes to n = 3 is named."""
+    monkeypatch.setattr(scan_module, "_work", lambda item: scan_module.CheckResult(False, None, None))
+    code, out, err = run(["scan", "--max-n", "3"], capsys)
+    assert code == 3
+    assert out.startswith(
+        "scanned 8 hypergraphs (n<=3, window 2 per vertex, dedup=on, 0 skipped): "
+        "7 even all nonneg apart from 7, 1 odd-edged all negative apart from 0;"
+    )
+    lines = err.splitlines()
+    assert len(lines) == 7
+    assert lines[0] == "even hypergraph with a negative coefficient: [1,[]]"
+    assert all(line.startswith("even hypergraph with a negative coefficient: [") for line in lines)
+
+
 def test_scan_budget_refusal(capsys, monkeypatch):
     monkeypatch.setattr(budget, "_limit", 1 << budget.DEFAULT_EXPONENT)
     code, out, err = run(["scan", "--max-n", "7"], capsys)
@@ -276,6 +293,16 @@ def test_selftest(capsys):
     lines = out.splitlines()
     assert len(lines) == 7
     assert all(line.startswith("pass  ") for line in lines)
+
+
+def test_selftest_failure_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "region_count", lambda arr: 5)
+    code, out, err = run(["selftest"], capsys)
+    assert code == 3
+    assert err == ""
+    lines = out.splitlines()
+    assert len(lines) == 7
+    assert [line for line in lines if not line.startswith("pass  ")] == ["FAIL  triangle regions"]
 
 
 def test_input_errors_exit_2(capsys, tmp_path):
@@ -407,6 +434,22 @@ def test_budget_is_read_from_the_environment():
         proc = run_process([sys.executable, "-m", "chromaplex", *argv], {budget.ENV_VAR: value})
         assert (proc.returncode, proc.stdout) == (code, ""), (value, argv)
         assert proc.stderr.startswith(err), (value, argv, proc.stderr)
+
+
+def test_readme_budget_example_is_refused():
+    """The README's budget example, run as written: the scan to n = 6 is
+    refused before it starts, its estimate named against the budget 2^22."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (line,) = [t for t in readme.splitlines() if t.startswith(f"{budget.ENV_VAR}=")]
+    assignment, program, *argv = line.split()
+    name, _, value = assignment.partition("=")
+    assert (name, program) == (budget.ENV_VAR, "chromaplex")
+    proc = run_process([sys.executable, "-m", "chromaplex", *argv], {name: value})
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr == (
+        "budget: refusing hypergraph scan up to n=6: estimated enumeration size 7836132 "
+        "exceeds budget 4194304 (raise CHROMAPLEX_BUDGET to allow)\n"
+    )
 
 
 def test_budget_is_read_once(monkeypatch):

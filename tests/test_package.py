@@ -75,7 +75,7 @@ def test_caches_are_bounded():
         for value in vars(importlib.import_module(f"chromaplex.{name}")).values():
             if callable(getattr(value, "cache_clear", None)) and hasattr(value, "cache_info"):
                 caches[f"{value.__module__}.{value.__name__}"] = value
-    assert {"chromaplex.chromatic._block_tables", "chromaplex.series.binomial_poly"} <= set(caches)
+    assert {"chromaplex.chromatic._tables", "chromaplex.series.binomial_poly"} <= set(caches)
     for name, fn in caches.items():
         maxsize = fn.cache_info().maxsize
         assert maxsize is not None and 0 < maxsize < 1 << 16, name

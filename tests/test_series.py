@@ -85,6 +85,17 @@ def test_coeff_is_refused_where_the_series_does_not_determine_it():
         a.coeff((5,))
 
 
+def test_coeff_refuses_exponents_that_only_hash_like_ints():
+    """(1.0,) and (True,) equal (1,) and hash like it, so a dict lookup alone
+    would answer them from the stored term; they are refused by type."""
+    a = TruncatedSeries(1, (2,), {(1,): 3})
+    for bad in ((1.0,), (True,), (0.0,)):
+        with pytest.raises(ValueError, match="exponents must be integers"):
+            a.coeff(bad)
+    assert a.coeff((1,)) == F(3)
+    assert a.coeff((0,)) == F(0)
+
+
 def test_inverse_geometric():
     a = s(1, (5,), {(0,): 1, (1,): -1})
     inv = series_inverse(a)
@@ -198,7 +209,7 @@ def test_int_pow_matches_repeated_mul_random():
 
 def test_inverse_entries_are_the_inverse_in_lex_order():
     """The lazy inverse yields 1/x entry by entry in the window's dense
-    order: all of it is ``inverse`` and the sparse oracle's inverse, and a
+    order: all of it is ``series_inverse`` and the sparse oracle's inverse, and a
     prefix read alone is the same prefix, on integral and non-integral
     inputs and windows with zero bounds.  series_inverse still refuses a
     zero constant term at the call."""
@@ -211,7 +222,7 @@ def test_inverse_entries_are_the_inverse_in_lex_order():
         w = dense_window(trunc)
         x = w.values(f)
         entries = list(w.inverse_entries(x))
-        assert entries == w.inverse(x)
+        assert w.series(entries) == series_inverse(f)
         assert series_mul_sparse(f, w.series(entries)) == series_one(n, trunc)
         k = rng.randint(0, len(entries))
         assert list(itertools.islice(w.inverse_entries(x), k)) == entries[:k]
@@ -374,6 +385,15 @@ def test_qpolynomial_arithmetic():
 def test_qpolynomial_refuses_division_by_zero():
     with pytest.raises(ZeroDivisionError, match="division of polynomial by zero"):
         Q / 0
+
+
+def test_qpolynomial_negation():
+    """-p is p with every coefficient negated, over the same denominator."""
+    p = Q * Q / 6 - F(2, 3) * Q + 1
+    assert (-p).coeffs == (F(-1), F(2, 3), F(-1, 6))
+    assert (-p).den == p.den == 6
+    assert -p == p * -1 and -(-p) == p and p + -p == QPolynomial()
+    assert -QPolynomial() == QPolynomial()
 
 
 def test_binomial_and_falling():
