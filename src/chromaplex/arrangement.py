@@ -228,11 +228,6 @@ def _walk(arr: Arrangement, p: int = 0) -> tuple[dict[Basis, int], list[int]]:
     return masks, inside
 
 
-def _flats(arr: Arrangement, p: int = 0) -> dict[Basis, int]:
-    """The flats of ``_walk`` (rules (a)-(c), numbered as found, rank by rank)."""
-    return _walk(arr, p)[0]
-
-
 # bounded small: after ``characteristic_polynomial``, which keeps its own
 # answers, a poset is read again only by the prime checks that follow it
 @lru_cache(maxsize=8)
@@ -266,7 +261,7 @@ def _assert_good_prime(arr: Arrangement, p: int) -> None:
     so they have the same Mobius function, and the complement has chi(p)
     points over F_p (the finite field method)."""
     over_q = {(el.mask, arr.n - el.dim) for el in _poset_data(arr)}
-    changed = over_q ^ {(mask, len(basis)) for basis, mask in _flats(arr, p).items()}
+    changed = over_q ^ {(mask, len(basis)) for basis, mask in _walk(arr, p)[0].items()}
     if changed:
         # each changed pair names members whose intersection differs mod p;
         # the one with the most members reads best
@@ -357,8 +352,8 @@ def count_complement(arr: Arrangement, p: int) -> int:
     matching the characteristic polynomial, and a BadPrimeError names
     members whose intersection changed."""
     _check_prime(p)
-    _assert_good_prime(arr, p)
     charge(p**arr.n, f"point enumeration over F_{p}^{arr.n}")
+    _assert_good_prime(arr, p)
     return _count_colorings(arr, (), (1,) * arr.n, p)
 
 

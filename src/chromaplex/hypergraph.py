@@ -23,7 +23,7 @@ from typing import Container, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .budget import charge
 from .errors import VerificationError, json_array, malformed, natural, vector, vertex_set
-from .series import ONE, TruncatedSeries
+from .series import TruncatedSeries
 
 Edge = tuple[int, ...]
 
@@ -144,7 +144,7 @@ def marked_independence_series(g: Hypergraph, trunc: Sequence[int]) -> Truncated
     """
     trunc = vector(trunc, g.n, "truncation bounds")
     charge(math.prod(t + 1 for t in trunc), "truncation-window enumeration")
-    terms = dict.fromkeys(marked_independent_vectors(g, trunc), ONE)
+    terms = dict.fromkeys(marked_independent_vectors(g, trunc), 1)
     return TruncatedSeries._trusted(g.n, trunc, terms)
 
 
@@ -225,7 +225,7 @@ def system_series(
         )
     # a member that meets a zero of trunc gives no term
     terms = {
-        e: ONE
+        e: 1
         for member in a.members
         if all(trunc[v - 1] for v in member)
         for e in _lift(a.n, member, sp, trunc)

@@ -14,8 +14,7 @@ a family's orbit, its permuted keys, built once per isomorphism class for
 both its canonical form (the least decoded family) and the class table.
 Only a class's first member becomes a ``Hypergraph``.  The sign check writes
 (-1)^|e| at each independent vector e into the dense window and inverts
-there in integers, entry by entry in lex order up to the first negative,
-the one coefficient that becomes a ``Fraction``.
+there in integers, entry by entry in lex order up to the first negative.
 
 A verdict only certifies coefficients inside its truncation window; "nonneg"
 means no negative coefficient was found up to the window, not a proof for the
@@ -33,7 +32,6 @@ import operator
 import os
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -42,7 +40,9 @@ from . import __version__
 from .budget import charge
 from .chromatic import marked_chromatic_poly
 from .errors import VerificationError, natural, vector
-from .hypergraph import Hypergraph, hypergraph, is_even, marked_independent_vectors, vertex_sets
+from .hypergraph import (
+    Hypergraph, hypergraph, is_even, is_simple, marked_independent_vectors, vertex_sets,
+)
 from .series import dense_window
 
 # Dedekind numbers: antichain counts over the full power set of [n], an upper
@@ -54,7 +54,7 @@ _ANTICHAIN_BOUNDS = [2, 3, 6, 20, 168, 7581, 7828354, 2414682040998]
 class CheckResult(NamedTuple):
     nonneg: bool
     neg_at: Optional[tuple[int, ...]]
-    coeff: Optional[Fraction]
+    coeff: Optional[int]
 
 
 def _signed_inverse(
@@ -85,13 +85,12 @@ def inverse_nonneg_check(g: Hypergraph, window: Sequence[int]) -> CheckResult:
     window = vector(window, g.n, "window bounds")
     for e, c in _signed_inverse(g, window):
         if c < 0:
-            c = Fraction(c)
             _recheck_negative(g, e, c)
             return CheckResult(False, e, c)
     return CheckResult(True, None, None)
 
 
-def _recheck_negative(g: Hypergraph, m: tuple[int, ...], claimed: Fraction) -> None:
+def _recheck_negative(g: Hypergraph, m: tuple[int, ...], claimed: int) -> None:
     """Independent recount of one inverse coefficient: by the series identity
     at q = -1, [x^m] 1/I(G, x) is P_m(-1), which the block-partition formula
     gives with no series inverted; 1/I(G, -x) carries the sign of |m|."""
@@ -104,14 +103,17 @@ def _recheck_negative(g: Hypergraph, m: tuple[int, ...], claimed: Fraction) -> N
 
 
 def odd_edge_witness(g: Hypergraph) -> Optional[tuple[tuple[int, ...], int]]:
-    """The obstruction certificate for hypergraphs with an odd edge.
+    """The obstruction certificate for a simple hypergraph with an odd edge
+    and no special vertex; any other hypergraph is refused.
 
     Takes the first odd-size edge e (edges are kept sorted by size then
-    lexicographically), restricts to that single edge, and returns the
-    inverse coefficient at exponent 2 on each of its vertices, which equals
-    2 + (-2)^|e| and is negative for odd |e| >= 3.  Returns None when every
-    edge has even size.
+    lexicographically).  No other edge lies inside e, so the inverse
+    coefficient at exponent 2 on each of its vertices is that of e alone,
+    2 + (-2)^|e|, negative for odd |e| >= 3.  Returns None when every edge
+    has even size.
     """
+    if g.special or not is_simple(g):
+        raise ValueError("odd-edge witness needs a simple hypergraph with no special vertices")
     e = next((e for e in g.edges if len(e) % 2), None)
     if e is None:
         return None
@@ -212,7 +214,7 @@ class Verdict(NamedTuple):
     even: bool
     nonneg: bool
     neg_at: Optional[tuple[int, ...]]
-    coeff: Optional[Fraction]
+    coeff: Optional[int]
 
 
 def verdict_to_json_line(v: Verdict) -> str:

@@ -3,27 +3,25 @@
 Representation
 --------------
 A truncated series in variables x_1..x_n is a sparse dict mapping exponent
-tuples (e_1, ..., e_n) to nonzero ``Fraction`` coefficients, together with a
+tuples (e_1, ..., e_n) to nonzero coefficients, together with a
 componentwise truncation vector ``trunc``: every exponent satisfies
 e_i <= trunc[i], and all arithmetic silently drops terms that leave the
-truncation window.  Coefficients are exact rationals throughout; there is no
-floating point anywhere in this package.
+truncation window.  Coefficients are exact rationals throughout, in one
+form (``_exact``): an ``int`` where integral, a ``Fraction`` otherwise.
+There is no floating point anywhere in this package.
 
 ``series_mul``, ``series_int_pow`` and ``series_inverse`` share one kernel,
 ``DenseWindow``: the whole window as a dense list in mixed-radix lex order,
 in which the coefficient at e - d sits at index(e) - index(d) and a guard bit
-per packed field tests e >= d in one subtraction.  An integral coefficient
-(and an integral 1/f_0) is carried as an ``int`` and any other as a
-``Fraction``, so products, powers and the inverse of an integral series with
-constant term +-1, such as every independence series, are computed in
-integers alone.  A power squares on the dense list and becomes a series once,
-at the end.  The inverse is a generator in lex order (``inverse_entries``),
-so a caller that reads a prefix computes no more.  Small windows are cached
-(``dense_window``); each call charges the size before the cache is asked.
-
-Every result holds ``Fraction``s like every series.  The public constructor
-checks its input; series the package builds itself (results of the kernel,
-independence series) go through ``TruncatedSeries._trusted``, which does not.
+per packed field tests e >= d in one subtraction.  Products, powers and the
+inverse of an integral series with constant term +-1, such as every
+independence series, are computed in integers alone.  A power squares on the
+dense list and becomes a series once, at the end.  The inverse is a generator
+in lex order (``inverse_entries``), so a caller that reads a prefix computes
+no more.  Small windows are cached (``dense_window``); each call charges the
+size before the cache is asked.  The public constructor checks its input;
+series the package builds itself go through ``TruncatedSeries._trusted``,
+which does not.
 
 A ``QPolynomial`` is a dense univariate polynomial over Q in a single
 variable q, used for counting polynomials: integer numerators, ascending,
@@ -53,9 +51,6 @@ Exponent = tuple[int, ...]
 Dense = list[int | Fraction]
 DenseTerms = list[tuple[int, int, int | Fraction]]
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 # ---------------------------------------------------------------------------
 # truncated multivariate series
@@ -72,32 +67,32 @@ class TruncatedSeries:
 
     n: int
     trunc: tuple[int, ...]
-    terms: dict[Exponent, Fraction] = field(default_factory=dict)
+    terms: dict[Exponent, int | Fraction] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.n = natural(self.n, "n")
         self.trunc = vector(self.trunc, self.n, "truncation bounds")
-        clean: dict[Exponent, Fraction] = {}
+        clean: dict[Exponent, int | Fraction] = {}
         for e, c in self.terms.items():
             e = vector(e, self.n, "exponents")
             if any(v > t for v, t in zip(e, self.trunc)):
                 continue
-            if c := Fraction(_rational(c, "coefficients")):
+            if c := _exact(_rational(c, "coefficients")):
                 clean[e] = c
         self.terms = clean
 
     @classmethod
     def _trusted(
-        cls, n: int, trunc: tuple[int, ...], terms: dict[Exponent, Fraction]
+        cls, n: int, trunc: tuple[int, ...], terms: dict[Exponent, int | Fraction]
     ) -> TruncatedSeries:
         """A series built inside the package, taken as it is: ``trunc`` a
-        tuple of n ints >= 0 and ``terms`` nonzero ``Fraction``s at
+        tuple of n ints >= 0 and ``terms`` nonzero ``_exact`` coefficients at
         exponents inside it.  Nothing is checked."""
         self = object.__new__(cls)
         self.n, self.trunc, self.terms = n, trunc, terms
         return self
 
-    def coeff(self, e: Sequence[int]) -> Fraction:
+    def coeff(self, e: Sequence[int]) -> int | Fraction:
         """The coefficient at exponent e, refused outside the window, where
         the truncated series does not determine it."""
         e = tuple(e)
@@ -107,10 +102,10 @@ class TruncatedSeries:
         e = vector(e, self.n, "exponents")
         if any(map(operator.gt, e, self.trunc)):
             raise ValueError(f"exponent {e} lies outside the truncation window {self.trunc}")
-        return ZERO
+        return 0
 
 
-def _exact(c: Fraction) -> int | Fraction:
+def _exact(c: int | Fraction) -> int | Fraction:
     """An integral coefficient as an ``int``, any other as it is."""
     return c.numerator if c.denominator == 1 else c
 
@@ -150,7 +145,7 @@ class DenseWindow:
         """The coefficients of a series on this window."""
         out: Dense = [0] * len(self.packs)
         for e, c in a.terms.items():
-            out[sum(map(operator.mul, e, self.strides))] = _exact(c)
+            out[sum(map(operator.mul, e, self.strides))] = c
         return out
 
     def nonzero(self, x: Dense) -> DenseTerms:
@@ -212,8 +207,9 @@ class DenseWindow:
             yield g[i]
 
     def series(self, x: Dense) -> TruncatedSeries:
-        """The series with coefficients x, its terms as ``Fraction``s."""
-        terms = {e: Fraction(c) for e, c in zip(self.exponents(), x) if c}
+        """The series with coefficients x, an integral ``Fraction`` (which
+        Fraction arithmetic can leave) as an ``int``."""
+        terms = {e: _exact(c) for e, c in zip(self.exponents(), x) if c}
         return TruncatedSeries._trusted(len(self.trunc), self.trunc, terms)
 
 

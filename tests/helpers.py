@@ -17,14 +17,14 @@ from functools import lru_cache
 from chromaplex.arrangement import (
     Arrangement,
     PosetElement,
-    _flats,
     _insert,
     _reduce,
+    _walk,
     arrangement,
 )
 from chromaplex.chromatic import find_peo, support
 from chromaplex.hypergraph import Hypergraph, hypergraph
-from chromaplex.series import ONE, Q, QPolynomial, TruncatedSeries, series_inverse
+from chromaplex.series import Q, QPolynomial, TruncatedSeries, series_inverse
 
 
 def chromatic_delcon(n: int, edges) -> QPolynomial:
@@ -175,7 +175,7 @@ def series_mul_sparse(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries
 
 def series_one(n: int, trunc) -> TruncatedSeries:
     """The series 1 on n variables, truncated at trunc."""
-    return TruncatedSeries(n, tuple(trunc), {(0,) * n: ONE})
+    return TruncatedSeries(n, tuple(trunc), {(0,) * n: 1})
 
 
 def series_pow_sparse(a: TruncatedSeries, q: int) -> TruncatedSeries:
@@ -309,9 +309,9 @@ def rref_oracle(rows, width: int) -> tuple[tuple[int, ...], ...]:
 
 
 def flats_oracle(arr: Arrangement, p: int = 0) -> dict:
-    """Oracle for ``arrangement._flats``: each flat is met with every member
-    outside its mask, and each new flat's mask is built by testing every
-    member; the canonical basis of each flat -> its mask."""
+    """Oracle for the flats of ``arrangement._walk``: each flat is met with
+    every member outside its mask, and each new flat's mask is built by
+    testing every member; the canonical basis of each flat -> its mask."""
     hyps = [s.forms for s in arr.subspaces]
 
     def mask_of(basis) -> int:
@@ -340,11 +340,11 @@ def flats_oracle(arr: Arrangement, p: int = 0) -> dict:
 
 
 def mobius_oracle(arr: Arrangement) -> tuple[PosetElement, ...]:
-    """Oracle for ``arrangement._poset_data``: the flats of ``_flats`` in
+    """Oracle for ``arrangement._poset_data``: the flats of ``_walk`` in
     (rank, mask) order, each with mu minus the sum of mu over every earlier
     flat whose mask lies inside its own, tested pair by pair."""
     elements: list[PosetElement] = []
-    for rank, mask in sorted((len(basis), mask) for basis, mask in _flats(arr).items()):
+    for rank, mask in sorted((len(basis), mask) for basis, mask in _walk(arr)[0].items()):
         mu = -sum(v for _, v, other in elements if other & mask == other) if rank else 1
         elements.append(PosetElement(arr.n - rank, mu, mask))
     return tuple(elements)

@@ -11,8 +11,8 @@ from chromaplex import budget
 from chromaplex.arrangement import (
     _assert_good_prime,
     _count_colorings,
-    _flats,
     _poset_data,
+    _walk,
     arrangement,
     arrangement_from_json,
     arrangement_to_json,
@@ -167,9 +167,9 @@ def _oracle_arrangements() -> list:
 def test_poset_matches_definition_oracle():
     """Forms, dims and Mobius values of mixed-codimension arrangements, nested
     members included, against the subset-closure oracle.  A poset element
-    carries no forms; they are read from ``_flats`` by the element's mask."""
+    carries no forms; they are read from ``_walk`` by the element's mask."""
     for arr in _oracle_arrangements():
-        forms = {mask: tuple(row for _, row in basis) for basis, mask in _flats(arr).items()}
+        forms = {mask: tuple(row for _, row in basis) for basis, mask in _walk(arr)[0].items()}
         got = [(forms[el.mask], el.dim, el.mobius) for el in _poset_data(arr)]
         got.sort(key=lambda t: (len(t[0]), t[0]))
         assert got == poset_oracle(arr), arrangement_to_json(arr)
@@ -202,15 +202,15 @@ def test_flats_match_walk_oracle():
         random_hyperplane_arrangement(rng, rng.randint(1, 4)) for _ in range(60)
     ]
     cases += [braid(n) for n in (5, 6)] + _codim2_clans()
-    assert len(_flats(NESTED)) == 8
+    assert len(_walk(NESTED)[0]) == 8
     for arr in cases + [NESTED]:
         for p in (0, 2, 3, 5, 7):
-            assert _flats(arr, p) == flats_oracle(arr, p), (arrangement_to_json(arr), p)
+            assert _walk(arr, p)[0] == flats_oracle(arr, p), (arrangement_to_json(arr), p)
 
 
 def test_known_covers_need_no_meet(monkeypatch):
     """On K8 every meet finds a new flat: a meet that would land on a known
-    cover is answered by the bitsets, so ``_flats`` makes one ``_insert``
+    cover is answered by the bitsets, so ``_walk`` makes one ``_insert``
     call per flat but the whole space, 4,139, over Q and at p = 11 (the
     walk by covers alone made 28,337)."""
     k8 = braid(8)
@@ -219,7 +219,7 @@ def test_known_covers_need_no_meet(monkeypatch):
     monkeypatch.setattr(arrangement_module, "_insert", lambda *a: calls.append(1) or real(*a))
     for p in (0, 11):
         calls.clear()
-        assert len(_flats(k8, p)) == 4140
+        assert len(_walk(k8, p)[0]) == 4140
         assert len(calls) == 4139, p
 
 
@@ -256,13 +256,13 @@ def test_flat_walk_is_charged(monkeypatch):
     monkeypatch.setattr(budget, "_limit", 1 << 16)
     for p in (0, 11):
         with pytest.raises(BudgetError, match="intersection poset walk over 28 members"):
-            _flats(braid(8), p)
+            _walk(braid(8), p)[0]
     # with the caches cleared, the walk itself refuses K8
     characteristic_polynomial.cache_clear()
     _poset_data.cache_clear()
     with pytest.raises(BudgetError, match="intersection poset walk"):
         characteristic_polynomial(braid(8))
-    assert len(_flats(braid(7), 11)) == 877
+    assert len(_walk(braid(7), 11)[0]) == 877
     assert characteristic_polynomial(braid(7)) == math.prod((Q - k for k in range(1, 7)), start=Q)
 
 
@@ -675,6 +675,22 @@ def test_counter_drops_closed_members():
             tracemalloc.stop()
 
     assert peak(4) < 1.5 * peak(1)
+
+
+def test_count_complement_charges_before_its_walks(monkeypatch):
+    """The p^n points are charged right after the prime check, before the
+    flat walks of the good-prime check: K8 at p = 13, 13^8 points, is
+    refused at 2^16 with no walk made, and K4 at p = 13 still counts
+    13 * 12 * 11 * 10 points at the default budget."""
+    walks = []
+    real = arrangement_module._walk
+    monkeypatch.setattr(arrangement_module, "_walk", lambda *a: walks.append(a) or real(*a))
+    monkeypatch.setattr(budget, "_limit", 1 << 16)
+    with pytest.raises(BudgetError, match=r"point enumeration over F_13\^8: .* 815730721 "):
+        count_complement(braid(8), 13)
+    assert walks == []
+    monkeypatch.setattr(budget, "_limit", 1 << budget.DEFAULT_EXPONENT)
+    assert count_complement(braid(4), 13) == 17160
 
 
 def test_oracles_keep_their_refusals(monkeypatch):

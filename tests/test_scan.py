@@ -171,6 +171,19 @@ def test_odd_edge_witness():
     assert odd_edge_witness(hypergraph(3, [])) is None
 
 
+def test_odd_edge_witness_refuses_what_it_cannot_certify():
+    """The witness reads one edge alone, which is the hypergraph's own
+    coefficient only when no other edge lies inside it and no vertex is
+    special: with (1, 2) inside (1, 2, 3) the coefficient at (2, 2, 2, 0) is
+    +6, not -6, and an edge (1,) would give the witness 0.  Such
+    hypergraphs are refused, as is one with a special vertex."""
+    nested = hypergraph(4, [(1, 2), (1, 2, 3)])
+    assert dict(scan_module._signed_inverse(nested, (2, 2, 2, 0)))[(2, 2, 2, 0)] == 6
+    for g in (nested, hypergraph(4, [(1,), (2, 3, 4)]), hypergraph(3, [(1, 2, 3)], special=[1])):
+        with pytest.raises(ValueError, match="odd-edge witness needs a simple hypergraph"):
+            odd_edge_witness(g)
+
+
 def test_odd_edge_witness_gate_raises(monkeypatch):
     monkeypatch.setattr(
         scan_module, "_signed_inverse", lambda g, window: iter([(window, Fraction(1, 2))])
@@ -308,7 +321,7 @@ def test_dense_sign_check_matches_sparse_route():
     """The dense signed inverse finds the negative that the sparse terms of
     series_inverse give, at every class with n <= 4, on windows 0 to 3 and
     on mixed windows with zeros, and at a seeded sample of the n = 5
-    classes on window 2; a reported coefficient is a Fraction."""
+    classes on window 2; a reported coefficient is an int."""
     classes = [v.canon for v in scan_hypergraphs(5).verdicts]
     five = random.Random(18).sample([c for c in classes if c[0] == 5], 24)
     for n, edges in [c for c in classes if c[0] <= 4] + five:
@@ -317,7 +330,7 @@ def test_dense_sign_check_matches_sparse_route():
         for window in [(2,) * 5] if n == 5 else [(w,) * n for w in range(4)] + mixed:
             res = inverse_nonneg_check(g, window)
             assert tuple(res) == inverse_nonneg_oracle(g, window), (g, window)
-            assert res.coeff is None or type(res.coeff) is Fraction
+            assert res.coeff is None or type(res.coeff) is int
 
 
 def test_scan_calls_the_module_work_once_per_class(monkeypatch):

@@ -12,6 +12,12 @@ from helpers import FractionPoly, series_mul_sparse, series_one, series_pow_spar
 
 from chromaplex import budget
 from chromaplex.errors import BudgetError
+from chromaplex.hypergraph import (
+    hypergraph,
+    independence_system,
+    marked_independence_series,
+    system_series,
+)
 from chromaplex.series import (
     DenseWindow,
     Q,
@@ -166,8 +172,11 @@ def _random_series(rng, n, trunc, integral, constant):
     return TruncatedSeries(n, trunc, terms)
 
 
-def _all_fractions(f):
-    return all(type(c) is Fraction for c in f.terms.values())
+def _one_form(f):
+    """Every coefficient is an int, or a Fraction that is not integral."""
+    return all(
+        type(c) is int or type(c) is Fraction and c.denominator != 1 for c in f.terms.values()
+    )
 
 
 def test_int_pow_refuses_non_integer_exponents():
@@ -194,13 +203,13 @@ def test_int_pow_matches_repeated_mul_random():
         one = series_one(n, trunc)
         prod = series_mul(f, g)
         assert prod == series_mul_sparse(f, g)
-        assert _all_fractions(prod)
+        assert _one_form(prod)
         inv = series_inverse(f)
-        assert _all_fractions(inv)
+        assert _one_form(inv)
         assert series_mul_sparse(f, inv) == one
         for q in range(-3, 5):
             power = series_int_pow(f, q)
-            assert _all_fractions(power)
+            assert _one_form(power)
             if q >= 0:
                 assert power == series_pow_sparse(f, q)
             else:
@@ -277,7 +286,7 @@ def test_both_product_loops_match_the_sparse_oracle():
             assert w.fits is None
             prod = w.series(w.mul(x, y))
             assert prod == series_mul_sparse(f, g)
-            assert _all_fractions(prod)
+            assert _one_form(prod)
             pairs = len(f.terms) * len(g.terms)
             assert (w.fits is not None) == (w.pairs <= pairs)
             if len(trunc) >= 3:
@@ -342,9 +351,35 @@ def test_public_constructor_checks_its_input():
         TruncatedSeries(2, (2, 2), {(0, -1): F(1)})
     with pytest.raises(ValueError, match="bad exponent"):
         TruncatedSeries(2, (2, 2), {(0, 0, 0): F(1)})
-    # integral input is stored as Fractions
-    assert _all_fractions(TruncatedSeries(1, (2,), {(1,): 3}))
+    # integral input is stored as ints
+    assert _one_form(TruncatedSeries(1, (2,), {(1,): 3}))
     assert TruncatedSeries(1, (2,), {(1,): F(3, 4)}).terms == {(1,): F(3, 4)}
+
+
+def test_coefficients_are_ints_where_integral():
+    """Every series coefficient is an int where it is integral and a
+    Fraction otherwise: the constructor stores F(4, 2) as 2, Fraction
+    products that cancel, (x/3) * (3x), leave ints, and so do independence
+    and system series and the kernel's products, inverses and powers of
+    them and of non-integral series.  Off its terms ``coeff`` answers 0."""
+    f = TruncatedSeries(1, (2,), {(0,): F(4, 2), (1,): F(3, 4)})
+    assert f.terms == {(0,): 2, (1,): F(3, 4)} and type(f.terms[(0,)]) is int
+    assert type(f.coeff((2,))) is int
+    third, three = TruncatedSeries(1, (2,), {(1,): F(1, 3)}), TruncatedSeries(1, (2,), {(1,): 3})
+    assert series_mul(third, three).terms == {(2,): 1} and _one_form(series_mul(third, three))
+    g = hypergraph(4, [(1, 2, 3), (3, 4)], special=[4])
+    system = independence_system(3, [(), (1,), (2,), (1, 2), (3,)])
+    bases = [
+        marked_independence_series(g, (2, 2, 1, 2)),
+        system_series(system, (3,), (2, 1, 2)),
+        f,
+        TruncatedSeries(2, (2, 1), {(0, 0): F(1, 2), (1, 0): F(3, 2), (0, 1): -1}),
+    ]
+    for a in bases:
+        assert _one_form(a)
+        assert _one_form(series_mul(a, a)) and _one_form(series_inverse(a))
+        for q in range(-3, 5):
+            assert _one_form(series_int_pow(a, q)), (a, q)
 
 def test_public_constructor_refuses_non_integer_bounds():
     """A window (1.5,) is not read as (1,), nor an exponent (1.5,) as (1,)."""
