@@ -360,19 +360,6 @@ def find_peo(g: Hypergraph) -> tuple[int, ...] | None:
     return tuple(order)
 
 
-def chordal_multichromatic(g: Hypergraph, m: Sequence[int]) -> QPolynomial:
-    """Closed form for chordal graphs without special vertices: color along a
-    perfect elimination ordering; each vertex sees its earlier neighbors'
-    colors as one forbidden block because they form a clique."""
-    m = vector(m, g.n, "multiplicities")
-    if g.special:
-        raise ValueError("chordal_multichromatic requires no special vertices")
-    # with no special vertex every partition is all ones, so the marked form
-    # has one term: l_v = m_v, b_v sums m over earlier neighbors, scalar 1;
-    # it refuses a graph that is not chordal
-    return chordal_marked_chromatic(g, m)
-
-
 def chordal_marked_chromatic(g: Hypergraph, m: Sequence[int]) -> QPolynomial:
     """Closed form for chordal graphs with special vertices: sum over copy
     counts (``copy_count_sum``); vertex j with l_j copies contributes

@@ -270,6 +270,11 @@ def _work(item: tuple[int, tuple[tuple[int, ...], ...], int]) -> CheckResult:
     return inverse_nonneg_check(hypergraph(n, edges), (m_per_var,) * n)
 
 
+def _verdict(item: tuple[int, tuple[tuple[int, ...], ...], int]) -> Verdict:
+    """The verdict on one class, checked by the module's ``_work``."""
+    return Verdict(item[:2], is_even(Hypergraph(*item[:2], ())), *_work(item))
+
+
 @dataclass
 class ScanReport:
     n_max: int
@@ -322,10 +327,11 @@ def scan_hypergraphs(
     """Check 1/I(G, -x) >= 0 within the window for every simple hypergraph
     on up to n_max vertices.
 
-    Verdicts stream to ``out`` as JSON lines when given, after a header line
-    (``report_header``) that an existing report must already start with; with
-    ``resume`` the canonical forms recorded there are skipped, so interrupted
-    scans can continue by rerunning the same command.  ``dedup`` skips isomorphic
+    Each class is checked when the walk meets it, and its verdict written to
+    ``out`` at once, as a JSON line after a header line (``report_header``)
+    that an existing report must already start with; with ``resume`` the
+    canonical forms recorded there are skipped, so interrupted scans can
+    continue by rerunning the same command.  ``dedup`` skips isomorphic
     duplicates inside the run.  ``workers`` > 1 distributes the per-
     hypergraph checks over a process pool of at most that many processes,
     and no more than there are hypergraphs to check or cores; the verdict
@@ -345,56 +351,56 @@ def scan_hypergraphs(
     report = ScanReport(n_max=n_max, m_per_var=m_per_var, dedup=dedup)
 
     header = report_header(m_per_var)
-    recorded: set[str] = set()
     out_path = Path(out) if out is not None else None
-    if out_path is not None and out_path.exists():
-        # appended verdicts, too, must share the window of the report's header
-        recorded = _recorded_keys(out_path, header)
+    # appended verdicts, too, must share the window of the report's header
+    recorded = _recorded_keys(out_path, header) if out_path and out_path.exists() else set()
+    # opened before the walk, line-buffered: a killed scan keeps every verdict it wrote
+    fh = out_path.open("a", buffering=1) if out_path is not None else None
 
-    entries: list[tuple[tuple[int, tuple[tuple[int, ...], ...]], bool]] = []
-    for n in range(1, n_max + 1):
-        # labelled family key -> (canonical form, its report key, evenness),
-        # filled with the class's orbit when its first member is met; each
-        # labelled family is enumerated once, so its entry is popped when
-        # looked up, and a miss marks the first member of a class
-        classes: dict[int, tuple[tuple[int, tuple[tuple[int, ...], ...]], str, bool]] = {}
-        for labelled in _families(n):
-            entry = classes.pop(labelled, None)
-            first = entry is None
-            if first:
-                g = Hypergraph(n, _decode(n, labelled), ())
-                canon = canonical_form(g)
-                entry = (canon, _canon_key(canon), is_even(g))
-                classes.update(dict.fromkeys(_orbit(n, labelled), entry))
-                del classes[labelled]
-            canon, key, even = entry
-            if resume and key in recorded:
-                report.skipped += 1
-            elif first or not dedup:
-                entries.append((canon, even))
+    def classes() -> Iterator[tuple[int, tuple[tuple[int, ...], ...], int]]:
+        # yields each class to check when the walk meets its first member;
+        # ``seen`` maps the class's other labelled families on this n to
+        # (canonical form, report key), each popped when the walk reaches it
+        for n in range(1, n_max + 1):
+            seen: dict[int, tuple[tuple[int, tuple[tuple[int, ...], ...]], str]] = {}
+            for labelled in _families(n):
+                entry = seen.pop(labelled, None)
+                if first := entry is None:
+                    canon = canonical_form(Hypergraph(n, _decode(n, labelled), ()))
+                    entry = (canon, _canon_key(canon))
+                    seen.update(dict.fromkeys(_orbit(n, labelled), entry))
+                    del seen[labelled]
+                (_, edges), key = entry
+                if resume and key in recorded:
+                    report.skipped += 1
+                elif first or not dedup:
+                    yield n, edges, m_per_var
 
-    items = ((n, edges, m_per_var) for (n, edges), _ in entries)
-    procs = min(workers, len(entries), os.cpu_count() or 1)
-    if procs <= 1:
-        results = map(_work, items)
-    else:
-        from multiprocessing import Pool  # loaded only by a scan that starts processes
-        pool = Pool(procs)
-        results = pool.imap(_work, items, chunksize=16)
-
-    fh = out_path.open("a") if out_path is not None else None
+    pool = None
     try:
         if fh is not None and fh.tell() == 0:
             fh.write(header + "\n")
-        for (canon, even), res in zip(entries, results):
-            v = Verdict(canon, even, *res)
+        walk = classes()
+        # no more processes than classes to check or cores
+        head = list(itertools.islice(walk, min(workers, os.cpu_count() or 1)))
+        if len(head) <= 1:
+            verdicts = map(_verdict, itertools.chain(head, walk))
+        else:
+            from multiprocessing import Pool  # loaded only by a scan that starts processes
+            pool = Pool(len(head))  # whose task thread runs the rest of the walk
+            verdicts = pool.imap(_verdict, itertools.chain(head, walk), chunksize=16)
+        for v in verdicts:
             report.verdicts.append(v)
             if fh is not None:
                 fh.write(verdict_to_json_line(v) + "\n")
+    except BaseException:
+        if pool is not None:
+            pool.terminate()  # stops the walk too, rather than finish it
+        raise
     finally:
         if fh is not None:
             fh.close()
-        if procs > 1:
+        if pool is not None:
             pool.close()
             pool.join()
 

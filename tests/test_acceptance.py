@@ -30,7 +30,6 @@ from chromaplex.arrangement import (
 from chromaplex.chromatic import (
     brute_force_count,
     chordal_marked_chromatic,
-    chordal_multichromatic,
     chromatic_via_blowup,
     coefficient_via_binomial,
     full_edge_closed_form,
@@ -128,8 +127,6 @@ def test_criterion_04_chordal_formulas():
                 break
         poly = marked_chromatic_poly(g, m)
         assert chordal_marked_chromatic(g, m) == poly
-        if not special:
-            assert chordal_multichromatic(g, m) == poly
     _report("criterion 4: chordal closed forms equal the partition formula", t0)
 
 

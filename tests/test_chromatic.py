@@ -15,7 +15,6 @@ from chromaplex.chromatic import (
     blow_up,
     brute_force_count,
     chordal_marked_chromatic,
-    chordal_multichromatic,
     chromatic_via_blowup,
     coefficient_via_binomial,
     copy_count_sum,
@@ -306,17 +305,14 @@ def test_find_peo():
         find_peo(hypergraph(3, [(1, 2, 3)]))
 
 
-def test_chordal_multichromatic():
+def test_chordal_marked_chromatic_without_special_vertices():
     tri = hypergraph(3, [(1, 2), (1, 3), (2, 3)])
-    assert chordal_multichromatic(tri, (1, 1, 1)) == Q * (Q - 1) * (Q - 2)
+    assert chordal_marked_chromatic(tri, (1, 1, 1)) == Q * (Q - 1) * (Q - 2)
     path = hypergraph(3, [(1, 2), (2, 3)])
     for m in itertools.product(range(3), repeat=3):
-        assert chordal_multichromatic(path, m) == marked_chromatic_poly(path, m)
-    with pytest.raises(ValueError):
-        chordal_multichromatic(cycle_graph(4), (1, 1, 1, 1))
-    sp = hypergraph(2, [(1, 2)], special=(1,))
-    with pytest.raises(ValueError):
-        chordal_multichromatic(sp, (1, 1))
+        assert chordal_marked_chromatic(path, m) == marked_chromatic_poly(path, m)
+    with pytest.raises(ValueError, match="not chordal"):
+        chordal_marked_chromatic(cycle_graph(4), (1, 1, 1, 1))
 
 
 def test_chordal_marked_chromatic():

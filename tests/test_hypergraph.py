@@ -268,6 +268,19 @@ def test_hypergraph_from_system():
     assert g2.special == (1,)
 
 
+def test_hypergraph_from_system_is_refused_before_it_enumerates(monkeypatch):
+    """A ground set of 25 has 2^25 subsets, past the default budget of 2^24:
+    the refusal comes before a single subset is listed."""
+
+    def no_enumeration(n):
+        raise AssertionError(f"enumerated the subsets of {n} elements")
+
+    monkeypatch.setattr(budget, "_limit", 1 << budget.DEFAULT_EXPONENT)
+    monkeypatch.setattr(hypergraph_module, "vertex_sets", no_enumeration)
+    with pytest.raises(BudgetError, match="subset enumeration over 25 ground elements"):
+        hypergraph_from_system(independence_system(25, [[]]))
+
+
 def test_system_round_trip_random():
     rng = random.Random(5)
     for _ in range(40):

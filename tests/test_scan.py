@@ -1,9 +1,16 @@
+import gc
 import hashlib
 import json
 import math
 import multiprocessing
+import os
 import random
+import signal
+import subprocess
+import sys
+import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -513,6 +520,84 @@ def test_scan_resume_recomputes_torn_line(tmp_path):
     assert out.read_text() == whole
 
 
+def _fail_the_walk_at(monkeypatch, n_failing):
+    families = scan_module._families
+
+    def failing(n):
+        if n == n_failing:
+            raise RuntimeError(f"walk failed at n={n}")
+        return families(n)
+
+    monkeypatch.setattr(scan_module, "_families", failing)
+
+
+def test_scan_keeps_the_verdicts_before_a_walk_failure(tmp_path, monkeypatch):
+    """Each verdict is written when the walk meets its class: a walk that
+    fails at n = 4 leaves the header and the 8 verdicts for n <= 3, which a
+    resumed run completes into the uninterrupted report."""
+    whole = tmp_path / "whole.jsonl"
+    scan_hypergraphs(4, out=whole)
+    lines = whole.read_text().splitlines(keepends=True)
+    assert len(lines) == 1 + 28
+    out = tmp_path / "scan.jsonl"
+    with monkeypatch.context() as m:
+        _fail_the_walk_at(m, 4)
+        with pytest.raises(RuntimeError, match="n=4"):
+            scan_hypergraphs(4, out=out)
+    assert out.read_text() == "".join(lines[:9])
+    scan_hypergraphs(4, out=out, resume=True)
+    assert out.read_bytes() == whole.read_bytes()
+
+
+def test_scan_pool_survives_a_walk_failure(tmp_path, monkeypatch):
+    """With a real pool of two the walk runs on the pool's task thread; its
+    error still reaches the caller, the pool is shut down without a warning,
+    and the report holds a prefix of the serial one."""
+    serial = tmp_path / "serial.jsonl"
+    scan_hypergraphs(4, out=serial)
+    out = tmp_path / "scan.jsonl"
+    monkeypatch.setattr(scan_module.os, "cpu_count", lambda: 2)
+    _fail_the_walk_at(monkeypatch, 4)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(RuntimeError, match="n=4"):
+            scan_hypergraphs(4, out=out, workers=2)
+        gc.collect()  # the error's traceback holds the pool in a cycle
+    assert caught == []
+    assert serial.read_text().startswith(out.read_text())
+    assert out.read_text().startswith(report_header(2) + "\n")
+
+
+def test_killed_scan_keeps_its_verdicts(tmp_path):
+    """A scan killed by SIGTERM in its 21st check keeps the header and the 20
+    verdicts written before, and ``resume`` completes the report into the
+    uninterrupted one."""
+    whole = tmp_path / "whole.jsonl"
+    scan_hypergraphs(5, out=whole)
+    lines = whole.read_text().splitlines(keepends=True)
+    out = tmp_path / "scan.jsonl"
+    probe = (
+        "import os, signal, chromaplex.scan as scan\n"
+        "work, calls = scan._work, []\n"
+        "def dying(item):\n"
+        "    calls.append(item)\n"
+        "    if len(calls) == 21:\n"
+        "        os.kill(os.getpid(), signal.SIGTERM)\n"
+        "    return work(item)\n"
+        "scan._work = dying\n"
+        f"scan.scan_hypergraphs(5, out={str(out)!r})\n"
+    )
+    src = str(Path(scan_module.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == -signal.SIGTERM, proc.stderr
+    assert out.read_text() == "".join(lines[:21])
+    scan_hypergraphs(5, out=out, resume=True)
+    assert out.read_bytes() == whole.read_bytes()
+
+
 def test_scan_workers_match_serial():
     serial = scan_hypergraphs(3, dedup=False)
     parallel = scan_hypergraphs(3, dedup=False, workers=2)
@@ -548,6 +633,21 @@ def test_scan_pool_is_bounded(monkeypatch):
         monkeypatch.setattr(scan_module.os, "cpu_count", lambda: cores)
         assert scan_hypergraphs(3, workers=workers).verdicts == serial.verdicts
         assert sizes == expected
+
+
+def test_scan_opens_its_report_before_its_pool(tmp_path, monkeypatch):
+    """A report that cannot be opened is refused before any process starts."""
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(scan_module.os, "cpu_count", lambda: 4)
+    with pytest.raises(OSError):
+        scan_hypergraphs(3, workers=2, out=tmp_path / "missing" / "scan.jsonl")
+    assert sizes == []
 
 
 def test_scan_validation():
