@@ -31,7 +31,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -39,6 +38,7 @@ from .budget import charge
 from .chromatic import copy_columns, copy_count_sum, support
 from .errors import (
     BadPrimeError,
+    Frozen,
     VerificationError,
     int_tuple,
     json_array,
@@ -137,11 +137,21 @@ def _check_prime(p: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Frozen):
     """Canonical echelon form rows of the defining linear system."""
 
-    forms: tuple[Row, ...]
+    __slots__ = ("forms",)
+
+    def __init__(self, forms: tuple[Row, ...]) -> None:
+        object.__setattr__(self, "forms", forms)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.forms == other.forms
+
+    def __hash__(self) -> int:
+        return hash((self.forms,))
 
     @property
     def codim(self) -> int:
@@ -159,11 +169,21 @@ def subspace(forms: Iterable[Sequence[int]], n: int) -> Subspace:
     return Subspace(basis)
 
 
-@dataclass(frozen=True)
-class Arrangement:
-    n: int
-    subspaces: tuple[Subspace, ...]
-    special: tuple[int, ...]
+class Arrangement(Frozen):
+    __slots__ = ("n", "subspaces", "special")
+
+    def __init__(self, n: int, subspaces: tuple[Subspace, ...], special: tuple[int, ...]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "subspaces", subspaces)
+        object.__setattr__(self, "special", special)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.subspaces, self.special) == (other.n, other.subspaces, other.special)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.subspaces, self.special))
 
 
 def arrangement(

@@ -3,17 +3,15 @@
 A marked coloring with q colors assigns every vertex v a multiset f(v) of
 colors with |f(v)| = m_v, required to be a plain set unless v is special,
 such that no edge has a color common to all of its vertices.  The number of
-such colorings is a polynomial in q; this module computes it four ways:
+such colorings is a polynomial in q; this module computes it four ways, which
+the test suite checks against each other:
 
 * ``brute_force_count``: direct enumeration at a concrete q (the oracle);
 * ``marked_chromatic_poly``: the block-partition formula, summing
   binomial(q, k) against counts of k-tuples of marked-independent blocks;
 * ``chromatic_via_blowup``: reduction to ordinary chromatic polynomials of
   blow-up hypergraphs, one per copy-count vector (``copy_count_sum``);
-* closed forms for special shapes (one full edge, chordal graphs, cycles).
-
-All routes agree exactly; the test suite and the closed forms' built-in
-gates enforce that.
+* a closed form for chordal graphs (``chordal_marked_chromatic``).
 
 The block-partition formula and ``coefficient_via_binomial`` (the
 coefficient of x^m in the q-th power of an independence-system series) both
@@ -35,7 +33,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .budget import budget_limit, charge
-from .errors import VerificationError, int_tuple, natural, vector, vertex_set
+from .errors import natural, vector, vertex_set
 from .hypergraph import (
     Hypergraph,
     IndependenceSystem,
@@ -45,7 +43,6 @@ from .hypergraph import (
 )
 from .series import (
     QPolynomial,
-    binomial_poly,
     dense_window,
     poly_from_binomial_coordinates,
     qpoly_const,
@@ -306,25 +303,6 @@ def chromatic_via_blowup(g: Hypergraph, m: Sequence[int]) -> QPolynomial:
 # ---------------------------------------------------------------------------
 
 
-def full_edge_closed_form(m: Sequence[int]) -> QPolynomial:
-    """Marked chromatic polynomial of the hypergraph whose single edge is the
-    whole vertex set, with no special vertices:
-    sum over k of (-1)^k binomial(q,k) prod_i binomial(q-k, m_i-k).
-
-    Inclusion-exclusion over the set of colors shared by all vertices.
-    """
-    m = tuple(m)
-    m = vector(m, len(m), "multiplicities")
-    kmax = min(m) if m else 0
-    total = QPolynomial()
-    for k in range(kmax + 1):
-        term = binomial_poly(k) * ((-1) ** k)
-        for mi in m:
-            term = term * shifted_binomial_poly(k, mi - k)
-        total = total + term
-    return total
-
-
 def _require_graph(g: Hypergraph) -> dict[int, set[int]]:
     if any(len(e) != 2 for e in g.edges):
         raise ValueError("this operation needs a 2-uniform hypergraph (a graph)")
@@ -381,42 +359,3 @@ def chordal_marked_chromatic(g: Hypergraph, m: Sequence[int]) -> QPolynomial:
         return poly
 
     return copy_count_sum(m, g.special, term)
-
-
-def cycle_graph(n: int) -> Hypergraph:
-    if n < 3:
-        raise ValueError("a cycle needs at least 3 vertices")
-    edges = [(i, i + 1) for i in range(1, n)] + [(1, n)]
-    return hypergraph(n, edges, ())
-
-
-def cycle_multichromatic(m: Sequence[int]) -> QPolynomial:
-    """Closed form for the multichromatic polynomial of the cycle C_n,
-    n = len(m) >= 3, all multiplicities >= 1 and no special vertices:
-
-        sum over k = 0..min(m) of (-1)^(k n) (C(q,k) - C(q,k-1))
-            * prod_r C(q - m_r - k, m_(r+1) - k)
-
-    with indices cyclic and C(q,-1) = 0.  This is the spectral decomposition
-    of the disjointness transfer operator on color sets: the k-th summand
-    collects the eigenspace of dimension C(q,k) - C(q,k-1), and each step
-    around the cycle, from vertex r to r+1, contributes one binomial.
-
-    The result is gated against the block-partition formula, and a mismatch
-    raises VerificationError.
-    """
-    m = int_tuple(m, "multiplicities")
-    n = len(m)
-    if n < 3:
-        raise ValueError("a cycle needs at least 3 vertices")
-    if any(v < 1 for v in m):
-        raise ValueError("cycle closed form needs all multiplicities >= 1")
-    candidate = QPolynomial()
-    for k in range(min(m) + 1):
-        term = binomial_poly(k) - binomial_poly(k - 1) if k else binomial_poly(0)
-        for r in range(n):
-            term = term * shifted_binomial_poly(m[r] + k, m[(r + 1) % n] - k)
-        candidate = candidate + term * (-1) ** (k * n)
-    if candidate != marked_chromatic_poly(cycle_graph(n), m):
-        raise VerificationError(f"cycle closed form disagrees with the partition formula at m={m}")
-    return candidate

@@ -5,9 +5,9 @@
 the configured budget.  ``VerificationError`` marks a cross-check mismatch
 between two routes that must agree exactly.
 
-The input contract lives here too: every size, vector and vertex set that a
-public entry point takes goes through ``natural``, ``vector`` or
-``vertex_set``, and no other module words a refusal of its own for them.
+The input contract lives here too: every size, vector and vertex set that a public
+entry point takes goes through ``natural``, ``vector`` or ``vertex_set``, and no
+other module words a refusal of its own for them.  ``Frozen`` is the value classes' base.
 """
 
 from __future__ import annotations
@@ -47,6 +47,36 @@ def json_array(value: object, what: str, depth: int = 1) -> list:
     if not isinstance(value, list):
         raise ValueError(f"{what}: {value!r} is not a JSON array")
     return [json_array(v, what, depth - 1) for v in value] if depth > 1 else value
+
+
+class Frozen:
+    """Base of the value classes: fields named in ``__slots__``, each set once by
+    ``object.__setattr__`` and never rebound.  The repr is ``Name(field=value, ...)``,
+    equality compares the fields of two instances of one class, and pickling keeps them.
+    A hashable subclass writes ``__hash__``, and ``__eq__`` too where it is hot."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __getstate__(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.__getstate__() == other.__getstate__()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        pairs = (f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({', '.join(pairs)})"
 
 
 def int_tuple(values: Iterable[object], what: str) -> tuple[int, ...]:

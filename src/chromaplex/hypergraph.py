@@ -17,12 +17,11 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Container, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .budget import charge
-from .errors import VerificationError, json_array, malformed, natural, vector, vertex_set
+from .errors import Frozen, VerificationError, json_array, malformed, natural, vector, vertex_set
 from .series import TruncatedSeries
 
 Edge = tuple[int, ...]
@@ -33,11 +32,16 @@ def _canon_vertex_sets(n: int, sets: Iterable[Iterable[int]], what: str) -> tupl
     return tuple(sorted(out, key=lambda e: (len(e), e)))
 
 
-@dataclass(frozen=True)
-class Hypergraph:
-    n: int
-    edges: tuple[Edge, ...]
-    special: tuple[int, ...]
+class Hypergraph(Frozen):
+    __slots__ = ("n", "edges", "special")
+
+    def __init__(self, n: int, edges: tuple[Edge, ...], special: tuple[int, ...]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "special", special)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges, self.special))
 
 
 def hypergraph(
@@ -153,10 +157,15 @@ def marked_independence_series(g: Hypergraph, trunc: Sequence[int]) -> Truncated
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IndependenceSystem:
-    n: int
-    members: tuple[Edge, ...]
+class IndependenceSystem(Frozen):
+    __slots__ = ("n", "members")
+
+    def __init__(self, n: int, members: tuple[Edge, ...]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "members", members)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.members))
 
 
 def independence_system(n: int, members: Iterable[Iterable[int]]) -> IndependenceSystem:

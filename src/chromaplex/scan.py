@@ -31,7 +31,6 @@ import math
 import operator
 import os
 import time
-from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -39,7 +38,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 from . import __version__
 from .budget import charge
 from .chromatic import marked_chromatic_poly
-from .errors import VerificationError, natural, vector
+from .errors import Frozen, VerificationError, natural, vector
 from .hypergraph import (
     Hypergraph, hypergraph, is_even, is_simple, marked_independent_vectors, vertex_sets,
 )
@@ -275,14 +274,12 @@ def _verdict(item: tuple[int, tuple[tuple[int, ...], ...], int]) -> Verdict:
     return Verdict(item[:2], is_even(Hypergraph(*item[:2], ())), *_work(item))
 
 
-@dataclass
-class ScanReport:
-    n_max: int
-    m_per_var: int
-    dedup: bool
-    verdicts: list[Verdict] = field(default_factory=list)
-    skipped: int = 0
-    elapsed: float = 0.0
+class ScanReport(Frozen):
+    __slots__ = ("n_max", "m_per_var", "dedup", "verdicts", "skipped", "elapsed")
+    __setattr__ = object.__setattr__  # unlike a value's, filled in as the scan runs
+
+    def __init__(self, n_max: int, m_per_var: int, dedup: bool) -> None:
+        self.__setstate__((n_max, m_per_var, dedup, [], 0, 0.0))
 
     @property
     def total(self) -> int:
@@ -357,24 +354,29 @@ def scan_hypergraphs(
     # opened before the walk, line-buffered: a killed scan keeps every verdict it wrote
     fh = out_path.open("a", buffering=1) if out_path is not None else None
 
+    failure: list[Exception] = []  # held: raised on a pool's thread, it loses a chunk
+
     def classes() -> Iterator[tuple[int, tuple[tuple[int, ...], ...], int]]:
         # yields each class to check when the walk meets its first member;
         # ``seen`` maps the class's other labelled families on this n to
         # (canonical form, report key), each popped when the walk reaches it
-        for n in range(1, n_max + 1):
-            seen: dict[int, tuple[tuple[int, tuple[tuple[int, ...], ...]], str]] = {}
-            for labelled in _families(n):
-                entry = seen.pop(labelled, None)
-                if first := entry is None:
-                    canon = canonical_form(Hypergraph(n, _decode(n, labelled), ()))
-                    entry = (canon, _canon_key(canon))
-                    seen.update(dict.fromkeys(_orbit(n, labelled), entry))
-                    del seen[labelled]
-                (_, edges), key = entry
-                if resume and key in recorded:
-                    report.skipped += 1
-                elif first or not dedup:
-                    yield n, edges, m_per_var
+        try:
+            for n in range(1, n_max + 1):
+                seen: dict[int, tuple[tuple[int, tuple[tuple[int, ...], ...]], str]] = {}
+                for labelled in _families(n):
+                    entry = seen.pop(labelled, None)
+                    if first := entry is None:
+                        canon = canonical_form(Hypergraph(n, _decode(n, labelled), ()))
+                        entry = (canon, _canon_key(canon))
+                        seen.update(dict.fromkeys(_orbit(n, labelled), entry))
+                        del seen[labelled]
+                    (_, edges), key = entry
+                    if resume and key in recorded:
+                        report.skipped += 1
+                    elif first or not dedup:
+                        yield n, edges, m_per_var
+        except Exception as exc:
+            failure.append(exc)
 
     pool = None
     try:
@@ -393,6 +395,8 @@ def scan_hypergraphs(
             report.verdicts.append(v)
             if fh is not None:
                 fh.write(verdict_to_json_line(v) + "\n")
+        if failure:  # raised once every verdict before it is written
+            raise failure[0]
     except BaseException:
         if pool is not None:
             pool.terminate()  # stops the walk too, rather than finish it

@@ -39,12 +39,11 @@ import itertools
 import math
 import operator
 from functools import lru_cache
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .budget import charge
-from .errors import int_tuple, natural, vector
+from .errors import Frozen, int_tuple, natural, vector
 
 Exponent = tuple[int, ...]
 # coefficients on a dense window, and its nonzero (packed, index, coefficient)
@@ -57,29 +56,27 @@ DenseTerms = list[tuple[int, int, int | Fraction]]
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TruncatedSeries:
-    """Sparse exact series modulo (x_1^(t_1+1), ..., x_n^(t_n+1)).
+class TruncatedSeries(Frozen):
+    """Sparse exact series modulo (x_1^(t_1+1), ..., x_n^(t_n+1)).  Its fields
+    are set once, and all operations return new series; ``terms`` is a dict,
+    so a series is not hashable."""
 
-    Instances are treated as immutable after construction; all operations
-    return new series.
-    """
+    __slots__ = ("n", "trunc", "terms")
+    __hash__ = None
 
-    n: int
-    trunc: tuple[int, ...]
-    terms: dict[Exponent, int | Fraction] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self.n = natural(self.n, "n")
-        self.trunc = vector(self.trunc, self.n, "truncation bounds")
+    def __init__(
+        self, n: int, trunc: Sequence[int], terms: Mapping[Exponent, int | Fraction] | None = None
+    ) -> None:
+        n = natural(n, "n")
+        trunc = vector(trunc, n, "truncation bounds")
         clean: dict[Exponent, int | Fraction] = {}
-        for e, c in self.terms.items():
-            e = vector(e, self.n, "exponents")
-            if any(v > t for v, t in zip(e, self.trunc)):
+        for e, c in (terms or {}).items():
+            e = vector(e, n, "exponents")
+            if any(v > t for v, t in zip(e, trunc)):
                 continue
             if c := _exact(_rational(c, "coefficients")):
                 clean[e] = c
-        self.terms = clean
+        self.__setstate__((n, trunc, clean))
 
     @classmethod
     def _trusted(
@@ -89,7 +86,7 @@ class TruncatedSeries:
         tuple of n ints >= 0 and ``terms`` nonzero ``_exact`` coefficients at
         exponents inside it.  Nothing is checked."""
         self = object.__new__(cls)
-        self.n, self.trunc, self.terms = n, trunc, terms
+        self.__setstate__((n, trunc, terms))
         return self
 
     def coeff(self, e: Sequence[int]) -> int | Fraction:
@@ -289,14 +286,12 @@ def _rational(value: int | Fraction, what: str) -> int | Fraction:
     return value
 
 
-@dataclass(frozen=True, init=False)
-class QPolynomial:
+class QPolynomial(Frozen):
     """Univariate polynomial over Q, ascending: integer numerators ``num``
     over one denominator ``den`` > 0, with no trailing zero and
     gcd(den, *num) = 1.  ``QPolynomial(coeffs)`` takes ints and Fractions."""
 
-    num: tuple[int, ...]
-    den: int
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs: Iterable[int | Fraction] = ()) -> None:
         cs = [_rational(c, "polynomial coefficients") for c in coeffs]
@@ -316,6 +311,9 @@ class QPolynomial:
         g = math.gcd(den, *num) if den > 0 else -math.gcd(den, *num)
         object.__setattr__(self, "num", tuple(v // g for v in num))
         object.__setattr__(self, "den", den // g)
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:

@@ -23,8 +23,16 @@ from chromaplex.arrangement import (
     arrangement,
 )
 from chromaplex.chromatic import find_peo, support
+from chromaplex.errors import int_tuple, vector
 from chromaplex.hypergraph import Hypergraph, hypergraph
-from chromaplex.series import Q, QPolynomial, TruncatedSeries, series_inverse
+from chromaplex.series import (
+    Q,
+    QPolynomial,
+    TruncatedSeries,
+    binomial_poly,
+    series_inverse,
+    shifted_binomial_poly,
+)
 
 
 def chromatic_delcon(n: int, edges) -> QPolynomial:
@@ -153,6 +161,60 @@ def chordal_partition_oracle(g: Hypergraph, m) -> QPolynomial:
         return poly
 
     return partition_tuple_sum(m, g.special, term)
+
+
+def full_edge_closed_form(m) -> QPolynomial:
+    """Marked chromatic polynomial of the hypergraph whose single edge is the
+    whole vertex set, with no special vertices:
+    sum over k of (-1)^k binomial(q,k) prod_i binomial(q-k, m_i-k).
+
+    Inclusion-exclusion over the set of colors shared by all vertices.
+    """
+    m = tuple(m)
+    m = vector(m, len(m), "multiplicities")
+    kmax = min(m) if m else 0
+    total = QPolynomial()
+    for k in range(kmax + 1):
+        term = binomial_poly(k) * ((-1) ** k)
+        for mi in m:
+            term = term * shifted_binomial_poly(k, mi - k)
+        total = total + term
+    return total
+
+
+def cycle_graph(n: int) -> Hypergraph:
+    if n < 3:
+        raise ValueError("a cycle needs at least 3 vertices")
+    edges = [(i, i + 1) for i in range(1, n)] + [(1, n)]
+    return hypergraph(n, edges, ())
+
+
+def cycle_multichromatic(m) -> QPolynomial:
+    """Closed form for the multichromatic polynomial of the cycle C_n,
+    n = len(m) >= 3, all multiplicities >= 1 and no special vertices:
+
+        sum over k = 0..min(m) of (-1)^(k n) (C(q,k) - C(q,k-1))
+            * prod_r C(q - m_r - k, m_(r+1) - k)
+
+    with indices cyclic and C(q,-1) = 0.  This is the spectral decomposition
+    of the disjointness transfer operator on color sets: the k-th summand
+    collects the eigenspace of dimension C(q,k) - C(q,k-1), and each step
+    around the cycle, from vertex r to r+1, contributes one binomial.  The
+    tests check it against ``chromatic.marked_chromatic_poly``.
+    """
+    m = int_tuple(m, "multiplicities")
+    n = len(m)
+    if n < 3:
+        raise ValueError("a cycle needs at least 3 vertices")
+    if any(v < 1 for v in m):
+        raise ValueError("cycle closed form needs all multiplicities >= 1")
+    total = QPolynomial()
+    for k in range(min(m) + 1):
+        term = binomial_poly(k) - binomial_poly(k - 1) if k else binomial_poly(0)
+        for r in range(n):
+            term = term * shifted_binomial_poly(m[r] + k, m[(r + 1) % n] - k)
+        total = total + term * (-1) ** (k * n)
+    return total
 
 
 def series_mul_sparse(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from helpers import (
     downward_closed_families,
+    full_edge_closed_form,
     random_chordal_edges,
     random_hyperplane_arrangement,
     random_hypergraph,
@@ -32,7 +33,6 @@ from chromaplex.chromatic import (
     chordal_marked_chromatic,
     chromatic_via_blowup,
     coefficient_via_binomial,
-    full_edge_closed_form,
     marked_chromatic_poly,
     ordinary_chromatic_poly,
 )

@@ -19,10 +19,7 @@ from chromaplex.chromatic import (
     coefficient_via_binomial,
     copy_count_sum,
     count_Pk_mult,
-    cycle_graph,
-    cycle_multichromatic,
     find_peo,
-    full_edge_closed_form,
     marked_chromatic_poly,
     ordinary_chromatic_poly,
 )
@@ -47,9 +44,12 @@ from helpers import (
     chordal_partition_oracle,
     chromatic_delcon,
     count_Pk_ordered_debug,
+    cycle_graph,
+    cycle_multichromatic,
     downward_closed_families,
     duplication_factor,
     enumerate_partition_tuples,
+    full_edge_closed_form,
     partition_tuple_sum,
     partitions_of,
     random_chordal_edges,
@@ -392,12 +392,6 @@ def test_cycle_formula():
         cycle_graph(2)
     with pytest.raises(ValueError, match="all multiplicities >= 1"):
         cycle_multichromatic((0, 1, 1))
-
-
-def test_cycle_gate_raises(monkeypatch):
-    monkeypatch.setattr(chromatic_module, "marked_chromatic_poly", lambda g, m: QPolynomial())
-    with pytest.raises(VerificationError):
-        cycle_multichromatic((1, 1, 1))
 
 
 def test_poly_from_binomial_coordinates():

@@ -3,14 +3,22 @@ only the standard library, and no check in them is an ``assert`` (which
 ``python -O`` strips)."""
 
 import ast
+import copy
 import importlib
 import os
+import pickle
 import subprocess
 import sys
 import types
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import chromaplex
+from chromaplex.arrangement import Arrangement, Subspace
+from chromaplex.hypergraph import Hypergraph, IndependenceSystem
+from chromaplex.series import QPolynomial, TruncatedSeries
 
 SOURCES = sorted(Path(chromaplex.__file__).parent.glob("*.py"))
 # ``__main__`` runs the CLI when imported
@@ -115,18 +123,82 @@ def test_modules_import_no_private_sibling_names():
 
 def test_cli_import_loads_no_multiprocessing():
     """Only a scan that starts worker processes needs ``multiprocessing``;
-    every command pays for what ``import chromaplex.cli`` loads.  The engine
-    modules, though, must load with it: the benchmark reads them from
+    every command pays for what ``import chromaplex.cli`` loads, so it loads
+    neither ``dataclasses`` nor ``inspect`` (which ``dataclasses`` imports,
+    with ``ast``, ``dis`` and ``tokenize``) either.  The engine modules,
+    though, must load with it: the benchmark reads them from
     ``sys.modules`` once it has imported the CLI, so a subcommand that
     imported its engine lazily would break every benchmark run."""
     src = str(Path(chromaplex.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     engines = ("scan", "chromatic", "hypergraph", "series", "arrangement")
     probe = (
-        "import sys, chromaplex.cli; print('multiprocessing' in sys.modules, "
+        "import sys, chromaplex.cli; print(*(name in sys.modules for name in "
+        "('multiprocessing', 'dataclasses', 'inspect')), "
         f"all('chromaplex.' + name in sys.modules for name in {engines!r}))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
     )
-    assert (out.returncode, out.stdout.strip()) == (0, "False True"), out.stderr
+    assert (out.returncode, out.stdout.strip()) == (0, "False False False True"), out.stderr
+
+
+_LINE = Subspace(((1, -1, 0),))
+# per value class: the arguments of two equal instances, the repr they have
+# (a frozen dataclass's), and an instance of another class with the same fields
+_VALUES = {
+    "Hypergraph": (
+        Hypergraph, (3, ((1, 2),), ()), "Hypergraph(n=3, edges=((1, 2),), special=())",
+        Arrangement(3, ((1, 2),), ()),
+    ),
+    "IndependenceSystem": (
+        IndependenceSystem, (2, ((), (1,), (2,))),
+        "IndependenceSystem(n=2, members=((), (1,), (2,)))", None,
+    ),
+    "Subspace": (Subspace, (((1, -1, 0),),), "Subspace(forms=((1, -1, 0),))", None),
+    "Arrangement": (
+        Arrangement, (3, (_LINE,), (1,)),
+        "Arrangement(n=3, subspaces=(Subspace(forms=((1, -1, 0),)),), special=(1,))",
+        Hypergraph(3, (_LINE,), (1,)),
+    ),
+    "TruncatedSeries": (
+        TruncatedSeries, (1, (2,), {(1,): Fraction(3, 4), (0,): 2}),
+        "TruncatedSeries(n=1, trunc=(2,), terms={(1,): Fraction(3, 4), (0,): 2})", None,
+    ),
+    "QPolynomial": (QPolynomial, ((1, Fraction(1, 2)),), "QPolynomial(num=(2, 1), den=2)", None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_VALUES))
+def test_value_classes_keep_frozen_dataclass_semantics(name):
+    """Each value class: equal fields give equal values with equal hashes
+    (a series is unhashable); an instance of another class with the same
+    fields, a subclass among them, or the plain tuple of the fields is
+    unequal, both ways; no field can be assigned or deleted; the repr is a
+    frozen dataclass's; pickle at every protocol, copy and deepcopy give an
+    equal value."""
+    cls, args, text, other = _VALUES[name]
+    value, same = cls(*args), cls(*args)
+    assert value == same and not value != same
+    if cls is TruncatedSeries:
+        assert cls.__hash__ is None
+    else:
+        assert hash(value) == hash(same)
+    fields = tuple(getattr(value, field) for field in cls.__slots__)
+    twin = type(f"{name}Twin", (cls,), {"__slots__": ()})(*args)
+    for stranger in (fields, twin, other):
+        if stranger is not None:
+            assert value != stranger and stranger != value
+            assert not value == stranger and not stranger == value
+    for field in cls.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    assert repr(value) == text
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+    pickled = [pickle.loads(pickle.dumps(value, proto)) for proto in protocols]
+    for clone in (*pickled, copy.copy(value), copy.deepcopy(value)):
+        assert type(clone) is cls and clone == value and repr(clone) == text
+        if cls is not TruncatedSeries:
+            assert hash(clone) == hash(value)

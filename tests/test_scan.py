@@ -552,20 +552,22 @@ def test_scan_keeps_the_verdicts_before_a_walk_failure(tmp_path, monkeypatch):
 def test_scan_pool_survives_a_walk_failure(tmp_path, monkeypatch):
     """With a real pool of two the walk runs on the pool's task thread; its
     error still reaches the caller, the pool is shut down without a warning,
-    and the report holds a prefix of the serial one."""
+    and the report is the serial failing run's, byte for byte: the header
+    and the 8 verdicts for n <= 3, none lost in a chunk the pool never sent."""
+    _fail_the_walk_at(monkeypatch, 4)
     serial = tmp_path / "serial.jsonl"
-    scan_hypergraphs(4, out=serial)
+    with pytest.raises(RuntimeError, match="n=4"):
+        scan_hypergraphs(4, out=serial)
     out = tmp_path / "scan.jsonl"
     monkeypatch.setattr(scan_module.os, "cpu_count", lambda: 2)
-    _fail_the_walk_at(monkeypatch, 4)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(RuntimeError, match="n=4"):
             scan_hypergraphs(4, out=out, workers=2)
         gc.collect()  # the error's traceback holds the pool in a cycle
     assert caught == []
-    assert serial.read_text().startswith(out.read_text())
-    assert out.read_text().startswith(report_header(2) + "\n")
+    assert out.read_bytes() == serial.read_bytes()
+    assert len(out.read_text().splitlines()) == 9
 
 
 def test_killed_scan_keeps_its_verdicts(tmp_path):

@@ -392,6 +392,26 @@ def test_public_constructor_refuses_non_integer_bounds():
     assert TruncatedSeries(1, (1,), {(1,): F(1)}).trunc == (1,)
 
 
+def test_series_fields_are_set_once():
+    """The public constructor, ``_trusted`` and the kernel's results set n,
+    trunc and terms once: rebinding or deleting any of them raises
+    AttributeError, so no caller can swap in terms outside the one
+    coefficient form.  A series stays unhashable."""
+    public = TruncatedSeries(2, (1, 1), {(1, 0): 3, (0, 1): F(1, 2)})
+    trusted = TruncatedSeries._trusted(2, (1, 1), {(0, 0): 1})
+    for a in (public, trusted, series_mul(public, trusted), series_int_pow(trusted, -1)):
+        for field in ("n", "trunc", "terms"):
+            with pytest.raises(AttributeError, match=field):
+                setattr(a, field, getattr(a, field))
+            with pytest.raises(AttributeError, match=field):
+                delattr(a, field)
+        assert (a.n, a.trunc) == (2, (1, 1))
+    assert series_mul(public, trusted) == public and public.terms == {(1, 0): 3, (0, 1): F(1, 2)}
+    assert TruncatedSeries.__hash__ is None
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(public)
+
+
 def test_series_json_round_trip():
     f = s(2, (2, 1), {(0, 0): 1, (2, 1): F(-7, 3)})
     obj = series_to_json(f)
