@@ -9,42 +9,41 @@ non-space character ``{``), or ``-`` for stdin.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
-from fractions import Fraction
+import types
 from functools import partial
 from typing import Callable, Sequence
 
-from .arrangement import (
-    arrangement_from_json,
-    arrangement_to_json,
-    brute_force_arrangement_count,
-    characteristic_polynomial,
-    clan,
-    count_complement,
-    graphical_arrangement,
-    marked_chromatic_arrangement,
-    region_count,
-    verification_primes,
-)
-from .chromatic import (
-    brute_force_count,
-    chordal_marked_chromatic,
-    chromatic_via_blowup,
-    marked_chromatic_poly,
-)
 from .errors import BudgetError, VerificationError
-from .hypergraph import (
-    hypergraph,
-    hypergraph_from_json,
-    hypergraph_from_system,
-    hypergraph_to_json,
-    marked_independence_series,
-    system_from_json,
-    system_validate,
-)
-from .scan import inverse_nonneg_check, odd_edge_witness, scan_hypergraphs
-from .series import Q, QPolynomial, qpoly_pretty, qpoly_to_json, series_int_pow, series_to_json
+
+
+def _engine(name: str) -> types.ModuleType:
+    """``chromaplex.<name>``, compiled and run at its first attribute access.
+
+    An imported module is returned as it is; any other goes into
+    ``sys.modules`` now and onto the package once it has run, as an import
+    binds it (unrun there, a walk over the package's names would run it)."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    source = spec.loader
+
+    def run(module: types.ModuleType) -> None:
+        module.__spec__.loader = module.__loader__ = source
+        source.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+
+    eager = types.SimpleNamespace(create_module=source.create_module, exec_module=run)
+    spec.loader = importlib.util.LazyLoader(eager)
+    module = sys.modules[fullname] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+AR, CH, HG, SC, SE = map(_engine, ("arrangement", "chromatic", "hypergraph", "scan", "series"))
 
 
 def _read_input(arg: str) -> dict:
@@ -76,19 +75,19 @@ def _dump(obj: object) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _poly_output(p: QPolynomial, fmt: str, at: int | None) -> str:
+def _poly_output(p: SE.QPolynomial, fmt: str, at: int | None) -> str:
     if fmt == "json":
-        obj = {"poly": qpoly_to_json(p), "pretty": qpoly_pretty(p)}
+        obj = {"poly": SE.qpoly_to_json(p), "pretty": SE.qpoly_pretty(p)}
         if at is not None:
             obj["at"] = {"q": at, "value": str(p.eval(at))}
         return _dump(obj)
-    lines = [qpoly_pretty(p)]
+    lines = [SE.qpoly_pretty(p)]
     if at is not None:
         lines.append(f"value at q={at}: {p.eval(at)}")
     return "\n".join(lines)
 
 
-def _verify(poly: QPolynomial, var: str, xs: Sequence[int], count: Callable, oracle: str) -> int:
+def _verify(poly: SE.QPolynomial, var: str, xs: Sequence[int], count: Callable, oracle: str) -> int:
     """Exit code 3, reported on stderr, at the first x in xs where poly and
     the oracle's count differ; 0 when they agree at every x."""
     for x in xs:
@@ -108,68 +107,68 @@ def _verify(poly: QPolynomial, var: str, xs: Sequence[int], count: Callable, ora
 
 
 def _cmd_chrom(args: argparse.Namespace) -> int:
-    g = hypergraph_from_json(_read_input(args.input))
+    g = HG.hypergraph_from_json(_read_input(args.input))
     m = _vector(args.m)
     if args.method == "partition":
-        poly = marked_chromatic_poly(g, m)
+        poly = CH.marked_chromatic_poly(g, m)
     elif args.method == "blowup":
-        poly = chromatic_via_blowup(g, m)
+        poly = CH.chromatic_via_blowup(g, m)
     else:
-        poly = chordal_marked_chromatic(g, m)
+        poly = CH.chordal_marked_chromatic(g, m)
     _emit(_poly_output(poly, args.format, args.at))
     if args.verify:
-        return _verify(poly, "q", (2, 3, 4), partial(brute_force_count, g, m), "brute force")
+        return _verify(poly, "q", (2, 3, 4), partial(CH.brute_force_count, g, m), "brute force")
     return 0
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
-    g = hypergraph_from_json(_read_input(args.input))
+    g = HG.hypergraph_from_json(_read_input(args.input))
     trunc = _vector(args.trunc)
-    base = marked_independence_series(g, trunc)
-    power = series_int_pow(base, args.q)
-    _emit(_dump(series_to_json(power)))
+    base = HG.marked_independence_series(g, trunc)
+    power = SE.series_int_pow(base, args.q)
+    _emit(_dump(SE.series_to_json(power)))
     return 0
 
 
 def _cmd_arrangement(args: argparse.Namespace) -> int:
-    arr = arrangement_from_json(_read_input(args.input))
+    arr = AR.arrangement_from_json(_read_input(args.input))
     if args.action == "charpoly":
-        _emit(_poly_output(characteristic_polynomial(arr), args.format, args.at))
+        _emit(_poly_output(AR.characteristic_polynomial(arr), args.format, args.at))
         return 0
     if args.action == "regions":
-        _emit(str(region_count(arr)))
+        _emit(str(AR.region_count(arr)))
         return 0
     if args.action == "countfp":
-        _emit(str(count_complement(arr, args.p)))
+        _emit(str(AR.count_complement(arr, args.p)))
         return 0
     if args.action == "clan":
         m = _vector(args.m)
-        _emit(_dump(arrangement_to_json(clan(arr, arr.special, m))))
+        _emit(_dump(AR.arrangement_to_json(AR.clan(arr, arr.special, m))))
         return 0
     # markchrom
     m = _vector(args.m)
-    poly = marked_chromatic_arrangement(arr, arr.special, m)
+    poly = AR.marked_chromatic_arrangement(arr, arr.special, m)
     _emit(_poly_output(poly, args.format, args.at))
     if args.verify:
-        count = partial(brute_force_arrangement_count, arr, arr.special, m)
-        return _verify(poly, "p", verification_primes(arr, m), count, "enumeration")
+        count = partial(AR.brute_force_arrangement_count, arr, arr.special, m)
+        return _verify(poly, "p", AR.verification_primes(arr, m), count, "enumeration")
     return 0
 
 
 def _cmd_system(args: argparse.Namespace) -> int:
-    a = system_from_json(_read_input(args.input))
+    a = HG.system_from_json(_read_input(args.input))
     if args.action == "validate":
-        flags = system_validate(a)
+        flags = HG.system_validate(a)
         _emit(_dump({"n": a.n, "members": len(a.members), "simple": flags.simple}))
         return 0
     special = _vector(args.special) if args.special else ()
-    g = hypergraph_from_system(a, special)
-    _emit(_dump(hypergraph_to_json(g)))
+    g = HG.hypergraph_from_system(a, special)
+    _emit(_dump(HG.hypergraph_to_json(g)))
     return 0
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    report = scan_hypergraphs(
+    report = SC.scan_hypergraphs(
         args.max_n, m_per_var=args.trunc, dedup=args.dedup, out=args.out, resume=args.resume,
         workers=args.workers,
     )
@@ -192,32 +191,33 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
         if not ok:
             failures += 1
 
-    g = hypergraph(4, [(1, 2, 3), (3, 4)], special=(1,))
-    poly = marked_chromatic_poly(g, (2, 1, 1, 2))
+    g = HG.hypergraph(4, [(1, 2, 3), (3, 4)], special=(1,))
+    poly = CH.marked_chromatic_poly(g, (2, 1, 1, 2))
+    Q = SE.Q
     want = Q * Q * (Q - 1) * (Q - 1) * (Q * Q - 4) / 4
     check("worked example polynomial", poly == want)
     check(
         "worked example brute force",
-        all(poly.eval(q) == brute_force_count(g, (2, 1, 1, 2), q) for q in range(5)),
+        all(poly.eval(q) == CH.brute_force_count(g, (2, 1, 1, 2), q) for q in range(5)),
     )
 
-    k3 = hypergraph(3, [(1, 2), (1, 3), (2, 3)])
-    check("triangle regions", region_count(graphical_arrangement(k3)) == 6)
+    k3 = HG.hypergraph(3, [(1, 2), (1, 3), (2, 3)])
+    check("triangle regions", AR.region_count(AR.graphical_arrangement(k3)) == 6)
 
-    arr = arrangement_from_json({"n": 3, "special": [], "subspaces": [{"forms": [[1, 1, -1]]}]})
+    arr = AR.arrangement_from_json({"n": 3, "special": [], "subspaces": [{"forms": [[1, 1, -1]]}]})
     check(
         "plane marked chromatic at 7",
-        marked_chromatic_arrangement(arr, (), (2, 2, 1)).eval(7) == Fraction(1470),
+        AR.marked_chromatic_arrangement(arr, (), (2, 2, 1)).eval(7) == 1470,
     )
 
-    odd = hypergraph(3, [(1, 2, 3)])
-    res = inverse_nonneg_check(odd, (2, 2, 2))
+    odd = HG.hypergraph(3, [(1, 2, 3)])
+    res = SC.inverse_nonneg_check(odd, (2, 2, 2))
     check("odd edge finds a negative", not res.nonneg)
-    wit = odd_edge_witness(odd)
+    wit = SC.odd_edge_witness(odd)
     check("odd edge witness value", wit is not None and wit[1] == -6)
 
-    even = hypergraph(4, [(1, 2, 3, 4)])
-    check("even edge passes window 2", inverse_nonneg_check(even, (2,) * 4).nonneg)
+    even = HG.hypergraph(4, [(1, 2, 3, 4)])
+    check("even edge passes window 2", SC.inverse_nonneg_check(even, (2,) * 4).nonneg)
 
     return 3 if failures else 0
 

@@ -32,7 +32,6 @@ import operator
 import os
 import time
 from functools import lru_cache
-from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import __version__
@@ -236,11 +235,12 @@ def report_header(m_per_var: int) -> str:
     return json.dumps({"version": __version__, "window": m_per_var}, separators=(",", ":"))
 
 
-def _recorded_keys(path: Path, header: str) -> set[str]:
+def _recorded_keys(path: str, header: str) -> set[str]:
     """Canonical forms recorded in an existing report, which must start with
     ``header``.  A torn last line (no newline, as a killed run leaves it) is
     cut off the file, so that its hypergraph is checked again."""
-    data = path.read_bytes()
+    with open(path, "rb") as fh:
+        data = fh.read()
     kept = data[: data.rfind(b"\n") + 1]
     lines = kept.decode().splitlines()
     if lines and lines[0] != header:
@@ -249,7 +249,7 @@ def _recorded_keys(path: Path, header: str) -> set[str]:
             "of this version and window"
         )
     if len(kept) < len(data):
-        with path.open("r+b") as fh:
+        with open(path, "r+b") as fh:
             fh.truncate(len(kept))
     keys = set()
     for line in lines[1:]:
@@ -317,7 +317,7 @@ def scan_hypergraphs(
     n_max: int,
     m_per_var: int = 2,
     dedup: bool = True,
-    out: str | Path | None = None,
+    out: str | os.PathLike[str] | None = None,
     resume: bool = False,
     workers: int = 1,
 ) -> ScanReport:
@@ -348,11 +348,11 @@ def scan_hypergraphs(
     report = ScanReport(n_max=n_max, m_per_var=m_per_var, dedup=dedup)
 
     header = report_header(m_per_var)
-    out_path = Path(out) if out is not None else None
+    out_path = os.fspath(out) if out is not None else None
     # appended verdicts, too, must share the window of the report's header
-    recorded = _recorded_keys(out_path, header) if out_path and out_path.exists() else set()
+    recorded = _recorded_keys(out_path, header) if out_path and os.path.exists(out_path) else set()
     # opened before the walk, line-buffered: a killed scan keeps every verdict it wrote
-    fh = out_path.open("a", buffering=1) if out_path is not None else None
+    fh = open(out_path, "a", buffering=1) if out_path is not None else None
 
     failure: list[Exception] = []  # held: raised on a pool's thread, it loses a chunk
 

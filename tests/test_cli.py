@@ -164,13 +164,13 @@ def test_arrangement_markchrom_verify_certifies_large_clans(capsys):
 
 
 def test_verify_reports_the_first_mismatch(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "brute_force_count", lambda g, m, q: -1)
+    monkeypatch.setattr(cli.CH, "brute_force_count", lambda g, m, q: -1)
     assert run(["chrom", WORKED, "--m", "2,1,1,2", "--verify"], capsys) == (
         3,
         WORKED_PRETTY + "\n",
         "verification mismatch at q=2: polynomial gives 0, brute force counts -1\n",
     )
-    monkeypatch.setattr(cli, "brute_force_arrangement_count", lambda arr, sp, m, p: -1)
+    monkeypatch.setattr(cli.AR, "brute_force_arrangement_count", lambda arr, sp, m, p: -1)
     assert run(["arrangement", "markchrom", PLANE, "--m", "1,1,1", "--verify"], capsys) == (
         3,
         "q^3 - q^2\n",
@@ -182,7 +182,7 @@ def test_verification_error_exits_3(capsys, monkeypatch):
     def disagreeing(g, m):
         raise VerificationError("two routes disagree")
 
-    monkeypatch.setattr(cli, "marked_chromatic_poly", disagreeing)
+    monkeypatch.setattr(cli.CH, "marked_chromatic_poly", disagreeing)
     assert run(["chrom", WORKED, "--m", "2,1,1,2"], capsys) == (
         3,
         "",
@@ -296,7 +296,7 @@ def test_selftest(capsys):
 
 
 def test_selftest_failure_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "region_count", lambda arr: 5)
+    monkeypatch.setattr(cli.AR, "region_count", lambda arr: 5)
     code, out, err = run(["selftest"], capsys)
     assert code == 3
     assert err == ""
@@ -380,7 +380,7 @@ def test_internal_type_error_is_not_input_error(capsys, monkeypatch):
     def broken(g, m):
         raise TypeError("internal fault")
 
-    monkeypatch.setattr(cli, "marked_chromatic_poly", broken)
+    monkeypatch.setattr(cli.CH, "marked_chromatic_poly", broken)
     with pytest.raises(TypeError, match="internal fault"):
         main(["chrom", WORKED, "--m", "2,1,1,2"])
 
@@ -479,6 +479,57 @@ def test_console_script_entry_point():
     assert target == "chromaplex.cli:main"
     module, _, attr = target.partition(":")
     assert getattr(importlib.import_module(module), attr) is main
+
+
+ENGINES = ("arrangement", "chromatic", "hypergraph", "scan", "series")
+# runs the CLI with the arguments given, then prints, on its last line, the
+# engine modules that have run; reading a module's type runs nothing
+RAN_PROBE = (
+    "import sys, types; from chromaplex.cli import main; code = main(sys.argv[1:]); "
+    f"print(*(n for n in {ENGINES!r} if type(sys.modules['chromaplex.' + n]) "
+    "is types.ModuleType)); sys.exit(code)"
+)
+
+
+# (a command, the engine modules it runs)
+RAN = [
+    (["system", "validate", '{"n":2,"members":[[],[1]]}'], "hypergraph series"),
+    (["series", WORKED, "--q", "2", "--trunc", "1,1,1,1"], "hypergraph series"),
+    (["chrom", WORKED, "--m", "1,1,1,1"], "chromatic hypergraph series"),
+    (["arrangement", "regions", BRAID3], "arrangement chromatic hypergraph series"),
+    (["scan", "--max-n", "2"], "chromatic hypergraph scan series"),
+    (["selftest"], " ".join(ENGINES)),
+]
+
+
+@pytest.mark.parametrize("argv, ran", RAN, ids=[argv[0] for argv, _ in RAN])
+def test_commands_run_only_the_engine_modules_they_use(argv, ran):
+    """Every engine module is in ``sys.modules`` once the CLI is imported,
+    but a module's code runs only when a command uses it."""
+    proc = run_process([sys.executable, "-c", RAN_PROBE, *argv])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == ran
+
+
+def test_scan_workers_write_the_serial_report(tmp_path):
+    """A scan whose checks run in a pool of 2 processes, its walk on the
+    pool's thread, writes the report of a serial scan byte for byte; the
+    process is told it has 2 cores, so that the pool starts on any host."""
+    probe = (
+        "import os, sys; os.cpu_count = lambda: 2; from chromaplex.cli import main; "
+        "code = main(sys.argv[1:]); sys.stderr.write(str('multiprocessing' in sys.modules)); "
+        "sys.exit(code)"
+    )
+    reports = []
+    for workers, pooled in (("2", "True"), ("1", "False")):
+        out = tmp_path / f"workers-{workers}.jsonl"
+        argv = ["scan", "--max-n", "4", "--workers", workers, "--out", str(out)]
+        proc = run_process([sys.executable, "-c", probe, *argv])
+        assert (proc.returncode, proc.stderr) == (0, pooled), proc.stderr
+        assert proc.stdout.startswith("scanned 28 hypergraphs (n<=4, window 2 per vertex")
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert reports[0].count(b"\n") == 1 + 28
 
 
 @pytest.mark.skipif(

@@ -125,10 +125,10 @@ def test_cli_import_loads_no_multiprocessing():
     """Only a scan that starts worker processes needs ``multiprocessing``;
     every command pays for what ``import chromaplex.cli`` loads, so it loads
     neither ``dataclasses`` nor ``inspect`` (which ``dataclasses`` imports,
-    with ``ast``, ``dis`` and ``tokenize``) either.  The engine modules,
-    though, must load with it: the benchmark reads them from
-    ``sys.modules`` once it has imported the CLI, so a subcommand that
-    imported its engine lazily would break every benchmark run."""
+    with ``ast``, ``dis`` and ``tokenize``) either.  The engine modules are
+    registered with the CLI, in ``sys.modules``, and each runs on its first
+    use: the benchmark reads them from ``sys.modules`` once it has imported
+    the CLI."""
     src = str(Path(chromaplex.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     engines = ("scan", "chromatic", "hypergraph", "series", "arrangement")
@@ -141,6 +141,34 @@ def test_cli_import_loads_no_multiprocessing():
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
     )
     assert (out.returncode, out.stdout.strip()) == (0, "False False False True"), out.stderr
+
+
+@pytest.mark.parametrize("first", ["cli", "scan"])
+def test_cli_import_keeps_the_benchmark_contract(first):
+    """After ``import chromaplex.cli``, in a fresh interpreter, the
+    benchmark's walk over the names of every chromaplex module in
+    ``sys.modules`` completes and finds the caches it clears, although it
+    runs the unrun engine modules as it goes; the CLI's engine module is the
+    one ``import chromaplex.scan`` gives, imported before the CLI or after,
+    and a bound attribute of the package once it has run."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(Path(chromaplex.__file__).resolve().parents[1])}
+    probe = (
+        f"import sys; sys.path.insert(0, {str(root / 'bench')!r}); import run; "
+        f"{'import chromaplex.scan; ' if first == 'scan' else ''}import chromaplex.cli as cli; "
+        "caches = run.find_caches(); print(*sorted(caches)); import chromaplex.scan; "
+        "print(chromaplex.scan is cli.SC is sys.modules['chromaplex.scan'])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    caches, same = out.stdout.splitlines()
+    assert {
+        "arrangement._poset_data", "scan._orbit", "chromatic._partition_formula",
+        "series.binomial_poly",
+    } <= set(caches.split())
+    assert same == "True"
 
 
 _LINE = Subspace(((1, -1, 0),))
